@@ -13,7 +13,10 @@
 //! own latency histogram (p50/p99/max from a `stats` request issued
 //! after the run). `--pipeline 1` is a closed loop; `--codec binary`
 //! negotiates the length-prefixed binary codec on every connection.
+//! A reader that closes stdout early (`loadgen … | head -2`) ends the
+//! run quietly with exit status 0.
 
+use std::io::{self, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 
@@ -97,13 +100,38 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { addr, cfg })
 }
 
-fn run(args: &Args) -> Result<(), String> {
+/// Why a run ended early.
+enum Stop {
+    /// Whoever reads stdout went away: nothing left to report to.
+    Closed,
+    /// A real failure, with its message.
+    Failed(String),
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Self {
+        Stop::Failed(msg)
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            Stop::Closed
+        } else {
+            Stop::Failed(format!("writing the report failed: {e}"))
+        }
+    }
+}
+
+fn run(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     let summary = drive(args.addr, &args.cfg).map_err(|e| format!("loadgen run failed: {e}"))?;
     let codec = match args.cfg.codec {
         Codec::Json => "json",
         Codec::Binary => "binary",
     };
-    println!(
+    writeln!(
+        out,
         "loadgen: {} requests over {} conns (pipeline {}, {codec}) in {:.3}s -> {:.0} req/s, \
          {} errors",
         summary.requests,
@@ -112,17 +140,19 @@ fn run(args: &Args) -> Result<(), String> {
         summary.elapsed_secs,
         summary.requests_per_sec,
         summary.errors,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "client latency: p50 {}us p95 {}us p99 {}us max {}us",
         summary.p50_us, summary.p95_us, summary.p99_us, summary.max_us,
-    );
+    )?;
 
     let mut client =
         Client::connect(args.addr).map_err(|e| format!("stats connection failed: {e}"))?;
     let resp = client.request(&Request::Stats).map_err(|e| format!("stats request failed: {e}"))?;
     match resp {
-        Response::Stats(st) => println!(
+        Response::Stats(st) => writeln!(
+            out,
             "server histogram: count {} p50 {}us p99 {}us max {}us (uptime {:.1}s, {} machines)",
             st.latency_us.count,
             st.latency_us.p50_us,
@@ -130,11 +160,12 @@ fn run(args: &Args) -> Result<(), String> {
             st.latency_us.max_us,
             st.uptime_secs,
             st.machines,
-        ),
+        )?,
         // A gateway target answers with its federation counters; print
         // the routing split and the per-backend request distribution.
         Response::GwStats(gs) => {
-            println!(
+            writeln!(
+                out,
                 "gateway: {} hits, {} misses, {} failovers, journal {} frames / {} bytes \
                  (uptime {:.1}s)",
                 gs.hits,
@@ -143,20 +174,22 @@ fn run(args: &Args) -> Result<(), String> {
                 gs.journal_frames,
                 gs.journal_bytes,
                 gs.uptime_secs,
-            );
+            )?;
             for b in &gs.backends {
-                println!(
+                writeln!(
+                    out,
                     "backend {}: {} requests, {} failovers, {} replayed{}",
                     b.addr,
                     b.requests,
                     b.failovers,
                     b.replayed,
                     if b.healthy { "" } else { " (down)" },
-                );
+                )?;
             }
         }
-        other => return Err(format!("want stats reply, got {other:?}")),
+        other => return Err(Stop::Failed(format!("want stats reply, got {other:?}"))),
     }
+    out.flush()?;
     Ok(())
 }
 
@@ -168,9 +201,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+    match run(&args, &mut io::stdout().lock()) {
+        Ok(()) | Err(Stop::Closed) => ExitCode::SUCCESS,
+        Err(Stop::Failed(msg)) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }

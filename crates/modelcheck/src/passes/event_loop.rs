@@ -19,8 +19,12 @@
 //!   exempt: core-local replica reads are the designed hot path.)
 //! * `sleep(` — `std::thread::sleep` stalls every connection on the
 //!   core.
-//! * `.read_to_end(` / `.read_to_string(` / `.write_all(` — these
-//!   retry until EOF/full write, defeating nonblocking registration.
+//! * `.read_to_end(` / `.read_to_string(` / `.read_exact(` /
+//!   `.write_all(` — these retry until EOF/full read/full write,
+//!   defeating nonblocking registration.
+//! * `connect(` / `connect_timeout(` — a blocking TCP connect (or a
+//!   client built on one) waits out the handshake; connect through a
+//!   nonblocking socket and finish on `EPOLLOUT` instead.
 //! * `println!` / `eprintln!` / `print!` / `eprint!` — stdio locks and
 //!   blocks on a slow consumer; use the metrics path instead.
 //!
@@ -36,9 +40,10 @@ use std::collections::VecDeque;
 pub const MARKER: &str = "modelcheck: event-loop";
 
 /// Blocking method-call names.
-const BLOCKING_METHODS: [&str; 4] = ["lock", "read_to_end", "read_to_string", "write_all"];
+const BLOCKING_METHODS: [&str; 5] =
+    ["lock", "read_to_end", "read_to_string", "read_exact", "write_all"];
 /// Blocking free/path call names.
-const BLOCKING_CALLS: [&str; 2] = ["write_lock", "sleep"];
+const BLOCKING_CALLS: [&str; 4] = ["write_lock", "sleep", "connect", "connect_timeout"];
 /// Blocking macros.
 const BLOCKING_MACROS: [&str; 4] = ["println", "eprintln", "print", "eprint"];
 
@@ -212,6 +217,32 @@ mod tests {
                    }\n";
         let d = scan(src);
         assert_eq!(d.len(), 3, "{d:?}");
+    }
+
+    #[test]
+    fn read_exact_and_blocking_connects_fire() {
+        let src = "// modelcheck: event-loop\n\
+                   fn on_backend(&mut self) {\n\
+                   \x20   let s = TcpStream::connect(addr);\n\
+                   \x20   let t = TcpStream::connect_timeout(&addr, d);\n\
+                   \x20   let c = Client::connect(addr);\n\
+                   \x20   s.read_exact(&mut len4);\n\
+                   }\n";
+        let d = scan(src);
+        assert_eq!(d.len(), 4, "{d:?}");
+        assert!(d.iter().any(|x| x.message.contains("`.read_exact(`")), "{d:?}");
+        assert!(d.iter().any(|x| x.message.contains("`connect_timeout(`")), "{d:?}");
+    }
+
+    #[test]
+    fn a_justified_nonblocking_connect_is_allowed() {
+        let src = "// modelcheck: event-loop\n\
+                   fn open(&mut self) {\n\
+                   \x20   // modelcheck-allow: event-loop — nonblocking socket: EINPROGRESS\n\
+                   \x20   let r = connect(fd, &sa, len);\n\
+                   \x20   let s = connect_nonblocking(addr);\n\
+                   }\n";
+        assert!(scan(src).is_empty());
     }
 
     #[test]

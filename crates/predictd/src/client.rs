@@ -84,10 +84,10 @@ impl Client {
 
     /// Connects speaking the binary codec with a bounded connect and
     /// bounded per-call reads/writes (`None` = block forever) — what
-    /// the gateway uses toward its backends, so one dead or wedged
-    /// backend stalls a request for at most the timeout instead of
-    /// pinning a worker indefinitely. Every resolved address is tried
-    /// in order; the last connect error is returned if all fail.
+    /// the gateway's health checker and blocking executor use toward
+    /// its backends, so one dead or wedged backend stalls a call for at
+    /// most the timeout. Every resolved address is tried in order; the
+    /// last connect error is returned if all fail.
     pub fn connect_binary_timeout(
         addr: impl ToSocketAddrs,
         connect: std::time::Duration,
@@ -103,10 +103,6 @@ impl Client {
                     let reader = BufReader::new(stream.try_clone()?);
                     let mut client =
                         Client { reader, writer: BufWriter::new(stream), binary: true };
-                    // modelcheck-allow: event-loop — connect is already a
-                    // blocking, timeout-bounded call; the 4-byte preamble
-                    // shares the socket's write timeout. The gateway's
-                    // backend fan-out is synchronous by design.
                     client.writer.write_all(&binproto::PREAMBLE)?;
                     return Ok(client);
                 }

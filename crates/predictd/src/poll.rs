@@ -4,9 +4,10 @@
 //! no async runtime).
 //!
 //! Everything unsafe is confined to this module; the surface it exports
-//! ([`Epoll`], [`Waker`], [`bind_reuseport`], the buffer-size setters)
-//! is safe: file descriptors are owned [`OwnedFd`]s closed on drop, and
-//! every syscall result is translated into [`std::io::Error`].
+//! ([`Epoll`], [`Waker`], [`bind_reuseport`], [`connect_nonblocking`],
+//! the buffer-size setters, [`batch_scheduling`]) is safe: file descriptors are owned
+//! [`OwnedFd`]s closed on drop, and every syscall result is translated
+//! into [`std::io::Error`].
 //!
 //! Linux-only by construction (predictd's evented engine is too); the
 //! blocking pool engine remains the portable fallback.
@@ -43,6 +44,8 @@ const SO_REUSEADDR: i32 = 2;
 const SO_SNDBUF: i32 = 7;
 const SO_RCVBUF: i32 = 8;
 const SO_REUSEPORT: i32 = 15;
+const EINPROGRESS: i32 = 115;
+const SCHED_BATCH: i32 = 3;
 
 /// One epoll readiness record. x86_64 packs the struct (kernel ABI);
 /// other architectures use natural layout.
@@ -54,6 +57,11 @@ pub struct EpollEvent {
     pub events: u32,
     /// The caller's token, returned verbatim.
     pub data: u64,
+}
+
+#[repr(C)]
+struct SchedParam {
+    sched_priority: i32,
 }
 
 #[repr(C)]
@@ -73,8 +81,10 @@ extern "C" {
     fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const i32, optlen: u32) -> i32;
     fn bind(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
     fn listen(fd: i32, backlog: i32) -> i32;
+    fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
+    fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
 }
 
 fn check(ret: i32) -> io::Result<i32> {
@@ -159,6 +169,7 @@ impl Epoll {
 
 /// An eventfd-based cross-thread wakeup: any thread calls [`Waker::wake`],
 /// the owning event loop sees the fd turn readable and [`Waker::drain`]s it.
+#[derive(Debug)]
 pub struct Waker {
     fd: OwnedFd,
 }
@@ -217,6 +228,19 @@ fn set_opt(fd: RawFd, level: i32, name: i32, value: i32) -> io::Result<()> {
     Ok(())
 }
 
+fn sockaddr_in(addr: SocketAddrV4) -> SockAddrIn {
+    SockAddrIn {
+        sin_family: u16::try_from(AF_INET).unwrap_or(2),
+        sin_port: addr.port().to_be(),
+        // Network order is the octets verbatim.
+        sin_addr: u32::from_ne_bytes(addr.ip().octets()),
+        sin_zero: [0; 8],
+    }
+}
+
+/// `sizeof(struct sockaddr_in)`.
+const SOCKADDR_IN_LEN: u32 = 16;
+
 /// Binds a nonblocking IPv4 listener with `SO_REUSEPORT` set, so every
 /// event-loop thread can bind the same address and let the kernel
 /// load-balance accepts across them.
@@ -227,19 +251,47 @@ pub fn bind_reuseport(addr: SocketAddrV4) -> io::Result<TcpListener> {
     let owned = unsafe { OwnedFd::from_raw_fd(fd) };
     set_opt(fd, SOL_SOCKET, SO_REUSEADDR, 1)?;
     set_opt(fd, SOL_SOCKET, SO_REUSEPORT, 1)?;
-    let sa = SockAddrIn {
-        sin_family: u16::try_from(AF_INET).unwrap_or(2),
-        sin_port: addr.port().to_be(),
-        // Network order is the octets verbatim.
-        sin_addr: u32::from_ne_bytes(addr.ip().octets()),
-        sin_zero: [0; 8],
-    };
-    let len = u32::try_from(std::mem::size_of::<SockAddrIn>()).unwrap_or(16);
+    let sa = sockaddr_in(addr);
     // SAFETY: `sa` is a live, fully initialized sockaddr_in.
-    check(unsafe { bind(fd, &sa, len) })?;
+    check(unsafe { bind(fd, &sa, SOCKADDR_IN_LEN) })?;
     // SAFETY: plain syscall on an owned fd.
     check(unsafe { listen(fd, 1024) })?;
     Ok(TcpListener::from(owned))
+}
+
+/// Starts a nonblocking IPv4 connect and returns the stream at once,
+/// usually before the handshake finishes (`EINPROGRESS`). Register it
+/// for [`EPOLLOUT`]: when it turns writable the connect has finished,
+/// and [`TcpStream::take_error`] (`SO_ERROR`) says whether it failed.
+/// Errors the kernel reports synchronously (say, `ECONNREFUSED` on
+/// loopback) are returned here.
+pub fn connect_nonblocking(addr: SocketAddrV4) -> io::Result<TcpStream> {
+    // SAFETY: plain syscall; the returned fd is immediately owned.
+    let fd = check(unsafe { socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
+    // SAFETY: fd was just returned by the kernel and is unowned.
+    let owned = unsafe { OwnedFd::from_raw_fd(fd) };
+    let sa = sockaddr_in(addr);
+    // SAFETY: `sa` is a live, fully initialized sockaddr_in.
+    match check(unsafe { connect(fd, &sa, SOCKADDR_IN_LEN) }) {
+        Ok(_) => {}
+        // An interrupted connect carries on asynchronously, exactly
+        // like one in progress (retrying it would report EALREADY).
+        Err(e) if e.raw_os_error() == Some(EINPROGRESS) => {}
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+        Err(e) => return Err(e),
+    }
+    Ok(TcpStream::from(owned))
+}
+
+/// Moves the calling thread to `SCHED_BATCH`: the same CPU share as
+/// before, but its wake-ups no longer preempt the thread running on its
+/// CPU. For helper threads that wake on I/O completion and must not cut
+/// an event loop's batch short.
+pub fn batch_scheduling() -> io::Result<()> {
+    let param = SchedParam { sched_priority: 0 };
+    // SAFETY: `param` outlives the call; pid 0 is the calling thread.
+    check(unsafe { sched_setscheduler(0, SCHED_BATCH, &param) })?;
+    Ok(())
 }
 
 /// Shrinks (or grows) the kernel send buffer of a connected stream —
@@ -257,7 +309,26 @@ pub fn set_recv_buf(stream: &TcpStream, bytes: usize) -> io::Result<()> {
 mod tests {
     use super::*;
     use std::io::{Read as _, Write as _};
-    use std::net::{Ipv4Addr, SocketAddrV4};
+    use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
+
+    #[test]
+    fn batch_scheduling_applies_to_the_calling_thread_only() {
+        // Field 41 of /proc/thread-self/stat is the scheduling policy.
+        fn policy() -> String {
+            let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("stat");
+            let after_comm = stat.rsplit_once(") ").map_or("", |(_, rest)| rest);
+            after_comm.split_whitespace().nth(38).unwrap_or("").to_string()
+        }
+        let before = policy();
+        let moved = std::thread::spawn(|| {
+            batch_scheduling().expect("SCHED_BATCH needs no privilege");
+            policy()
+        })
+        .join()
+        .expect("thread");
+        assert_eq!(moved, SCHED_BATCH.to_string());
+        assert_eq!(policy(), before, "other threads keep their policy");
+    }
 
     #[test]
     fn epoll_sees_eventfd_wakeups() {
@@ -329,6 +400,46 @@ mod tests {
         });
         assert_eq!(out.expect_err("passed through").kind(), io::ErrorKind::WouldBlock);
         assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn nonblocking_connect_completes_on_epollout() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let SocketAddr::V4(addr) = listener.local_addr().expect("addr") else {
+            panic!("bound an IPv4 loopback address")
+        };
+        let mut stream = connect_nonblocking(addr).expect("connect started");
+        let ep = Epoll::new().expect("epoll");
+        ep.add(stream.as_raw_fd(), 7, EPOLLOUT).expect("add");
+        let mut evs = [EpollEvent { events: 0, data: 0 }; 8];
+        assert_eq!(ep.wait(&mut evs, 2000).expect("wait"), 1);
+        assert!(stream.take_error().expect("SO_ERROR").is_none(), "connect succeeded");
+        let (mut peer, _) = listener.accept().expect("accept");
+        stream.write_all(b"ok").expect("write");
+        let mut buf = [0u8; 2];
+        peer.read_exact(&mut buf).expect("read");
+        assert_eq!(&buf, b"ok");
+    }
+
+    #[test]
+    fn nonblocking_connect_to_a_closed_port_reports_the_refusal() {
+        // Bind then drop: the port is (almost certainly) closed now.
+        let port = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("probe port")
+            .port();
+        let addr = SocketAddrV4::new(Ipv4Addr::LOCALHOST, port);
+        match connect_nonblocking(addr) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionRefused),
+            Ok(stream) => {
+                let ep = Epoll::new().expect("epoll");
+                ep.add(stream.as_raw_fd(), 7, EPOLLOUT).expect("add");
+                let mut evs = [EpollEvent { events: 0, data: 0 }; 8];
+                assert_eq!(ep.wait(&mut evs, 2000).expect("wait"), 1);
+                let err = stream.take_error().expect("SO_ERROR").expect("refused");
+                assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+            }
+        }
     }
 
     #[test]

@@ -26,10 +26,15 @@ pub struct BackendState {
     /// Consecutive failed health probes (reset by any success).
     probe_failures: AtomicU32,
     /// Replication cursor: how many journal reports this backend has
-    /// been sent (broadcast or replay). Compared against the journal's
-    /// report count to size the catch-up suffix, and against the
-    /// backend's own `load_report` counter to detect a restart.
+    /// acknowledged (broadcast or replay). Compared against the
+    /// journal's report count to size the catch-up suffix, and against
+    /// the backend's own `load_report` counter to detect a restart.
     sent_reports: AtomicU64,
+    /// Broadcasts sent to this backend and not yet settled (acked or
+    /// failed). Changed only under the gateway's sequencing lock, so
+    /// `cursor + in_flight` read under it is the journal position the
+    /// backend will hold once every pending broadcast lands.
+    in_flight: AtomicU64,
 }
 
 impl BackendState {
@@ -42,6 +47,7 @@ impl BackendState {
             healthy: AtomicBool::new(true),
             probe_failures: AtomicU32::new(0),
             sent_reports: AtomicU64::new(0),
+            in_flight: AtomicU64::new(0),
         }
     }
 
@@ -62,6 +68,12 @@ impl BackendState {
     pub fn mark_up(&self) -> bool {
         self.probe_failures.store(0, Ordering::Relaxed);
         !self.healthy.swap(true, Ordering::Release)
+    }
+
+    /// Takes the backend out of routing at once (a probe proved its
+    /// state gone). Returns `true` on the Up→Down transition.
+    pub(crate) fn mark_down(&self) -> bool {
+        self.healthy.swap(false, Ordering::Release)
     }
 
     /// Records a failed probe; after `threshold` consecutive failures
@@ -86,6 +98,29 @@ impl BackendState {
         self.sent_reports.fetch_add(n, Ordering::Release);
     }
 
+    /// Broadcasts sent to this backend and not yet settled. Relaxed:
+    /// every change and every read that acts on it holds the sequencing
+    /// lock, which orders them.
+    pub(crate) fn in_flight(&self) -> u64 {
+        self.in_flight.load(Ordering::Relaxed)
+    }
+
+    /// Counts one broadcast sent (under the sequencing lock).
+    pub(crate) fn broadcast_sent(&self) {
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Settles one sent broadcast (under the sequencing lock): an ack
+    /// advances the cursor before the in-flight count drops, so the sum
+    /// never dips.
+    pub(crate) fn broadcast_settled(&self, acked: bool) {
+        if acked {
+            self.advance_cursor(1);
+        }
+        let _ =
+            self.in_flight.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+    }
+
     /// Rewinds the cursor to `to` (journal truncation compacted away
     /// records below it, or a replay proved the backend holds exactly
     /// `to` reports).
@@ -94,7 +129,9 @@ impl BackendState {
     }
 }
 
-/// One thread's lazily-connected binary-codec channel to one backend.
+/// One thread's lazily-connected, blocking binary-codec channel to one
+/// backend — what the health checker and [`crate::Gateway::handle`]
+/// drive requests through (the event loop uses nonblocking lanes).
 #[derive(Debug)]
 pub struct BackendConn {
     addr: String,
@@ -172,6 +209,18 @@ mod tests {
         assert_eq!(b.cursor(), 7);
         b.set_cursor(3);
         assert_eq!(b.cursor(), 3);
+    }
+
+    #[test]
+    fn settled_broadcasts_move_from_in_flight_to_the_cursor() {
+        let b = BackendState::new("127.0.0.1:1".to_string());
+        b.broadcast_sent();
+        b.broadcast_sent();
+        assert_eq!((b.cursor(), b.in_flight()), (0, 2));
+        b.broadcast_settled(true);
+        assert_eq!((b.cursor(), b.in_flight()), (1, 1));
+        b.broadcast_settled(false);
+        assert_eq!((b.cursor(), b.in_flight()), (1, 0), "a failed send leaves a gap");
     }
 
     #[test]

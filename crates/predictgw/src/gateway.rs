@@ -1,16 +1,38 @@
 //! Request routing, fan-out, failover, and recovery — the gateway's
 //! brain, shared by every event-loop worker and the health checker.
 //!
+//! ## One routing step, two executors
+//!
+//! Routing is a plan-and-merge state machine, [`Op`]: [`Gateway::plan`]
+//! turns a client request into the sub-requests to send (each a
+//! [`Part`]: which backend, which request), and [`Gateway::settle`]
+//! folds each backend answer or transport failure back in, either
+//! naming more parts to send (a failover, a `decide_batch` fallback)
+//! or yielding the client's reply. The step never does I/O itself.
+//! Two executors drive it: the event loop ([`crate::server`]) sends the
+//! parts through nonblocking, pipelined backend lanes, and the blocking
+//! [`Gateway::handle`] sends them one at a time through [`Lanes`] of
+//! [`BackendConn`]s. Both share one routing and one set of `gw_stats`
+//! counters.
+//!
 //! ## Replication by broadcast
 //!
 //! Every accepted `load_report` is (1) appended to the journal and
-//! (2) broadcast to every *healthy* backend, both under one sequencing
-//! lock, so the journal order **is** the broadcast order. Because the
-//! forecaster state is a pure function of the per-machine report
-//! sequence, all caught-up backends hold bit-identical state and any of
-//! them can answer any placement question exactly as a monolithic
-//! predictd would — that equivalence is pinned by a property test and
-//! is what makes failover and fan-out semantically free.
+//! (2) sent to every *healthy* backend; the journal append and the
+//! choice of recipients happen under one sequencing lock, and only one
+//! broadcaster at a time may have reports in flight (the *broadcast
+//! turn*: an owner id plus its count of unsettled sends). Each
+//! executor sends its broadcasts in journal order down per-backend FIFO
+//! connections, so every backend receives reports in journal order even
+//! with several workers: a worker that finds the turn taken defers its
+//! report — without journaling it — until the owner's last send settles
+//! and wakes it. Because the forecaster state is a pure function of the
+//! per-machine report sequence, all caught-up backends hold
+//! bit-identical state and any of them can answer any placement
+//! question exactly as a monolithic predictd would — that equivalence
+//! is pinned by a property test and is what makes failover and fan-out
+//! semantically free. The reply is the first successful ack in backend
+//! order.
 //!
 //! ## Routing
 //!
@@ -20,10 +42,10 @@
 //! preference list on a mid-flight transport failure (a **failover** —
 //! safe because `predict`/`rank`/`decide_batch` are read-only and thus
 //! idempotent). `decide_batch` additionally fans out: its tasks are
-//! chunked across the healthy backends in preference order and the
-//! chunk answers are concatenated back into task order, bit-identical
-//! to a single backend's answer because every chunk is judged against
-//! the same replicated state.
+//! chunked across the healthy backends in preference order, all chunks
+//! are in flight at once, and the chunk answers are concatenated back
+//! into task order, bit-identical to a single backend's answer because
+//! every chunk is judged against the same replicated state.
 //!
 //! ## Recovery
 //!
@@ -31,18 +53,21 @@
 //! after `health_threshold` consecutive failures a backend is marked
 //! down and its traffic drains to successors. On a successful probe the
 //! checker compares the backend's own `load_report` counter with the
-//! gateway's per-backend replication cursor: a lower counter means the
-//! backend restarted empty, so the cursor is rewound; any gap up to the
-//! journal's report count is then replayed before the backend is marked
-//! up again — so a backend only ever takes traffic against caught-up
-//! state.
+//! replication cursor (reports the backend acknowledged) read *before*
+//! the probe: a lower counter means the backend restarted empty, so it
+//! is taken out and the cursor is rewound. Any gap up to the journal's
+//! report count — not counting broadcasts still in flight — is then
+//! replayed, and the backend is marked up under the sequencing lock, so
+//! it only ever takes traffic against caught-up state.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use predictd::poll::Waker;
 use predictd::ClientError;
-use proto::proto::{DecideBatch, Decisions, GwStatsReply, LoadReport};
+use proto::proto::{DecideBatch, Decisions, GwStatsReply};
 use proto::{Request, Response};
 
 use crate::backend::{BackendConn, BackendState};
@@ -66,14 +91,17 @@ pub struct GatewayConfig {
     /// still works, but recovered backends come back empty and answer
     /// stale until fresh reports arrive — the checker prints a marker).
     pub journal_path: Option<std::path::PathBuf>,
-    /// Appends per fsync batch.
+    /// Appends per fsync batch (at most two batches wait for their
+    /// sync; see the journal's durability notes).
     pub fsync_every: usize,
     /// Journal horizon: reports older than `newest - horizon` seconds
     /// are compacted away after appends. `None` keeps everything.
     pub journal_horizon_secs: Option<f64>,
     /// Backend connect timeout.
     pub connect_timeout: Duration,
-    /// Backend read/write timeout (`None` = block forever).
+    /// Backend reply timeout (`None` = wait forever): a backend
+    /// connection whose oldest unanswered request is older than this
+    /// fails, and its idempotent requests fail over.
     pub io_timeout: Option<Duration>,
 }
 
@@ -93,12 +121,23 @@ impl Default for GatewayConfig {
     }
 }
 
-/// One worker's set of backend connections. Every event loop (and the
-/// health checker) owns its own lanes, so backend I/O never contends
-/// between threads.
+/// A party that sends broadcasts: its identity for the broadcast turn,
+/// and — for an event-loop worker — the waker that tells it the turn
+/// is free again. Blocking callers have no waker; they wait on the
+/// gateway's condition variable instead.
+#[derive(Debug)]
+pub(crate) struct Broadcaster {
+    id: u64,
+    waker: Option<Arc<Waker>>,
+}
+
+/// One thread's set of blocking backend connections, for
+/// [`Gateway::handle`] and the health checker. Every thread owns its
+/// own lanes, so backend I/O never contends between threads.
 #[derive(Debug)]
 pub struct Lanes {
     conns: Vec<BackendConn>,
+    who: Broadcaster,
 }
 
 impl Lanes {
@@ -117,6 +156,73 @@ impl Lanes {
     }
 }
 
+/// One sub-request to send: `op.request(part)` to backend `backend`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Part {
+    /// Which of the op's sub-requests (a `decide_batch` chunk index;
+    /// 0 for everything else).
+    pub(crate) part: usize,
+    /// Backend index.
+    pub(crate) backend: usize,
+}
+
+/// One client request being routed: the request plus what it waits on.
+/// Built by [`Gateway::plan`], advanced by [`Gateway::settle`]; it is
+/// finished only when no part of it is in flight.
+#[derive(Debug)]
+pub(crate) struct Op {
+    req: Request,
+    state: OpState,
+}
+
+#[derive(Debug)]
+enum OpState {
+    /// `predict`/`rank`, or a `decide_batch` routed whole: one part in
+    /// flight, to `pref[next - 1]`; failures move down the list.
+    Query { pref: Vec<usize>, next: usize },
+    /// `decide_batch` chunks, all in flight at once.
+    Fanout { chunks: Vec<Request>, answers: Vec<Option<Decisions>>, pending: usize, failed: bool },
+    /// A journaled `load_report` sent to every healthy backend; `acks`
+    /// is indexed by backend.
+    Broadcast { acks: Vec<Option<Response>>, pending: usize },
+}
+
+impl Op {
+    /// The sub-request a part sends.
+    pub(crate) fn request(&self, part: usize) -> &Request {
+        match &self.state {
+            OpState::Fanout { chunks, .. } => chunks.get(part).unwrap_or(&self.req),
+            _ => &self.req,
+        }
+    }
+}
+
+/// What [`Gateway::plan`] made of a request.
+#[derive(Debug)]
+pub(crate) enum Planned {
+    /// Answered without a backend; the flag asks the caller to stop.
+    Reply(Response, bool),
+    /// Routed: send the parts appended to `sends`, settle each.
+    Routed(Op),
+    /// A `load_report` that must wait for another broadcaster's turn to
+    /// end; it was not journaled. Plan it again once woken.
+    Deferred(Request),
+}
+
+/// State behind the sequencing lock.
+#[derive(Debug)]
+struct Seq {
+    /// `None` means journaling is disabled; the lock still orders
+    /// broadcasts.
+    journal: Option<Journal>,
+    /// The broadcaster whose reports are in flight, if any.
+    owner: Option<u64>,
+    /// The owner's sends not yet settled; the turn ends at zero.
+    outstanding: usize,
+    /// Event-loop workers to wake when the turn ends.
+    waiting: Vec<Arc<Waker>>,
+}
+
 /// The shared gateway: ring, backend states, metrics, journal.
 #[derive(Debug)]
 pub struct Gateway {
@@ -124,12 +230,24 @@ pub struct Gateway {
     ring: Ring,
     backends: Vec<BackendState>,
     metrics: GwMetrics,
-    /// The sequencing lock: journal append + broadcast happen under it,
-    /// making the journal order the broadcast order (see module docs).
-    /// `None` inside means journaling is disabled; the lock itself is
-    /// still taken to serialize broadcasts.
-    seq: Mutex<Option<Journal>>,
+    /// The sequencing lock: journal append and the broadcast turn (see
+    /// module docs). No backend I/O happens under it.
+    seq: Mutex<Seq>,
+    /// Signalled when the broadcast turn ends, for blocking callers.
+    turn_free: Condvar,
+    next_broadcaster: AtomicU64,
     started: Instant,
+}
+
+/// The machine a routed query names.
+fn machine_of(req: &Request) -> &str {
+    match req {
+        Request::Predict(q) => &q.machine,
+        Request::Rank(q) => &q.machine,
+        Request::DecideBatch(q) => &q.machine,
+        Request::LoadReport(r) => &r.machine,
+        Request::Stats | Request::Shutdown => "",
+    }
 }
 
 impl Gateway {
@@ -154,7 +272,9 @@ impl Gateway {
             ring,
             backends,
             metrics,
-            seq: Mutex::new(journal),
+            seq: Mutex::new(Seq { journal, owner: None, outstanding: 0, waiting: Vec::new() }),
+            turn_free: Condvar::new(),
+            next_broadcaster: AtomicU64::new(0),
             started: Instant::now(),
         })
     }
@@ -179,7 +299,13 @@ impl Gateway {
         self.backends.get(i)
     }
 
-    /// A fresh set of per-thread backend connections.
+    /// A fresh broadcaster identity; `waker` is how an event-loop
+    /// worker is told the broadcast turn is free.
+    pub(crate) fn broadcaster(&self, waker: Option<Arc<Waker>>) -> Broadcaster {
+        Broadcaster { id: self.next_broadcaster.fetch_add(1, Ordering::Relaxed), waker }
+    }
+
+    /// A fresh set of per-thread blocking backend connections.
     pub fn lanes(&self) -> Lanes {
         Lanes {
             conns: self
@@ -188,48 +314,103 @@ impl Gateway {
                 .iter()
                 .map(|a| BackendConn::new(a.clone(), self.cfg.connect_timeout, self.cfg.io_timeout))
                 .collect(),
+            who: self.broadcaster(None),
         }
     }
 
     /// The sequencing lock, poison-proof: a worker that panicked while
     /// holding it (which the no-panic discipline already forbids) must
     /// not take the whole gateway down with it.
-    fn seq_lock(&self) -> MutexGuard<'_, Option<Journal>> {
+    fn seq_lock(&self) -> MutexGuard<'_, Seq> {
         // modelcheck-allow: event-loop — the sequencing mutex is the
-        // designed serialization point for journal writes; critical
-        // sections are bounded (one append + broadcast).
+        // designed serialization point for journal appends and the
+        // broadcast turn; critical sections hold no backend I/O.
         self.seq.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Handles one request; the flag is true when the gateway should
+    /// Handles one request through blocking connections, sending its
+    /// parts one at a time; the flag is true when the gateway should
     /// stop (after sending the response). `shutdown` stops only the
     /// gateway — the backends it fronts keep running.
     pub fn handle(&self, req: &Request, lanes: &mut Lanes) -> (Response, bool) {
-        match req {
-            Request::LoadReport(r) => (self.on_load_report(r, lanes), false),
-            Request::Predict(q) => (self.route_query(&q.machine, req, lanes), false),
-            Request::Rank(q) => (self.route_query(&q.machine, req, lanes), false),
-            Request::DecideBatch(q) => (self.on_decide_batch(q, req, lanes), false),
-            Request::Stats => (Response::GwStats(self.gw_stats()), false),
-            Request::Shutdown => (Response::Ok, true),
+        let mut sends = Vec::new();
+        let mut op = loop {
+            match self.plan(req.clone(), &lanes.who, &mut sends) {
+                Planned::Reply(resp, stop) => return (resp, stop),
+                Planned::Routed(op) => break op,
+                Planned::Deferred(_) => self.await_turn(),
+            }
+        };
+        let mut queue: VecDeque<Part> = sends.drain(..).collect();
+        while let Some(sent) = queue.pop_front() {
+            let result = match lanes.conn(sent.backend) {
+                Some(conn) => conn.request(op.request(sent.part)).map_err(|e| e.to_string()),
+                None => Err("no connection to that backend".to_string()),
+            };
+            if let Some(resp) = self.settle(&mut op, sent, result, &mut sends) {
+                return (resp, false);
+            }
+            queue.extend(sends.drain(..));
+        }
+        (Response::error("routing stalled with nothing in flight"), false)
+    }
+
+    /// Blocks until no broadcaster holds the turn (blocking callers
+    /// only; event-loop workers are woken through their waker).
+    fn await_turn(&self) {
+        let mut seq = self.seq_lock();
+        while seq.owner.is_some() {
+            seq = match self.turn_free.wait_timeout(seq, Duration::from_millis(50)) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
         }
     }
 
-    /// Journal, then broadcast to every healthy backend, all under the
-    /// sequencing lock. The reply is the first healthy backend's `ack`
-    /// (they are bit-identical across caught-up backends); a backend
-    /// that fails the broadcast simply does not get its cursor
-    /// advanced — the health checker replays the gap from the journal.
-    fn on_load_report(&self, report: &LoadReport, lanes: &mut Lanes) -> Response {
-        let mut guard = self.seq_lock();
-        if let Some(j) = guard.as_mut() {
-            // modelcheck-allow: lock-order — journal-then-broadcast under
-            // the sequencing lock IS the gateway's ordering contract: the
-            // journal and the fleet must observe reports in one order.
+    /// Plans one request: answers it locally, routes it (appending the
+    /// parts to send to `sends`), or defers a `load_report` that must
+    /// wait for the broadcast turn.
+    pub(crate) fn plan(&self, req: Request, who: &Broadcaster, sends: &mut Vec<Part>) -> Planned {
+        match &req {
+            Request::LoadReport(_) => self.plan_broadcast(req, who, sends),
+            Request::Predict(_) | Request::Rank(_) => self.plan_query(req, sends),
+            Request::DecideBatch(_) => self.plan_decide_batch(req, sends),
+            Request::Stats => Planned::Reply(Response::GwStats(self.gw_stats()), false),
+            Request::Shutdown => Planned::Reply(Response::Ok, true),
+        }
+    }
+
+    /// Journal, then pick every healthy backend as a recipient, under
+    /// the sequencing lock and only while `who` may hold the broadcast
+    /// turn. A backend that fails the broadcast simply does not get its
+    /// cursor advanced — the health checker replays the gap from the
+    /// journal.
+    fn plan_broadcast(&self, req: Request, who: &Broadcaster, sends: &mut Vec<Part>) -> Planned {
+        let Request::LoadReport(report) = &req else {
+            return Planned::Reply(Response::error("not a load_report"), false);
+        };
+        let mut seq = self.seq_lock();
+        // Another broadcaster's reports are in flight — or this one's
+        // are while others wait, so a busy worker cannot starve them.
+        let contended = seq.owner.is_some_and(|o| o != who.id || !seq.waiting.is_empty());
+        if contended {
+            if let Some(w) = &who.waker {
+                if !seq.waiting.iter().any(|x| Arc::ptr_eq(x, w)) {
+                    seq.waiting.push(Arc::clone(w));
+                }
+            }
+            return Planned::Deferred(req);
+        }
+        if let Some(j) = seq.journal.as_mut() {
+            // modelcheck-allow: lock-order — the append must happen under
+            // the sequencing lock: journal order is the broadcast order.
             if let Err(e) = j.append_report(report) {
                 // Refuse what we cannot journal: accepting it would let
                 // the fleet and the journal disagree.
-                return Response::error(format!("journal append failed: {e}"));
+                return Planned::Reply(
+                    Response::error(format!("journal append failed: {e}")),
+                    false,
+                );
             }
             if let Some(horizon) = self.cfg.journal_horizon_secs {
                 // modelcheck-allow: lock-order — truncation must see a
@@ -238,80 +419,92 @@ impl Gateway {
                 maybe_truncate(j, report.at, horizon, &self.backends);
             }
         }
-        let req = Request::LoadReport(report.clone());
-        let mut reply: Option<Response> = None;
+        let mut pending = 0;
         for (i, b) in self.backends.iter().enumerate() {
-            if !b.is_healthy() {
-                continue;
-            }
-            let Some(conn) = lanes.conn(i) else { continue };
-            // modelcheck-allow: lock-order — the broadcast must stay
-            // inside the sequencing critical section (see above); I/O is
-            // bounded by the per-connection timeouts.
-            match conn.request(&req) {
-                Ok(resp) => {
-                    b.advance_cursor(1);
-                    self.metrics.backend_request(i);
-                    reply.get_or_insert(resp);
-                }
-                Err(e) => {
-                    // Not a failover (nothing is re-sent — the journal
-                    // replay owns catch-up), but worth a marker.
-                    // modelcheck-allow: event-loop — backend-failure marker on the
-                    // error path only; the journal replay owns recovery.
-                    eprintln!(
-                        "predictgw: broadcast to backend {} failed ({e}); journal will catch it up",
-                        b.addr()
-                    );
-                }
+            if b.is_healthy() {
+                b.broadcast_sent();
+                sends.push(Part { part: 0, backend: i });
+                pending += 1;
             }
         }
-        reply.unwrap_or_else(|| Response::error("no healthy backend accepted the report"))
+        if pending == 0 {
+            return Planned::Reply(
+                Response::error("no healthy backend accepted the report"),
+                false,
+            );
+        }
+        seq.owner = Some(who.id);
+        seq.outstanding += pending;
+        drop(seq);
+        let acks = self.backends.iter().map(|_| None).collect();
+        Planned::Routed(Op { req, state: OpState::Broadcast { acks, pending } })
     }
 
-    /// Routes an idempotent single-answer query (`predict`, `rank`)
-    /// down the machine's preference list: owner first, ring successors
-    /// on unhealth or mid-flight failure.
-    fn route_query(&self, machine: &str, req: &Request, lanes: &mut Lanes) -> Response {
-        let pref = self.ring.preference(machine);
-        self.count_dispatch(&pref);
-        let mut last_err: Option<ClientError> = None;
-        for &i in &pref {
-            let Some(b) = self.backends.get(i) else { continue };
-            if !b.is_healthy() {
-                continue;
+    /// Settles one broadcast send; the owner's last one ends its turn
+    /// and wakes whoever waited for it.
+    fn broadcast_settled(&self, backend: usize, acked: bool) {
+        let waiting = {
+            let mut seq = self.seq_lock();
+            if let Some(b) = self.backends.get(backend) {
+                b.broadcast_settled(acked);
             }
-            let Some(conn) = lanes.conn(i) else { continue };
-            match conn.request(req) {
-                Ok(resp) => {
-                    self.metrics.backend_request(i);
-                    return resp;
-                }
-                Err(e) => {
-                    self.metrics.failover(i);
-                    // modelcheck-allow: event-loop — failover marker on the error
-                    // path only, rate-bounded by backend failures.
-                    eprintln!(
-                        "predictgw: failover: {} for {machine} re-sent past backend {} ({e})",
-                        req.kind(),
-                        b.addr()
-                    );
-                    last_err = Some(e);
+            seq.outstanding = seq.outstanding.saturating_sub(1);
+            if seq.outstanding > 0 {
+                return;
+            }
+            seq.owner = None;
+            std::mem::take(&mut seq.waiting)
+        };
+        self.turn_free.notify_all();
+        for w in waiting {
+            w.wake();
+        }
+    }
+
+    /// Routes an idempotent single-answer query down the machine's
+    /// preference list: owner first, ring successors on unhealth or
+    /// mid-flight failure.
+    fn plan_query(&self, req: Request, sends: &mut Vec<Part>) -> Planned {
+        let pref = self.ring.preference(machine_of(&req));
+        self.count_dispatch(&pref);
+        let mut op = Op { req, state: OpState::Query { pref, next: 0 } };
+        match self.next_query_part(&mut op, None, sends) {
+            Some(resp) => Planned::Reply(resp, false),
+            None => Planned::Routed(op),
+        }
+    }
+
+    /// Sends a query to the next healthy backend on its preference
+    /// list, or — when none is left — yields the error reply.
+    fn next_query_part(
+        &self,
+        op: &mut Op,
+        last_err: Option<String>,
+        sends: &mut Vec<Part>,
+    ) -> Option<Response> {
+        if let OpState::Query { pref, next } = &mut op.state {
+            while let Some(&i) = pref.get(*next) {
+                *next += 1;
+                if self.backends.get(i).is_some_and(BackendState::is_healthy) {
+                    sends.push(Part { part: 0, backend: i });
+                    return None;
                 }
             }
         }
-        match last_err {
+        let machine = machine_of(&op.req);
+        Some(match last_err {
             Some(e) => Response::error(format!("every backend failed for {machine}: {e}")),
             None => Response::error(format!("no healthy backend for {machine}")),
-        }
+        })
     }
 
     /// `decide_batch` fan-out: tasks are chunked across the healthy
-    /// backends in preference order and the answers concatenated back
-    /// into task order. Any chunk failure falls back to routing the
-    /// whole batch as a single idempotent query — simpler than partial
-    /// retry and just as correct.
-    fn on_decide_batch(&self, q: &DecideBatch, req: &Request, lanes: &mut Lanes) -> Response {
+    /// backends in preference order, every chunk in flight at once, and
+    /// the answers concatenated back into task order. Any chunk failure
+    /// falls back to routing the whole batch as a single idempotent
+    /// query — simpler than partial retry and just as correct.
+    fn plan_decide_batch(&self, req: Request, sends: &mut Vec<Part>) -> Planned {
+        let Request::DecideBatch(q) = &req else { return self.plan_query(req, sends) };
         let pref = self.ring.preference(&q.machine);
         let healthy: Vec<usize> = pref
             .iter()
@@ -319,69 +512,153 @@ impl Gateway {
             .filter(|&i| self.backends.get(i).is_some_and(BackendState::is_healthy))
             .collect();
         if healthy.len() < 2 || q.tasks.len() < 2 {
-            return self.route_query(&q.machine, req, lanes);
+            return self.plan_query(req, sends);
         }
         self.count_dispatch(&pref);
         let lanes_count = healthy.len().min(q.tasks.len());
         let chunk_len = q.tasks.len().div_ceil(lanes_count);
-        let mut merged: Option<Decisions> = None;
-        for (chunk_idx, tasks) in q.tasks.chunks(chunk_len).enumerate() {
-            let backend = healthy.get(chunk_idx % lanes_count).copied().unwrap_or(healthy[0]);
-            let sub = Request::DecideBatch(DecideBatch {
-                machine: q.machine.clone(),
-                now: q.now,
-                tasks: tasks.to_vec(),
-                j_words: q.j_words,
-            });
-            let resp = self
-                .backends
-                .get(backend)
-                .and_then(|_| lanes.conn(backend))
-                .map(|c| c.request(&sub));
-            match resp {
-                Some(Ok(Response::Decisions(d))) => {
+        let chunks: Vec<Request> = q
+            .tasks
+            .chunks(chunk_len)
+            .map(|tasks| {
+                Request::DecideBatch(DecideBatch {
+                    machine: q.machine.clone(),
+                    now: q.now,
+                    tasks: tasks.to_vec(),
+                    j_words: q.j_words,
+                })
+            })
+            .collect();
+        for (k, &backend) in (0..chunks.len()).zip(healthy.iter().cycle()) {
+            sends.push(Part { part: k, backend });
+        }
+        let answers = chunks.iter().map(|_| None).collect();
+        let pending = chunks.len();
+        Planned::Routed(Op {
+            req,
+            state: OpState::Fanout { chunks, answers, pending, failed: false },
+        })
+    }
+
+    /// Folds one part's outcome into `op`: the client's reply once the
+    /// op is finished, else `None` with any new parts to send appended
+    /// to `sends`.
+    pub(crate) fn settle(
+        &self,
+        op: &mut Op,
+        sent: Part,
+        result: Result<Response, String>,
+        sends: &mut Vec<Part>,
+    ) -> Option<Response> {
+        let backend = sent.backend;
+        let addr = self.backends.get(backend).map_or("?", BackendState::addr);
+        match &mut op.state {
+            OpState::Query { .. } => match result {
+                Ok(resp) => {
                     self.metrics.backend_request(backend);
+                    Some(resp)
+                }
+                Err(e) => {
+                    self.metrics.failover(backend);
+                    // modelcheck-allow: event-loop — failover marker on the error
+                    // path only, rate-bounded by backend failures.
+                    eprintln!(
+                        "predictgw: failover: {} for {} re-sent past backend {addr} ({e})",
+                        op.req.kind(),
+                        machine_of(&op.req)
+                    );
+                    self.next_query_part(op, Some(e), sends)
+                }
+            },
+            OpState::Fanout { answers, pending, failed, .. } => {
+                match result {
+                    Ok(Response::Decisions(d)) => {
+                        self.metrics.backend_request(backend);
+                        if let Some(slot) = answers.get_mut(sent.part) {
+                            *slot = Some(d);
+                        }
+                    }
+                    Ok(other) => {
+                        // An error (or surprise) response from one chunk:
+                        // the batch answer must stay whole, so fall back.
+                        // modelcheck-allow: event-loop — fallback marker on the error
+                        // path only; the re-route is the real handling.
+                        eprintln!(
+                            "predictgw: decide_batch chunk on backend {backend} answered {}; falling back to single-backend routing",
+                            other.kind()
+                        );
+                        self.metrics.failover(backend);
+                        *failed = true;
+                    }
+                    Err(e) => {
+                        // modelcheck-allow: event-loop — failover marker on the error
+                        // path only, rate-bounded by backend failures.
+                        eprintln!(
+                            "predictgw: failover: decide_batch chunk failed on backend {backend} ({e}); re-routing whole batch"
+                        );
+                        self.metrics.failover(backend);
+                        *failed = true;
+                    }
+                }
+                *pending = pending.saturating_sub(1);
+                if *pending > 0 {
+                    return None;
+                }
+                if *failed {
+                    let pref = self.ring.preference(machine_of(&op.req));
+                    self.count_dispatch(&pref);
+                    op.state = OpState::Query { pref, next: 0 };
+                    return self.next_query_part(op, None, sends);
+                }
+                // Headers (machine, p, stale, forecaster) are
+                // bit-identical across caught-up backends; keep the
+                // first, concatenate the decisions, AND the cache flags
+                // (a merged answer was only "all cached" if every chunk
+                // was).
+                let mut merged: Option<Decisions> = None;
+                for d in answers.iter_mut().filter_map(Option::take) {
                     match merged.as_mut() {
                         None => merged = Some(d),
                         Some(m) => {
-                            // Headers (machine, p, stale, forecaster)
-                            // are bit-identical across caught-up
-                            // backends; keep the first, concatenate the
-                            // decisions, AND the cache flags (a merged
-                            // answer was only "all cached" if every
-                            // chunk was).
                             m.cache_hit = m.cache_hit && d.cache_hit;
                             m.decisions.extend(d.decisions);
                         }
                     }
                 }
-                Some(Ok(other)) => {
-                    // An error (or surprise) response from one chunk:
-                    // the batch answer must stay whole, so fall back.
-                    // modelcheck-allow: event-loop — fallback marker on the error
-                    // path only; the re-route below is the real handling.
-                    eprintln!(
-                        "predictgw: decide_batch chunk on backend {backend} answered {}; falling back to single-backend routing",
-                        other.kind()
-                    );
-                    self.metrics.failover(backend);
-                    return self.route_query(&q.machine, req, lanes);
-                }
-                Some(Err(e)) => {
-                    // modelcheck-allow: event-loop — failover marker on the error
-                    // path only, rate-bounded by backend failures.
-                    eprintln!(
-                        "predictgw: failover: decide_batch chunk failed on backend {backend} ({e}); re-routing whole batch"
-                    );
-                    self.metrics.failover(backend);
-                    return self.route_query(&q.machine, req, lanes);
-                }
-                None => return self.route_query(&q.machine, req, lanes),
+                Some(merged.map_or_else(
+                    || Response::error("decide_batch fan-out produced no answer"),
+                    Response::Decisions,
+                ))
             }
-        }
-        match merged {
-            Some(d) => Response::Decisions(d),
-            None => self.route_query(&q.machine, req, lanes),
+            OpState::Broadcast { acks, pending } => {
+                self.broadcast_settled(backend, result.is_ok());
+                match result {
+                    Ok(resp) => {
+                        self.metrics.backend_request(backend);
+                        if let Some(slot) = acks.get_mut(backend) {
+                            *slot = Some(resp);
+                        }
+                    }
+                    Err(e) => {
+                        // Not a failover (nothing is re-sent — the journal
+                        // replay owns catch-up), but worth a marker.
+                        // modelcheck-allow: event-loop — backend-failure marker on the
+                        // error path only; the journal replay owns recovery.
+                        eprintln!(
+                            "predictgw: broadcast to backend {addr} failed ({e}); journal will catch it up"
+                        );
+                    }
+                }
+                *pending = pending.saturating_sub(1);
+                if *pending > 0 {
+                    return None;
+                }
+                Some(
+                    acks.iter_mut().find_map(Option::take).unwrap_or_else(|| {
+                        Response::error("no healthy backend accepted the report")
+                    }),
+                )
+            }
         }
     }
 
@@ -399,7 +676,7 @@ impl Gateway {
     /// Forces the journal to stable storage (no-op without a journal) —
     /// called at shutdown so the fsync batch is not left in flight.
     pub fn sync_journal(&self) -> std::io::Result<()> {
-        match self.seq_lock().as_mut() {
+        match self.seq_lock().journal.as_mut() {
             Some(j) => j.sync(),
             None => Ok(()),
         }
@@ -408,8 +685,8 @@ impl Gateway {
     /// The `gw_stats` snapshot.
     pub fn gw_stats(&self) -> GwStatsReply {
         let (frames, bytes) = {
-            let guard = self.seq_lock();
-            guard.as_ref().map_or((0, 0), |j| (j.frames(), j.bytes()))
+            let seq = self.seq_lock();
+            seq.journal.as_ref().map_or((0, 0), |j| (j.frames(), j.bytes()))
         };
         let healthy: Vec<bool> = self.backends.iter().map(BackendState::is_healthy).collect();
         self.metrics.snapshot(
@@ -419,38 +696,6 @@ impl Gateway {
             bytes,
             self.started.elapsed().as_secs_f64(),
         )
-    }
-
-    /// Parses one request line and appends the encoded response line
-    /// (with trailing newline) to `out` — the JSON transport hot path,
-    /// mirroring `predictd`'s. Returns the shutdown flag.
-    pub fn handle_line(&self, line: &str, out: &mut String, lanes: &mut Lanes) -> bool {
-        let (resp, shutdown) = match proto::codec::parse_request(line) {
-            Some(req) => self.handle(&req, lanes),
-            None => match serde_json::from_str::<Request>(line) {
-                Ok(req) => self.handle(&req, lanes),
-                Err(e) => (Response::error(format!("bad request: {e}")), false),
-            },
-        };
-        if !proto::codec::write_response(&resp, out) {
-            serde_json::to_string_into(&resp, out);
-        }
-        out.push('\n');
-        shutdown
-    }
-
-    /// Decodes one binary frame body, handles it, and appends the
-    /// response frame to `out` — the binary transport hot path.
-    pub fn handle_frame(&self, body: &[u8], out: &mut Vec<u8>, lanes: &mut Lanes) -> bool {
-        let (resp, shutdown) = match proto::binproto::decode_request(body) {
-            Ok(req) => self.handle(&req, lanes),
-            Err(e) => (Response::error(format!("bad frame: {e}")), false),
-        };
-        if !proto::binproto::encode_response(&resp, out) {
-            let fallback = Response::error("response exceeds binary frame limits");
-            let _ = proto::binproto::encode_response(&fallback, out);
-        }
-        shutdown
     }
 
     /// Runs the health checker until `stop` is set: probe every backend
@@ -482,40 +727,45 @@ impl Gateway {
 
     /// One probe of one backend, with the recovery protocol on success.
     fn probe_backend(&self, i: usize, b: &BackendState, lanes: &mut Lanes) {
+        // Every report acknowledged before the probe is sent was
+        // processed before the backend answers it; reports still in
+        // flight may or may not be, so they prove nothing either way.
+        let acked = b.cursor();
         let Some(conn) = lanes.conn(i) else { return };
         match conn.request(&Request::Stats) {
             Ok(Response::Stats(stats)) => {
-                // Restart detection: the backend reports fewer
-                // load_reports than we know we delivered — its state is
-                // gone, so rewind the cursor and replay from there.
                 let reported = stats.requests.load_report;
-                if reported < b.cursor() {
+                if reported < acked {
+                    // The backend holds fewer reports than it already
+                    // acknowledged: its state is gone. Take it out so
+                    // broadcasts stop, rewind, and replay from there.
                     eprintln!(
-                        "predictgw: backend {} restarted (holds {reported} of {} reports); rewinding for replay",
-                        b.addr(),
-                        b.cursor()
+                        "predictgw: backend {} restarted (holds {reported} of {acked} reports); rewinding for replay",
+                        b.addr()
                     );
+                    if b.mark_down() {
+                        eprintln!("predictgw: backend {} marked down", b.addr());
+                    }
                     b.set_cursor(reported);
-                } else if reported > b.cursor() {
+                } else {
                     // An ack was lost in flight: the backend processed
                     // more than we counted. Trust its count so replay
-                    // does not duplicate.
-                    b.set_cursor(reported);
-                }
-                match self.catch_up(i, b, lanes) {
-                    Ok(()) => {
-                        if b.mark_up() {
-                            eprintln!("predictgw: backend {} marked up", b.addr());
-                        }
+                    // does not duplicate — but only while nothing is in
+                    // flight, since in-flight broadcasts explain any
+                    // excess just as well.
+                    let seq = self.seq_lock();
+                    if b.in_flight() == 0 && reported > b.cursor() {
+                        b.set_cursor(reported);
                     }
-                    Err(e) => {
-                        eprintln!(
-                            "predictgw: backend {} answered probes but replay failed ({e}); keeping it out",
-                            b.addr()
-                        );
-                        if b.mark_probe_failure(self.cfg.health_threshold) {
-                            eprintln!("predictgw: backend {} marked down", b.addr());
-                        }
+                    drop(seq);
+                }
+                if let Err(e) = self.catch_up(i, b, lanes) {
+                    eprintln!(
+                        "predictgw: backend {} answered probes but replay failed ({e}); keeping it out",
+                        b.addr()
+                    );
+                    if b.mark_probe_failure(self.cfg.health_threshold) {
+                        eprintln!("predictgw: backend {} marked down", b.addr());
                     }
                 }
             }
@@ -542,42 +792,45 @@ impl Gateway {
     }
 
     /// Replays the backend's journal gap (`cursor .. journal.reports`)
-    /// through the checker's own lane, looping until the cursor is
-    /// caught up *at sequencing-lock time* — the final confirmation
-    /// holds the lock so no append can slip between "caught up" and the
-    /// caller's `mark_up`, and broadcasts resume in journal order.
+    /// through the checker's own lane, looping until the backend is
+    /// caught up *at sequencing-lock time*, and marks it up under that
+    /// lock — so no append can slip between "caught up" and "up", and
+    /// broadcasts resume in journal order. Broadcasts still in flight
+    /// count as caught up; a gap behind them waits for a later probe.
     fn catch_up(&self, i: usize, b: &BackendState, lanes: &mut Lanes) -> Result<(), ClientError> {
         loop {
-            let (target, path) = {
-                let guard = self.seq_lock();
-                match guard.as_ref() {
-                    Some(j) => (j.reports(), j.path().to_path_buf()),
+            let (from, path) = {
+                let seq = self.seq_lock();
+                let gap = match seq.journal.as_ref() {
+                    Some(j) => {
+                        let held = b.cursor().saturating_add(b.in_flight());
+                        (held < j.reports()).then(|| (b.cursor(), j.path().to_path_buf()))
+                    }
+                    None => None,
+                };
+                match gap {
+                    Some(gap) if b.in_flight() == 0 => gap,
+                    Some(_) => return Ok(()),
                     None => {
-                        // No journal: the backend comes back with
-                        // whatever state it has. Mark it loudly — its
-                        // answers may be stale until reports refresh.
-                        if !b.is_healthy() {
+                        let stale = seq.journal.is_none() && !b.is_healthy();
+                        let up = b.mark_up();
+                        drop(seq);
+                        if stale {
+                            // No journal: the backend comes back with
+                            // whatever state it has. Mark it loudly — its
+                            // answers may be stale until reports refresh.
                             eprintln!(
                                 "predictgw: backend {} recovering stale (no journal to replay)",
                                 b.addr()
                             );
                         }
+                        if up {
+                            eprintln!("predictgw: backend {} marked up", b.addr());
+                        }
                         return Ok(());
                     }
                 }
             };
-            let from = b.cursor();
-            if from >= target {
-                // Confirm under the lock: if still caught up, we are
-                // done and the caller may mark up before any new append
-                // broadcasts (appends take the same lock).
-                let guard = self.seq_lock();
-                let now = guard.as_ref().map_or(0, Journal::reports);
-                if b.cursor() >= now {
-                    return Ok(());
-                }
-                continue;
-            }
             // Bulk replay outside the lock (reads see whole records;
             // a torn in-flight tail parses as a clean prefix).
             let all = journal::read_reports(&path).map_err(ClientError::Io)?;
@@ -641,6 +894,7 @@ fn maybe_truncate(j: &mut Journal, newest_at: f64, horizon: f64, backends: &[Bac
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proto::proto::LoadReport;
 
     #[test]
     fn gateway_refuses_an_empty_backend_list() {

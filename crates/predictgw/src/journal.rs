@@ -31,16 +31,26 @@
 //! ## Durability
 //!
 //! Appends go to the OS immediately (`write_all`) but `fsync` is
-//! batched: one `sync_data` per [`Journal::fsync_every`] appends, plus
-//! one on [`Journal::sync`] (called at snapshot and shutdown). A crash
-//! can therefore lose at most the last batch of reports — an explicit
+//! batched: one `sync_data` per `fsync_every` appends, plus one on
+//! [`Journal::sync`] (called at snapshot and shutdown) — an explicit
 //! trade: reports arrive at fleet rates, and per-record fsync would put
 //! a disk round-trip on every request. A torn trailing record (crash
 //! mid-append) is detected on open and truncated away.
+//!
+//! The batched syncs run on the journal's own thread, started by the
+//! first full batch: the append that completes a batch only asks for
+//! its sync, and an append waits only when the last *finished* sync is
+//! two batches behind. A crash can therefore lose at most the last two
+//! batches, and the appender — the gateway's event loop — does not
+//! stall on the disk's latency. The thread runs under `SCHED_BATCH`, so
+//! its wake-ups on I/O completion do not preempt the event loop (or the
+//! backends sharing its CPU) in the middle of a batch.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 
 use proto::binproto;
 use proto::proto::LoadReport;
@@ -77,10 +87,15 @@ pub struct Journal {
     bytes: u64,
     /// `REC_REPORT` records in the file.
     reports: u64,
-    /// Appends since the last fsync.
-    unsynced: usize,
     fsync_every: usize,
     scratch: Vec<u8>,
+    /// Records appended through this handle, all tags — the position
+    /// sync progress is measured in.
+    appended: u64,
+    /// Position covered by the last [`Journal::sync`] (or the open).
+    synced: u64,
+    /// The sync thread, started by the first full batch.
+    syncer: Option<Syncer>,
 }
 
 impl Journal {
@@ -104,9 +119,11 @@ impl Journal {
             frames: 0,
             bytes: 0,
             reports: 0,
-            unsynced: 0,
             fsync_every: fsync_every.max(1),
             scratch: Vec::with_capacity(256),
+            appended: 0,
+            synced: 0,
+            syncer: None,
         };
         if raw.is_empty() {
             let mut meta = Vec::with_capacity(META_MAGIC.len() + 1);
@@ -165,17 +182,24 @@ impl Journal {
         let body = self.scratch.split_off(4);
         self.append(REC_REPORT, &body)?;
         self.reports += 1;
-        self.unsynced += 1;
-        if self.unsynced >= self.fsync_every {
-            self.sync()?;
+        let every = u64::try_from(self.fsync_every).unwrap_or(u64::MAX);
+        if self.syncer.is_none() && self.appended.saturating_sub(self.synced) >= every {
+            let file = self.file.try_clone()?;
+            self.syncer = Some(Syncer::spawn(file, self.synced)?);
         }
-        Ok(())
+        match &self.syncer {
+            Some(syncer) => syncer.appended(self.appended, every),
+            None => Ok(()),
+        }
     }
 
     /// Forces the file to stable storage now (resets the fsync batch).
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()?;
-        self.unsynced = 0;
+        self.synced = self.appended;
+        if let Some(syncer) = &self.syncer {
+            syncer.synced(self.appended);
+        }
         Ok(())
     }
 
@@ -216,7 +240,8 @@ impl Journal {
         }
         std::fs::rename(&tmp, &self.path)?;
         // Reopen the compacted file so the append handle and counters
-        // track the new contents.
+        // track the new contents (the old sync thread stops with the
+        // old handle; the compacted file is already synced).
         *self = Journal::open(&self.path, self.fsync_every)?;
         Ok(dropped)
     }
@@ -235,8 +260,141 @@ impl Journal {
         // stall is bounded and by design.
         self.file.write_all(&frame)?;
         self.frames += 1;
+        self.appended += 1;
         self.bytes += u64::try_from(frame.len()).unwrap_or(0);
         Ok(())
+    }
+}
+
+/// A thread that runs a journal's batched `sync_data` calls, and what
+/// it shares with the appending side.
+#[derive(Debug)]
+struct Syncer {
+    shared: Arc<SyncShared>,
+    thread: Option<JoinHandle<()>>,
+}
+
+#[derive(Debug)]
+struct SyncShared {
+    state: Mutex<SyncState>,
+    /// Signals both ways: a new request for the thread, a finished sync
+    /// (or a failed one) for a waiting appender.
+    changed: Condvar,
+}
+
+/// Positions count records appended through the journal handle.
+#[derive(Debug)]
+struct SyncState {
+    /// Position the next sync must cover.
+    wanted: u64,
+    /// Position the last finished sync covered.
+    done: u64,
+    /// Why the last sync failed, until an appender reports it.
+    failed: Option<io::Error>,
+    stop: bool,
+}
+
+impl SyncShared {
+    fn state(&self) -> MutexGuard<'_, SyncState> {
+        // modelcheck-allow: event-loop — held only to read or move the
+        // counters; the thread releases it before every sync_data. An
+        // appender waits on `changed` only while the disk is two
+        // batches behind, which one finished sync ends.
+        self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn wait<'a>(&self, guard: MutexGuard<'a, SyncState>) -> MutexGuard<'a, SyncState> {
+        self.changed.wait(guard).unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
+
+impl Syncer {
+    /// Starts the thread; everything up to `at` counts as synced.
+    fn spawn(file: File, at: u64) -> io::Result<Syncer> {
+        let shared = Arc::new(SyncShared {
+            state: Mutex::new(SyncState { wanted: at, done: at, failed: None, stop: false }),
+            changed: Condvar::new(),
+        });
+        let theirs = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name("predictgw-journal-sync".to_string())
+            .spawn(move || sync_loop(&file, &theirs))?;
+        Ok(Syncer { shared, thread: Some(thread) })
+    }
+
+    /// Bookkeeping after an append brought the journal to position
+    /// `at`: request a sync every batch of `every`, and wait while the
+    /// last finished sync is more than two batches behind. A failed
+    /// sync is reported here, to the next appender.
+    fn appended(&self, at: u64, every: u64) -> io::Result<()> {
+        let mut st = self.shared.state();
+        if at.saturating_sub(st.wanted) >= every {
+            st.wanted = at;
+            self.shared.changed.notify_all();
+        }
+        loop {
+            if let Some(e) = st.failed.take() {
+                return Err(e);
+            }
+            if at.saturating_sub(st.done) <= every.saturating_mul(2) {
+                return Ok(());
+            }
+            if st.wanted < at {
+                st.wanted = at;
+                self.shared.changed.notify_all();
+            }
+            st = self.shared.wait(st);
+        }
+    }
+
+    /// Records a sync the appending side ran itself, up to `at`.
+    fn synced(&self, at: u64) {
+        let mut st = self.shared.state();
+        st.done = st.done.max(at);
+        st.wanted = st.wanted.max(at);
+        self.shared.changed.notify_all();
+    }
+}
+
+impl Drop for Syncer {
+    fn drop(&mut self) {
+        self.shared.state().stop = true;
+        self.shared.changed.notify_all();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The syncer thread: sync whenever an appender asked for more than the
+/// last sync covered; finish what was asked, then exit on `stop`.
+fn sync_loop(file: &File, shared: &SyncShared) {
+    // Best effort: under the default policy the thread works the same,
+    // it just preempts whoever runs when its sync completes.
+    let _ = predictd::poll::batch_scheduling();
+    let mut st = shared.state();
+    loop {
+        if st.wanted <= st.done {
+            if st.stop {
+                return;
+            }
+            st = shared.wait(st);
+            continue;
+        }
+        let target = st.wanted;
+        drop(st);
+        let result = file.sync_data();
+        st = shared.state();
+        match result {
+            Ok(()) => st.done = st.done.max(target),
+            Err(e) => {
+                // Retry on the next request, not in a loop against a
+                // failing disk.
+                st.wanted = st.done;
+                st.failed = Some(e);
+            }
+        }
+        shared.changed.notify_all();
     }
 }
 
@@ -431,6 +589,29 @@ mod tests {
         assert_eq!(read_reports(&dst).expect("read").len(), 3);
         let _ = std::fs::remove_file(&src);
         let _ = std::fs::remove_file(&dst);
+    }
+
+    #[test]
+    fn syncs_keep_at_most_two_batches_unsynced() {
+        let path = tmp("background.j");
+        {
+            let mut j = Journal::open(&path, 4).expect("open");
+            for i in 0..200 {
+                j.append_report(&report(&format!("m{}", i % 7), f64::from(i))).expect("append");
+                let done = j.syncer.as_ref().map_or(0, |s| s.shared.state().done);
+                assert!(j.appended - done <= 8, "{} appended, {done} synced", j.appended);
+            }
+            j.sync().expect("sync");
+            let st = j.syncer.as_ref().map(|s| s.shared.state().done);
+            assert_eq!(st, Some(j.appended), "an explicit sync covers everything");
+            assert_eq!(j.truncate_before(100.0).expect("truncate"), 100);
+            j.append_report(&report("late", 500.0)).expect("append after compaction");
+        }
+        let replayed = read_reports(&path).expect("read");
+        assert_eq!(replayed.len(), 101);
+        assert!(replayed.iter().take(100).all(|r| r.at >= 100.0));
+        assert_eq!(replayed.last().map(|r| r.machine.as_str()), Some("late"));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //! predictd: one nonblocking epoll loop per worker with its own
 //! `SO_REUSEPORT` listener ([`server`]), per-connection codec sniff
 //! and partial-I/O state machines, and relaxed-atomic gateway metrics
-//! ([`metrics`]) behind the `gw_stats` wire kind.
+//! ([`metrics`]) behind the `gw_stats` wire kind. The same loop drives
+//! the backends: each worker keeps one nonblocking, pipelined
+//! connection per backend in its epoll set, so no backend round trip
+//! ever blocks a worker.
 //!
 //! modelcheck: no-panic, lossy-cast, missing-docs, lock-discipline, atomics, float-env, wire-taint, event-loop, lock-order
 
@@ -33,6 +36,7 @@
 pub mod backend;
 pub mod gateway;
 pub mod journal;
+mod lane;
 pub mod metrics;
 pub mod ring;
 pub mod server;

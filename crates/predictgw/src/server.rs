@@ -1,33 +1,66 @@
-//! The gateway's client-facing transport: the same readiness-based
-//! event-loop engine as predictd's evented server — nonblocking
-//! accept/read/write over epoll, thread-per-core `SO_REUSEPORT`
-//! listeners, per-connection codec sniff and partial-I/O state
-//! machines — with one structural difference: each worker owns a set of
-//! backend [`Lanes`](crate::gateway::Lanes) it forwards through.
+//! The gateway's transport: one readiness-based event loop per worker,
+//! with the same engine discipline as predictd's evented server —
+//! nonblocking accept/read/write over epoll, thread-per-core
+//! `SO_REUSEPORT` listeners, per-connection codec sniff and partial-I/O
+//! state machines — that drives the backends without blocking too.
 //!
-//! Backend calls are blocking (bounded by the configured I/O timeout),
-//! which is a deliberate trade: the gateway's unit of work is "forward
-//! and wait for one answer", its concurrency comes from running one
-//! loop per core, and a wedged backend costs at most the timeout before
-//! the failover path takes over. The event loop's nonblocking
-//! discipline still buys what it bought predictd — slow *clients*
-//! never pin a worker, backpressure is per-connection, and shutdown
-//! drains cleanly.
+//! ## Lanes
+//!
+//! Each worker owns one nonblocking binary connection per backend (a
+//! [`Lane`]), registered in the same epoll set as its clients. The loop
+//! hands every complete request in a client's read buffer to the
+//! gateway's routing step ([`Gateway::plan`]), queues the backend
+//! sub-requests it names on the lanes, and flushes every lane's outbox
+//! once per event batch: a burst of pipelined client requests becomes
+//! one write per backend, so batching comes from the load, not from a
+//! knob. Replies are matched to requests in FIFO order per lane and
+//! folded back with [`Gateway::settle`].
+//!
+//! ## Reply slots
+//!
+//! Each client connection keeps an ordered queue of reply slots, one
+//! per request. A slot fills when its routing finishes; replies leave
+//! from the front only, so they go out in request order whatever order
+//! the backends answer in. The queue is bounded like the write buffer:
+//! at `MAX_SLOTS` pending replies the connection stops routing and
+//! reading until it drains.
+//!
+//! ## Timeouts and failover
+//!
+//! A lane fails when its transport fails or when its oldest in-flight
+//! request is older than the I/O timeout; the loop sleeps in
+//! `epoll_wait` no longer than the nearest such deadline. A failed
+//! lane's requests are settled as failed: idempotent ones (`predict`,
+//! `rank`, `decide_batch` chunks) move down the preference list, and
+//! broadcast gaps are left to the health checker's journal replay. A
+//! slow or silent backend delays only the requests routed to it, never
+//! the worker.
+//!
+//! ## Broadcast order
+//!
+//! Each backend must receive `load_report`s in journal order even
+//! though every worker broadcasts through its own lanes. The gateway
+//! lets one broadcaster at a time have reports in flight; a worker
+//! whose report is deferred pauses that connection — no reading, no
+//! routing of its later requests, so per-connection order holds —
+//! until the owner's last ack wakes it through its [`Waker`].
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream};
+use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use predictd::poll::{
     bind_reuseport, Epoll, EpollEvent, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use predictd::ServerConfig;
-use proto::binproto;
-use proto::Response;
+use proto::{binproto, Request, Response};
 
-use crate::gateway::{Gateway, Lanes};
+use crate::gateway::{Broadcaster, Gateway, Op, Part, Planned};
+use crate::lane::{Lane, Reply, Tag};
 
 /// Reads per readiness wakeup go through this per-loop scratch buffer.
 const SCRATCH_BYTES: usize = 64 * 1024;
@@ -36,8 +69,21 @@ const SCRATCH_BYTES: usize = 64 * 1024;
 /// past this; reading resumes once the peer drains below it.
 const HIGH_WATER_BYTES: usize = 1 << 20;
 
+/// Stop routing (and reading) a connection's requests while this many
+/// of its replies are pending; resume as they leave.
+const MAX_SLOTS: usize = 1024;
+
 /// Readiness records fetched per `epoll_wait`.
 const MAX_EVENTS: usize = 256;
+
+/// Slab token of the listener.
+const TOKEN_LISTENER: u64 = 0;
+/// Slab token of the wakeup eventfd.
+const TOKEN_WAKER: u64 = 1;
+/// First token available for connections.
+const TOKEN_CONNS: u64 = 2;
+/// Backend lane tokens sit above every connection token.
+const TOKEN_LANES: u64 = 1 << 48;
 
 /// How a connection's bytes are interpreted.
 enum Mode {
@@ -49,9 +95,21 @@ enum Mode {
     Binary,
 }
 
+/// One reply, in request order.
+enum Slot {
+    /// Routed; backend parts still in flight.
+    Waiting(Op),
+    /// Answered, waiting for the slots before it.
+    Ready(Response),
+}
+
 /// One client connection's state machine (see the predictd evented
-/// server for the full rationale; this is the same machine).
+/// server for the full rationale; this is the same machine plus reply
+/// slots).
 struct Conn {
+    /// Worker-unique id, so a late backend reply can never land in a
+    /// reused slab slot.
+    id: u64,
     stream: TcpStream,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
@@ -61,11 +119,23 @@ struct Conn {
     bin_discard: usize,
     closing: bool,
     interest: u32,
+    slots: VecDeque<Slot>,
+    /// Sequence number of `slots.front()`.
+    first_slot: u64,
+    /// A `load_report` waiting for the broadcast turn; routing and
+    /// reading pause behind it.
+    deferred: Option<Request>,
+    /// The socket failed: no more I/O. Kept only until its in-flight
+    /// routing settles, so backend replies always find their slot.
+    dead: bool,
+    /// Queued for the end-of-batch flush.
+    dirty: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Self {
+    fn new(stream: TcpStream, id: u64) -> Self {
         Conn {
+            id,
             stream,
             rbuf: Vec::with_capacity(4096),
             wbuf: Vec::with_capacity(4096),
@@ -75,11 +145,45 @@ impl Conn {
             bin_discard: 0,
             closing: false,
             interest: EPOLLIN | EPOLLRDHUP,
+            slots: VecDeque::new(),
+            first_slot: 0,
+            deferred: None,
+            dead: false,
+            dirty: false,
         }
     }
 
     fn pending_write(&self) -> usize {
         self.wbuf.len() - self.wpos
+    }
+
+    /// Appends a reply slot, returning its sequence number.
+    fn push(&mut self, slot: Slot) -> u64 {
+        let seq = self.first_slot + u64::try_from(self.slots.len()).unwrap_or(u64::MAX);
+        self.slots.push_back(slot);
+        seq
+    }
+
+    /// May this connection route more requests now?
+    fn can_route(&self) -> bool {
+        !self.dead && self.deferred.is_none() && self.slots.len() < MAX_SLOTS
+    }
+
+    /// Should the loop read more of this connection's requests?
+    fn wants_read(&self) -> bool {
+        !self.closing && self.can_route() && self.pending_write() <= HIGH_WATER_BYTES
+    }
+
+    /// Stops all I/O on a failed socket; in-flight routing still settles.
+    fn kill(&mut self, epoll: &Epoll) {
+        if !self.dead {
+            self.dead = true;
+            let _ = epoll.delete(self.stream.as_raw_fd());
+            self.deferred = None;
+            self.rbuf.clear();
+            self.wbuf.clear();
+            self.wpos = 0;
+        }
     }
 }
 
@@ -123,22 +227,30 @@ impl GatewayServer {
     /// Runs one event loop per listener until a `shutdown` request is
     /// handled on any of them; `stop` is also honored (and set), so the
     /// caller can wind down the health checker with the same flag.
+    /// Backend addresses are resolved once, here; lanes connect over
+    /// IPv4, so a backend with no IPv4 address fails every request sent
+    /// to it (and its traffic fails over).
     pub fn run(self, gateway: &Gateway, cfg: &ServerConfig, stop: &AtomicBool) -> io::Result<()> {
         let mut wakers = Vec::with_capacity(self.listeners.len());
         for _ in 0..self.listeners.len() {
-            wakers.push(Waker::new()?);
+            wakers.push(Arc::new(Waker::new()?));
         }
+        let addrs: Vec<Option<SocketAddrV4>> =
+            gateway.config().backends.iter().map(|a| resolve_v4(a)).collect();
         let mut listeners = self.listeners;
         std::thread::scope(|scope| {
             let wakers = &wakers[..];
+            let addrs = &addrs[..];
             let mut handles = Vec::new();
             for (i, listener) in listeners.drain(1..).enumerate() {
-                handles.push(scope.spawn(move || {
-                    event_loop(listener, &wakers[i + 1], gateway, cfg, stop, wakers)
-                }));
+                handles.push(
+                    scope.spawn(move || {
+                        event_loop(listener, i + 1, gateway, cfg, stop, wakers, addrs)
+                    }),
+                );
             }
             let first = match listeners.pop() {
-                Some(l) => event_loop(l, &wakers[0], gateway, cfg, stop, wakers),
+                Some(l) => event_loop(l, 0, gateway, cfg, stop, wakers, addrs),
                 None => Ok(()),
             };
             for h in handles {
@@ -152,318 +264,612 @@ impl GatewayServer {
     }
 }
 
-/// Slab token of the listener.
-const TOKEN_LISTENER: u64 = 0;
-/// Slab token of the wakeup eventfd.
-const TOKEN_WAKER: u64 = 1;
-/// First token available for connections.
-const TOKEN_CONNS: u64 = 2;
+/// The first IPv4 address `addr` resolves to.
+fn resolve_v4(addr: &str) -> Option<SocketAddrV4> {
+    addr.to_socket_addrs().ok()?.find_map(|a| match a {
+        SocketAddr::V4(v4) => Some(v4),
+        SocketAddr::V6(_) => None,
+    })
+}
 
-/// One worker's loop: accept, sniff, parse, forward through its own
-/// backend lanes, write — client I/O nonblocking and level-triggered.
+/// What routing one request means for the rest of its connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flow {
+    /// Route the next request.
+    Go,
+    /// Deferred: wait for the broadcast turn.
+    Pause,
+    /// Shutdown: route nothing more.
+    Stop,
+}
+
+/// Everything a worker routes with besides its client connections.
+struct Io<'a> {
+    gateway: &'a Gateway,
+    cfg: &'a ServerConfig,
+    stop: &'a AtomicBool,
+    wakers: &'a [Arc<Waker>],
+    epoll: Epoll,
+    lanes: Vec<Lane>,
+    who: Broadcaster,
+    /// Scratch: parts named by the last plan/settle.
+    sends: Vec<Part>,
+    /// Requests that failed before reaching a lane, or on a lane that
+    /// failed; settled at the end of the batch.
+    failed: Vec<Reply>,
+    /// Connections paused on a deferred `load_report`, in order.
+    deferred: VecDeque<(usize, u64)>,
+    /// Scratch for JSON encoding.
+    json: String,
+}
+
+/// One worker: its client connections plus its [`Io`].
+struct Worker<'a> {
+    conns: Vec<Option<Conn>>,
+    free: Vec<usize>,
+    next_id: u64,
+    /// Connections to flush at the end of the batch.
+    dirty: Vec<usize>,
+    io: Io<'a>,
+}
+
+/// One worker's loop: accept, sniff, parse, route through its own
+/// backend lanes, write — client and backend I/O nonblocking and
+/// level-triggered.
 // modelcheck: event-loop
 fn event_loop(
     listener: TcpListener,
-    waker: &Waker,
+    me: usize,
     gateway: &Gateway,
     cfg: &ServerConfig,
     stop: &AtomicBool,
-    all_wakers: &[Waker],
+    wakers: &[Arc<Waker>],
+    addrs: &[Option<SocketAddrV4>],
 ) -> io::Result<()> {
+    let waker = wakers.get(me).ok_or_else(|| io::Error::other("worker has no waker"))?;
     let epoll = Epoll::new()?;
     epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
     epoll.add(waker.as_raw_fd(), TOKEN_WAKER, EPOLLIN)?;
-    let mut conns: Vec<Option<Conn>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
+    let lanes = addrs.iter().zip(TOKEN_LANES..).map(|(&a, token)| Lane::new(a, token)).collect();
+    let mut w = Worker {
+        conns: Vec::new(),
+        free: Vec::new(),
+        next_id: 0,
+        dirty: Vec::new(),
+        io: Io {
+            gateway,
+            cfg,
+            stop,
+            wakers,
+            epoll,
+            lanes,
+            who: gateway.broadcaster(Some(Arc::clone(waker))),
+            sends: Vec::new(),
+            failed: Vec::new(),
+            deferred: VecDeque::new(),
+            json: String::new(),
+        },
+    };
     let mut events = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
     let mut scratch = vec![0u8; SCRATCH_BYTES];
-    // This worker's private connections to every backend. Forwarding
-    // through them blocks (bounded by the backend I/O timeout); see the
-    // module docs for why that is the chosen trade.
-    let mut lanes = gateway.lanes();
+    let mut replies: Vec<Reply> = Vec::new();
     // After `stop`, linger briefly to flush pending responses (most
     // importantly the `ok` reply to the shutdown request itself).
     let mut drain_deadline: Option<Instant> = None;
     loop {
         if stop.load(Ordering::Acquire) {
-            let deadline = *drain_deadline
-                .get_or_insert_with(|| Instant::now() + std::time::Duration::from_secs(1));
-            let pending = conns.iter().flatten().any(|c| c.pending_write() > 0);
-            if !pending || Instant::now() >= deadline {
+            let deadline =
+                *drain_deadline.get_or_insert_with(|| Instant::now() + Duration::from_secs(1));
+            if !w.busy() || Instant::now() >= deadline {
+                w.abandon(Instant::now());
                 return Ok(());
             }
         }
-        let timeout = if drain_deadline.is_some() { 20 } else { -1 };
-        let n = epoll.wait(&mut events, timeout)?;
+        let timeout = w.io.wait_ms(Instant::now(), drain_deadline.is_some());
+        let n = w.io.epoll.wait(&mut events, timeout)?;
+        let now = Instant::now();
         for ev in events.iter().take(n) {
             let token = ev.data;
             let bits = ev.events;
             match token {
-                TOKEN_LISTENER => accept_ready(&listener, &epoll, &mut conns, &mut free),
-                TOKEN_WAKER => waker.drain(),
-                t => {
-                    let idx = usize::try_from(t.saturating_sub(TOKEN_CONNS)).unwrap_or(usize::MAX);
-                    let Some(slot) = conns.get_mut(idx) else { continue };
-                    let Some(conn) = slot.as_mut() else { continue };
-                    let mut dead = bits & (EPOLLERR | EPOLLHUP) != 0;
-                    if !dead && bits & (EPOLLIN | EPOLLRDHUP) != 0 {
-                        dead = !on_readable(
-                            conn,
-                            gateway,
-                            cfg,
-                            &mut scratch,
-                            &mut lanes,
-                            stop,
-                            all_wakers,
-                        );
+                TOKEN_LISTENER => w.accept(&listener),
+                TOKEN_WAKER => {
+                    waker.drain();
+                    w.retry_deferred(now);
+                }
+                t if t >= TOKEN_LANES => {
+                    let i = usize::try_from(t - TOKEN_LANES).unwrap_or(usize::MAX);
+                    if let Some(lane) = w.io.lanes.get_mut(i) {
+                        lane.on_ready(bits, &mut scratch, &mut replies);
                     }
-                    if !dead {
-                        dead = !on_writable(conn);
-                    }
-                    if dead || (conn.closing && conn.pending_write() == 0) {
-                        let _ = epoll.delete(conn.stream.as_raw_fd());
-                        *slot = None;
-                        free.push(idx);
-                    } else {
-                        refresh_interest(&epoll, conn, t);
+                    for (tag, result) in replies.drain(..) {
+                        w.settle(tag, result, now);
                     }
                 }
+                t => w.on_client(t, bits, &mut scratch, now),
+            }
+        }
+        w.end_batch(now);
+    }
+}
+
+impl Worker<'_> {
+    /// Accepts every pending connection (level-triggered listener).
+    fn accept(&mut self, listener: &TcpListener) {
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    let fd = stream.as_raw_fd();
+                    let conn = Conn::new(stream, self.next_id);
+                    self.next_id += 1;
+                    let idx = match self.free.pop() {
+                        Some(i) => {
+                            self.conns[i] = Some(conn);
+                            i
+                        }
+                        None => {
+                            self.conns.push(Some(conn));
+                            self.conns.len() - 1
+                        }
+                    };
+                    let token = TOKEN_CONNS + u64::try_from(idx).unwrap_or(0);
+                    if self.io.epoll.add(fd, token, EPOLLIN | EPOLLRDHUP).is_err() {
+                        self.conns[idx] = None;
+                        self.free.push(idx);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Client readiness: read what the connection may take and route
+    /// every complete request; writes wait for the end of the batch.
+    fn on_client(&mut self, token: u64, bits: u32, scratch: &mut [u8], now: Instant) {
+        let idx = usize::try_from(token.saturating_sub(TOKEN_CONNS)).unwrap_or(usize::MAX);
+        let Some(Some(conn)) = self.conns.get_mut(idx) else { return };
+        if conn.dead {
+            return;
+        }
+        let mut dead = bits & (EPOLLERR | EPOLLHUP) != 0;
+        if !dead && bits & (EPOLLIN | EPOLLRDHUP) != 0 && conn.wants_read() {
+            dead = !read_client(conn, scratch);
+        }
+        if dead {
+            conn.kill(&self.io.epoll);
+        } else {
+            self.io.route_all(conn, idx, now);
+        }
+        mark_dirty(&mut self.dirty, conn, idx);
+    }
+
+    /// Folds one backend outcome into the op it belongs to.
+    fn settle(&mut self, tag: Tag, result: Result<Response, String>, now: Instant) {
+        let Some(Some(conn)) = self.conns.get_mut(tag.conn) else { return };
+        if conn.id != tag.conn_id {
+            return;
+        }
+        self.io.settle(conn, tag, result, now);
+        mark_dirty(&mut self.dirty, conn, tag.conn);
+    }
+
+    /// Retries deferred `load_report`s after a wakeup, oldest first,
+    /// resuming each connection's routing behind it.
+    fn retry_deferred(&mut self, now: Instant) {
+        while let Some((idx, id)) = self.io.deferred.pop_front() {
+            let Some(Some(conn)) = self.conns.get_mut(idx) else { continue };
+            if conn.id != id {
+                continue;
+            }
+            let Some(req) = conn.deferred.take() else { continue };
+            let flow = self.io.route(conn, idx, req, now);
+            match flow {
+                Flow::Go => self.io.route_all(conn, idx, now),
+                Flow::Stop => conn.rbuf.clear(),
+                Flow::Pause => {}
+            }
+            mark_dirty(&mut self.dirty, conn, idx);
+            if flow == Flow::Pause {
+                // The turn is taken again; the plan re-registered our
+                // waker and re-queued this connection.
+                break;
+            }
+        }
+    }
+
+    /// Settles failed requests and failed lanes, flushes every touched
+    /// connection, then every lane's outbox — repeating while any of
+    /// that produced more to do.
+    fn end_batch(&mut self, now: Instant) {
+        loop {
+            self.io.fail_lanes(now);
+            for (tag, result) in std::mem::take(&mut self.io.failed) {
+                self.settle(tag, result, now);
+            }
+            for idx in std::mem::take(&mut self.dirty) {
+                self.finish(idx, now);
+            }
+            for lane in &mut self.io.lanes {
+                lane.flush(&self.io.epoll);
+            }
+            let (connect, io) =
+                (self.io.gateway.config().connect_timeout, self.io.gateway.config().io_timeout);
+            let settled = self.io.failed.is_empty()
+                && self.dirty.is_empty()
+                && self.io.lanes.iter().all(|l| l.failure(now, connect, io).is_none());
+            if settled {
+                return;
+            }
+        }
+    }
+
+    /// End-of-batch work for one connection: resume routing it, move
+    /// its finished front replies into the write buffer, write, and
+    /// close or re-arm it.
+    fn finish(&mut self, idx: usize, now: Instant) {
+        let Some(Some(conn)) = self.conns.get_mut(idx) else { return };
+        conn.dirty = false;
+        if !conn.dead {
+            self.io.route_all(conn, idx, now);
+            write_ready(conn, &mut self.io.json);
+            if !on_writable(conn) {
+                conn.kill(&self.io.epoll);
+            }
+        }
+        if conn.dead {
+            // Nobody to reply to: drop finished replies, keep the
+            // connection until the rest settle.
+            while let Some(Slot::Ready(_)) = conn.slots.front() {
+                conn.slots.pop_front();
+                conn.first_slot += 1;
+            }
+            if conn.slots.is_empty() {
+                self.conns[idx] = None;
+                self.free.push(idx);
+            }
+            return;
+        }
+        if conn.closing
+            && conn.pending_write() == 0
+            && conn.slots.is_empty()
+            && conn.deferred.is_none()
+        {
+            let _ = self.io.epoll.delete(conn.stream.as_raw_fd());
+            self.conns[idx] = None;
+            self.free.push(idx);
+            return;
+        }
+        refresh_interest(&self.io.epoll, conn, TOKEN_CONNS + u64::try_from(idx).unwrap_or(0));
+    }
+
+    /// Replies still owed to a live client.
+    fn busy(&self) -> bool {
+        self.conns.iter().flatten().any(|c| {
+            !c.dead && (c.pending_write() > 0 || !c.slots.is_empty() || c.deferred.is_some())
+        })
+    }
+
+    /// On exit: fail everything still in flight, so the broadcast turn
+    /// and the backend cursors stay consistent for whoever uses the
+    /// gateway next.
+    fn abandon(&mut self, now: Instant) {
+        loop {
+            for lane in &mut self.io.lanes {
+                for tag in lane.fail(&self.io.epoll) {
+                    self.io.failed.push((tag, Err("gateway stopped".to_string())));
+                }
+            }
+            if self.io.failed.is_empty() {
+                return;
+            }
+            for (tag, result) in std::mem::take(&mut self.io.failed) {
+                self.settle(tag, result, now);
             }
         }
     }
 }
 
-/// Accepts every pending connection (level-triggered listener).
-fn accept_ready(
-    listener: &TcpListener,
-    epoll: &Epoll,
-    conns: &mut Vec<Option<Conn>>,
-    free: &mut Vec<usize>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
+impl Io<'_> {
+    /// How long `epoll_wait` may sleep: until the nearest lane deadline
+    /// (forever without one), at once with failures queued, and in
+    /// short slices while draining for shutdown.
+    fn wait_ms(&self, now: Instant, draining: bool) -> i32 {
+        if !self.failed.is_empty() {
+            return 0;
+        }
+        let cfg = self.gateway.config();
+        let mut ms: i32 = -1;
+        for lane in &self.lanes {
+            if let Some(d) = lane.deadline(cfg.connect_timeout, cfg.io_timeout) {
+                let left = d.saturating_duration_since(now).as_micros().div_ceil(1000);
+                let left = i32::try_from(left).unwrap_or(i32::MAX);
+                ms = if ms < 0 { left } else { ms.min(left) };
+            }
+        }
+        if draining {
+            ms = if ms < 0 { 20 } else { ms.min(20) };
+        }
+        ms
+    }
+
+    /// Fails every lane whose transport broke or whose deadline passed,
+    /// queueing its in-flight requests as failed.
+    fn fail_lanes(&mut self, now: Instant) {
+        let cfg = self.gateway.config();
+        for lane in &mut self.lanes {
+            let Some(why) = lane.failure(now, cfg.connect_timeout, cfg.io_timeout) else {
+                continue;
+            };
+            for tag in lane.fail(&self.epoll) {
+                self.failed.push((tag, Err(why.clone())));
+            }
+        }
+    }
+
+    /// Queues the parts in `self.sends` of the op in `slot` on their
+    /// lanes; a part that cannot be queued fails at the end of the batch.
+    fn dispatch(&mut self, op: &Op, conn: usize, conn_id: u64, slot: u64, now: Instant) {
+        for &part in &self.sends {
+            let tag = Tag { conn, conn_id, slot, part };
+            let queued = match self.lanes.get_mut(part.backend) {
+                Some(lane) => lane.send(&self.epoll, op.request(part.part), tag, now),
+                None => Err("no lane to that backend".to_string()),
+            };
+            if let Err(why) = queued {
+                self.failed.push((tag, Err(why)));
+            }
+        }
+    }
+
+    /// Folds one backend outcome into its op: a reply fills the slot,
+    /// anything else goes out on the lanes.
+    fn settle(
+        &mut self,
+        conn: &mut Conn,
+        tag: Tag,
+        result: Result<Response, String>,
+        now: Instant,
+    ) {
+        let Some(i) = tag.slot.checked_sub(conn.first_slot).and_then(|d| usize::try_from(d).ok())
+        else {
+            return;
+        };
+        let Some(slot) = conn.slots.get_mut(i) else { return };
+        let Slot::Waiting(op) = slot else { return };
+        self.sends.clear();
+        match self.gateway.settle(op, tag.part, result, &mut self.sends) {
+            Some(resp) => *slot = Slot::Ready(resp),
+            None => self.dispatch(op, tag.conn, tag.conn_id, tag.slot, now),
+        }
+    }
+
+    /// Routes one request of `conn` into a new reply slot.
+    fn route(&mut self, conn: &mut Conn, idx: usize, req: Request, now: Instant) -> Flow {
+        self.sends.clear();
+        match self.gateway.plan(req, &self.who, &mut self.sends) {
+            Planned::Reply(resp, stop) => {
+                conn.push(Slot::Ready(resp));
+                if !stop {
+                    return Flow::Go;
                 }
-                let _ = stream.set_nodelay(true);
-                let fd = stream.as_raw_fd();
-                let conn = Conn::new(stream);
-                let idx = match free.pop() {
-                    Some(i) => {
-                        conns[i] = Some(conn);
-                        i
+                conn.closing = true;
+                self.stop.store(true, Ordering::Release);
+                for w in self.wakers {
+                    w.wake();
+                }
+                Flow::Stop
+            }
+            Planned::Routed(op) => {
+                let seq = conn.push(Slot::Waiting(op));
+                if let Some(Slot::Waiting(op)) = conn.slots.back() {
+                    self.dispatch(op, idx, conn.id, seq, now);
+                }
+                Flow::Go
+            }
+            Planned::Deferred(req) => {
+                conn.deferred = Some(req);
+                self.deferred.push_back((idx, conn.id));
+                Flow::Pause
+            }
+        }
+    }
+
+    /// Sniffs the codec if needed, then routes every complete request
+    /// in `rbuf` the connection may take now.
+    fn route_all(&mut self, conn: &mut Conn, idx: usize, now: Instant) {
+        if !conn.can_route() {
+            return;
+        }
+        if matches!(conn.mode, Mode::Sniff) && !conn.rbuf.is_empty() {
+            if conn.rbuf[0] == binproto::MAGIC {
+                if conn.rbuf.len() < binproto::PREAMBLE.len() {
+                    return; // partial preamble: wait for more bytes
+                }
+                if conn.rbuf[..4] == binproto::PREAMBLE {
+                    conn.rbuf.drain(..4);
+                    conn.mode = Mode::Binary;
+                } else {
+                    conn.push(Slot::Ready(Response::error("bad preamble: expected BD 50 44 01")));
+                    conn.closing = true;
+                    conn.rbuf.clear();
+                    return;
+                }
+            } else {
+                conn.mode = Mode::Json;
+            }
+        }
+        match conn.mode {
+            Mode::Sniff => {}
+            Mode::Json => self.route_json(conn, idx, now),
+            Mode::Binary => self.route_binary(conn, idx, now),
+        }
+    }
+
+    /// JSON mode: route every complete line in `rbuf`.
+    fn route_json(&mut self, conn: &mut Conn, idx: usize, now: Instant) {
+        let max = self.cfg.max_line_bytes;
+        let mut consumed = 0;
+        let mut flow = Flow::Go;
+        while conn.can_route() {
+            let Some(nl) = conn.rbuf[consumed..].iter().position(|&b| b == b'\n') else { break };
+            let line_end = consumed + nl;
+            let line = &conn.rbuf[consumed..line_end];
+            consumed = line_end + 1;
+            if conn.json_discard {
+                conn.json_discard = false;
+                continue;
+            }
+            let parsed = if line.len() > max {
+                Err(format!("request line exceeds {max} bytes"))
+            } else {
+                match std::str::from_utf8(line) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => parse_json(text.trim()),
+                    Err(_) => Err("request line is not valid UTF-8".to_string()),
+                }
+            };
+            match parsed {
+                Ok(req) => {
+                    flow = self.route(conn, idx, req, now);
+                    if flow != Flow::Go {
+                        break;
                     }
-                    None => {
-                        conns.push(Some(conn));
-                        conns.len() - 1
-                    }
-                };
-                let token = TOKEN_CONNS + u64::try_from(idx).unwrap_or(0);
-                if epoll.add(fd, token, EPOLLIN | EPOLLRDHUP).is_err() {
-                    conns[idx] = None;
-                    free.push(idx);
+                }
+                Err(message) => {
+                    conn.push(Slot::Ready(Response::error(message)));
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
+        }
+        conn.rbuf.drain(..consumed);
+        if flow == Flow::Stop || conn.json_discard {
+            conn.rbuf.clear();
+        } else if conn.rbuf.len() > max && !conn.rbuf.contains(&b'\n') {
+            conn.push(Slot::Ready(Response::error(format!("request line exceeds {max} bytes"))));
+            conn.rbuf.clear();
+            conn.json_discard = true;
+        }
+    }
+
+    /// Binary mode: route every complete frame in `rbuf`.
+    fn route_binary(&mut self, conn: &mut Conn, idx: usize, now: Instant) {
+        let max = self.cfg.max_frame_bytes;
+        let mut consumed = 0;
+        let mut flow = Flow::Go;
+        while conn.can_route() {
+            if conn.bin_discard > 0 {
+                let available = conn.rbuf.len() - consumed;
+                let skip = conn.bin_discard.min(available);
+                consumed += skip;
+                conn.bin_discard -= skip;
+                if conn.bin_discard > 0 {
+                    break;
+                }
+            }
+            let rest = &conn.rbuf[consumed..];
+            let Some(len4) = rest.first_chunk::<4>() else { break };
+            let len = usize::try_from(u32::from_le_bytes(*len4)).unwrap_or(usize::MAX);
+            if len == 0 {
+                consumed += 4;
+                conn.push(Slot::Ready(Response::error("bad frame: empty frame")));
+                continue;
+            }
+            if len > max {
+                consumed += 4;
+                conn.bin_discard = len;
+                conn.push(Slot::Ready(Response::error(format!("frame exceeds {max} bytes"))));
+                continue;
+            }
+            let Some(body) = rest.get(4..4 + len) else { break }; // partial frame
+            let decoded = binproto::decode_request(body);
+            consumed += 4 + len;
+            match decoded {
+                Ok(req) => {
+                    flow = self.route(conn, idx, req, now);
+                    if flow != Flow::Go {
+                        break;
+                    }
+                }
+                Err(e) => {
+                    conn.push(Slot::Ready(Response::error(format!("bad frame: {e}"))));
+                }
+            }
+        }
+        conn.rbuf.drain(..consumed);
+        if flow == Flow::Stop {
+            conn.rbuf.clear();
         }
     }
 }
 
-/// Drains the socket into the connection's read buffer and processes
-/// every complete request. Returns false when the connection is dead.
-fn on_readable(
-    conn: &mut Conn,
-    gateway: &Gateway,
-    cfg: &ServerConfig,
-    scratch: &mut [u8],
-    lanes: &mut Lanes,
-    stop: &AtomicBool,
-    all_wakers: &[Waker],
-) -> bool {
-    if conn.closing {
-        return true;
+/// Queues a connection for the end-of-batch flush, once per batch.
+fn mark_dirty(dirty: &mut Vec<usize>, conn: &mut Conn, idx: usize) {
+    if !conn.dirty {
+        conn.dirty = true;
+        dirty.push(idx);
     }
+}
+
+/// Parses one JSON request line: the fast path, then serde.
+fn parse_json(text: &str) -> Result<Request, String> {
+    match proto::codec::parse_request(text) {
+        Some(req) => Ok(req),
+        None => serde_json::from_str(text).map_err(|e| format!("bad request: {e}")),
+    }
+}
+
+/// Drains the socket into the read buffer. Returns false when the
+/// connection is dead.
+fn read_client(conn: &mut Conn, scratch: &mut [u8]) -> bool {
     loop {
-        if conn.pending_write() > HIGH_WATER_BYTES {
-            break;
-        }
         match conn.stream.read(scratch) {
             Ok(0) => {
                 conn.closing = true;
-                break;
+                return true;
             }
             Ok(n) => {
                 conn.rbuf.extend_from_slice(&scratch[..n]);
                 if n < scratch.len() {
-                    break;
+                    return true;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return false,
         }
     }
-    process_rbuf(conn, gateway, cfg, lanes, stop, all_wakers);
-    true
 }
 
-/// Sniffs the codec if needed, then parses and handles everything
-/// complete in `rbuf`, appending encoded responses to `wbuf`.
-// modelcheck: event-loop
-fn process_rbuf(
-    conn: &mut Conn,
-    gateway: &Gateway,
-    cfg: &ServerConfig,
-    lanes: &mut Lanes,
-    stop: &AtomicBool,
-    all_wakers: &[Waker],
-) {
-    if matches!(conn.mode, Mode::Sniff) && !conn.rbuf.is_empty() {
-        if conn.rbuf[0] == binproto::MAGIC {
-            if conn.rbuf.len() < binproto::PREAMBLE.len() {
-                return; // partial preamble: wait for more bytes
-            }
-            if conn.rbuf[..4] == binproto::PREAMBLE {
-                conn.rbuf.drain(..4);
-                conn.mode = Mode::Binary;
-            } else {
-                let _ = binproto::encode_response(
-                    &Response::error("bad preamble: expected BD 50 44 01"),
-                    &mut conn.wbuf,
-                );
-                conn.closing = true;
-                return;
-            }
-        } else {
-            conn.mode = Mode::Json;
-        }
-    }
-    let shutdown = match conn.mode {
-        Mode::Sniff => false,
-        Mode::Json => process_json(conn, gateway, cfg, lanes),
-        Mode::Binary => process_binary(conn, gateway, cfg, lanes),
-    };
-    if shutdown {
-        conn.closing = true;
-        stop.store(true, Ordering::Release);
-        for w in all_wakers {
-            w.wake();
-        }
-    }
-}
-
-/// JSON mode: handle every complete line in `rbuf`. Returns the
-/// shutdown flag.
-fn process_json(conn: &mut Conn, gateway: &Gateway, cfg: &ServerConfig, lanes: &mut Lanes) -> bool {
-    let mut shutdown = false;
-    let mut consumed = 0;
-    let mut out = String::new();
-    while let Some(nl) = conn.rbuf[consumed..].iter().position(|&b| b == b'\n') {
-        let line_end = consumed + nl;
-        if conn.json_discard {
-            conn.json_discard = false;
-            consumed = line_end + 1;
-            continue;
-        }
-        let line = &conn.rbuf[consumed..line_end];
-        consumed = line_end + 1;
-        if line.len() > cfg.max_line_bytes {
-            append_json_error(
-                &mut out,
-                &format!("request line exceeds {} bytes", cfg.max_line_bytes),
-            );
-        } else {
-            match std::str::from_utf8(line) {
-                Ok(text) => {
-                    let text = text.trim();
-                    if !text.is_empty() && gateway.handle_line(text, &mut out, lanes) {
-                        shutdown = true;
-                        break;
-                    }
+/// Encodes the finished replies at the front of the slot queue into the
+/// write buffer, in the connection's codec.
+fn write_ready(conn: &mut Conn, json: &mut String) {
+    while matches!(conn.slots.front(), Some(Slot::Ready(_))) {
+        let Some(Slot::Ready(resp)) = conn.slots.pop_front() else { break };
+        conn.first_slot += 1;
+        match conn.mode {
+            Mode::Json => {
+                json.clear();
+                if !proto::codec::write_response(&resp, json) {
+                    serde_json::to_string_into(&resp, json);
                 }
-                Err(_) => append_json_error(&mut out, "request line is not valid UTF-8"),
+                json.push('\n');
+                conn.wbuf.extend_from_slice(json.as_bytes());
+            }
+            // A bad preamble is answered before any codec is chosen:
+            // in binary, since the client opened with the magic byte.
+            Mode::Binary | Mode::Sniff => {
+                if !binproto::encode_response(&resp, &mut conn.wbuf) {
+                    let fallback = Response::error("response exceeds binary frame limits");
+                    let _ = binproto::encode_response(&fallback, &mut conn.wbuf);
+                }
             }
         }
     }
-    conn.wbuf.extend_from_slice(out.as_bytes());
-    conn.rbuf.drain(..consumed);
-    if conn.json_discard {
-        conn.rbuf.clear();
-    } else if conn.rbuf.len() > cfg.max_line_bytes {
-        let mut err = String::new();
-        append_json_error(&mut err, &format!("request line exceeds {} bytes", cfg.max_line_bytes));
-        conn.wbuf.extend_from_slice(err.as_bytes());
-        conn.rbuf.clear();
-        conn.json_discard = true;
-    }
-    shutdown
-}
-
-/// Binary mode: handle every complete frame in `rbuf`. Returns the
-/// shutdown flag.
-fn process_binary(
-    conn: &mut Conn,
-    gateway: &Gateway,
-    cfg: &ServerConfig,
-    lanes: &mut Lanes,
-) -> bool {
-    let mut shutdown = false;
-    let mut consumed = 0;
-    loop {
-        if conn.bin_discard > 0 {
-            let available = conn.rbuf.len() - consumed;
-            let skip = conn.bin_discard.min(available);
-            consumed += skip;
-            conn.bin_discard -= skip;
-            if conn.bin_discard > 0 {
-                break;
-            }
-        }
-        let rest = &conn.rbuf[consumed..];
-        if rest.len() < 4 {
-            break;
-        }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&rest[..4]);
-        let len = usize::try_from(u32::from_le_bytes(len4)).unwrap_or(usize::MAX);
-        if len == 0 {
-            consumed += 4;
-            let _ = binproto::encode_response(
-                &Response::error("bad frame: empty frame"),
-                &mut conn.wbuf,
-            );
-            continue;
-        }
-        if len > cfg.max_frame_bytes {
-            consumed += 4;
-            conn.bin_discard = len;
-            let _ = binproto::encode_response(
-                &Response::error(format!("frame exceeds {} bytes", cfg.max_frame_bytes)),
-                &mut conn.wbuf,
-            );
-            continue;
-        }
-        if rest.len() < 4 + len {
-            break; // partial frame: wait for more bytes
-        }
-        let done = gateway.handle_frame(&rest[4..4 + len], &mut conn.wbuf, lanes);
-        consumed += 4 + len;
-        if done {
-            shutdown = true;
-            break;
-        }
-    }
-    conn.rbuf.drain(..consumed);
-    shutdown
-}
-
-/// Appends a JSON `error` response line.
-fn append_json_error(out: &mut String, message: &str) {
-    serde_json::to_string_into(&Response::error(message), out);
-    out.push('\n');
 }
 
 /// Pushes pending response bytes into the socket, advancing the
@@ -491,7 +897,7 @@ fn on_writable(conn: &mut Conn) -> bool {
 /// Re-registers the connection's epoll interest to match its state.
 fn refresh_interest(epoll: &Epoll, conn: &mut Conn, token: u64) {
     let mut want = 0;
-    if !conn.closing && conn.pending_write() <= HIGH_WATER_BYTES {
+    if conn.wants_read() {
         want |= EPOLLIN | EPOLLRDHUP;
     }
     if conn.pending_write() > 0 {
