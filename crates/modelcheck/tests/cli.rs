@@ -544,12 +544,12 @@ fn wire_taint_fires_when_the_journal_replay_cap_is_deleted() {
 /// scan.
 #[test]
 fn event_loop_fires_when_sleep_is_planted_in_the_real_loop() {
-    let engine = fs::read_to_string(repo_root().join("crates/predictd/src/server_evented.rs"))
-        .expect("server_evented");
+    let engine = fs::read_to_string(repo_root().join("crates/predictd/src/server.rs"))
+        .expect("predictd server");
 
     // The shipped engine is clean under the event-loop rule.
     let (code, stdout) = scan_temp_tree("ev-clean", "event-loop", &[("engine.rs", &engine)]);
-    assert_eq!(code, 0, "shipped server_evented.rs must scan clean:\n{stdout}");
+    assert_eq!(code, 0, "shipped server.rs must scan clean:\n{stdout}");
 
     // Plant a sleep right after the loop sets up its epoll.
     let anchor = "let epoll = Epoll::new()?;";

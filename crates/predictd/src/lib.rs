@@ -9,11 +9,13 @@
 //! load observations into `decide()`-grade answers over a wire.
 //!
 //! Deliberately std-only: newline-delimited JSON (via the vendored
-//! serde) over TCP or stdio, no async runtime. Connections are served
-//! concurrently by a fixed worker pool over a sharded service — machine
-//! state is partitioned across [`std::sync::RwLock`]-guarded shards and
-//! metrics are lock-free atomics, so warm predictions run under read
-//! locks and `stats` never blocks the request path. The wire surface
+//! serde) or binary frames over TCP, JSON over stdio, no async runtime.
+//! Connections are served by one nonblocking epoll event loop per
+//! worker over a sharded service — machine state is partitioned across
+//! [`std::sync::RwLock`]-guarded shards (each loop also keeps per-core
+//! replicas of the machines it serves) and metrics are lock-free
+//! atomics, so warm predictions run under read locks or none and
+//! `stats` never blocks the request path. The wire surface
 //! (request/response types, JSON fast path, binary codec) lives in the
 //! shared [`proto`] crate and is re-exported here under its historical
 //! paths; see [`service`] for the request handler and sharding,
@@ -31,7 +33,6 @@ pub mod client;
 pub mod metrics;
 pub mod poll;
 pub mod server;
-pub mod server_evented;
 pub mod service;
 
 pub use ::proto::{binproto, codec, proto};
@@ -39,8 +40,7 @@ pub use ::proto::{binproto, codec, proto};
 pub use client::{Client, ClientError};
 pub use metrics::{LatencyHistogram, Metrics, ReqKind};
 pub use proto::{Request, Response};
-pub use server::{serve, serve_pool, serve_stdio, ServerConfig};
-pub use server_evented::EventedServer;
+pub use server::{serve_stdio, EventedServer, ServerConfig};
 pub use service::{Affinity, Service, ServiceConfig};
 
 use contention_model::comm::{LinearCommModel, PiecewiseCommModel};

@@ -9,8 +9,9 @@
 //! [`OwnedFd`]s closed on drop, and every syscall result is translated
 //! into [`std::io::Error`].
 //!
-//! Linux-only by construction (predictd's evented engine is too); the
-//! blocking pool engine remains the portable fallback.
+//! Linux-only by construction, and so is every TCP engine built on it:
+//! predictd's server and predictgw's gateway. There is no portable
+//! fallback; `--stdio` is the only transport that does not use it.
 
 use std::io;
 use std::net::{SocketAddrV4, TcpListener, TcpStream};

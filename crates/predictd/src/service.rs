@@ -234,7 +234,7 @@ impl Affinity {
 
 /// The contention-prediction service: all daemon state minus transport.
 /// Every handler takes `&self`; interior shard locks and atomic metrics
-/// make one instance shareable across a worker pool.
+/// make one instance shareable across the server's event-loop threads.
 #[derive(Debug)]
 pub struct Service {
     pred: ParagonPredictor,
@@ -319,14 +319,14 @@ impl Service {
 
     /// Parses one request line and appends the encoded response line
     /// (with trailing newline) to `out`, reusing the caller's buffer —
-    /// the transport hot path. Malformed input yields an `error`
+    /// the stdio transport's path. Malformed input yields an `error`
     /// response, never a dropped connection. Returns the shutdown flag.
     pub fn handle_line_into(&self, line: &str, out: &mut String) -> bool {
         self.handle_line_opt(line, out, None)
     }
 
     /// [`Service::handle_line_into`] with a core-local [`Affinity`] —
-    /// the evented server's JSON hot path.
+    /// the TCP server's JSON hot path.
     pub fn handle_line_local(&self, line: &str, out: &mut String, aff: &mut Affinity) -> bool {
         self.handle_line_opt(line, out, Some(aff))
     }
@@ -351,7 +351,7 @@ impl Service {
 
     /// Decodes one binary frame body (tag + payload, length prefix
     /// already stripped), handles the request, and appends the complete
-    /// response frame to `out` — the binary-transport hot path.
+    /// response frame to `out`, reusing the caller's buffer.
     /// Malformed frames yield an `error` response frame, never a
     /// dropped connection. Returns the shutdown flag.
     pub fn handle_frame_into(&self, body: &[u8], out: &mut Vec<u8>) -> bool {
@@ -359,7 +359,7 @@ impl Service {
     }
 
     /// [`Service::handle_frame_into`] with a core-local [`Affinity`] —
-    /// the evented server's binary hot path.
+    /// the TCP server's binary hot path.
     pub fn handle_frame_local(&self, body: &[u8], out: &mut Vec<u8>, aff: &mut Affinity) -> bool {
         self.handle_frame_opt(body, out, Some(aff))
     }

@@ -2,7 +2,7 @@
 //! client exercising the full request surface, and the staleness
 //! policy observable on the wire.
 
-use std::net::TcpListener;
+use std::net::SocketAddr;
 use std::thread;
 
 use contention_model::dataset::DataSet;
@@ -10,7 +10,7 @@ use contention_model::mix::WorkloadMix;
 use contention_model::predict::ParagonTask;
 use contention_model::units::{prob, secs};
 use predictd::proto::{LoadReport, Predict, Rank, Request, Response};
-use predictd::{default_predictor, serve, Client, Service, ServiceConfig};
+use predictd::{default_predictor, Client, EventedServer, ServerConfig, Service, ServiceConfig};
 
 fn task() -> ParagonTask {
     ParagonTask {
@@ -21,12 +21,14 @@ fn task() -> ParagonTask {
     }
 }
 
-fn spawn_daemon() -> (std::net::SocketAddr, thread::JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
+/// Two event loops, so consecutive connections may land on different
+/// loops and the shared state must still carry over.
+fn spawn_daemon() -> (SocketAddr, thread::JoinHandle<()>) {
+    let server = EventedServer::bind("127.0.0.1:0".parse().expect("loopback"), 2).expect("bind");
+    let addr = server.local_addr();
     let handle = thread::spawn(move || {
         let service = Service::with_default_predictor(ServiceConfig::default());
-        serve(&listener, &service).expect("serve");
+        server.run(&service, &ServerConfig::default()).expect("evented run");
     });
     (addr, handle)
 }
