@@ -134,7 +134,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     if args.cfg.backends.is_empty() {
         return Err(format!("at least one --backend is required\n{USAGE}"));
     }
-    args.server.workers = args.workers;
     Ok(args)
 }
 
