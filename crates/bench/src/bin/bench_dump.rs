@@ -195,20 +195,33 @@ fn throughput(ns_per_op: f64) -> Value {
     ])
 }
 
-/// The online service path: loadcast ingest+forecast over a 64-sample
-/// sawtooth, and predictd `load_report` / warm-cache `predict` requests
-/// through the same `handle_line` entry the transports use.
+/// The online service path: loadcast ingest of a 64-sample sawtooth and
+/// one forecast query after it, and predictd `load_report` / warm-cache
+/// `predict` requests through the same `handle_line` entry the
+/// transports use.
 fn service_report() -> Value {
     use contention_model::units::{f64_from_usize, secs};
     use loadcast::{LoadMonitor, MonitorConfig};
     use predictd::{Service, ServiceConfig};
 
-    let ingest = time_ns(2_000, || {
-        let mut m = LoadMonitor::new(MonitorConfig::default());
+    let sawtooth = |m: &mut LoadMonitor| {
         for k in 0..64usize {
             m.report(secs(f64_from_usize(k)), black_box(f64_from_usize(k % 7) * 0.75), None);
         }
-        black_box(m.forecast(secs(64.0)));
+    };
+    let ingest = time_ns(2_000, || {
+        let mut m = LoadMonitor::new(MonitorConfig::default());
+        sawtooth(&mut m);
+        black_box(&m);
+    });
+    // Each query asks at a new `now` inside the staleness horizon, so
+    // nothing about the answer can be reused from the last call.
+    let mut m = LoadMonitor::new(MonitorConfig::default());
+    sawtooth(&mut m);
+    let mut tick = 0u32;
+    let query = time_ns(200_000, || {
+        tick = (tick + 1) % 1000;
+        black_box(m.forecast(secs(63.0 + f64::from(black_box(tick)) * 1e-3)));
     });
 
     let svc = Service::with_default_predictor(ServiceConfig::default());
@@ -226,7 +239,8 @@ fn service_report() -> Value {
     });
 
     Value::Map(vec![
-        ("loadcast_ingest_forecast_64".to_string(), throughput(ingest)),
+        ("loadcast_ingest_64".to_string(), throughput(ingest)),
+        ("loadcast_forecast_query".to_string(), throughput(query)),
         ("predictd_load_report".to_string(), throughput(load_report)),
         ("predictd_predict".to_string(), throughput(predict)),
         ("concurrency_sweep".to_string(), concurrency_sweep()),

@@ -113,6 +113,10 @@ impl Forecaster for WindowedMean {
     }
 }
 
+/// Largest window a [`WindowedMedian`] accepts: `predict` sorts the
+/// window in a stack array of this many values instead of allocating.
+pub const MAX_MEDIAN_WINDOW: usize = 64;
+
 /// Predicts the median of the last `k` observations (robust to spikes).
 #[derive(Debug, Clone)]
 pub struct WindowedMedian {
@@ -122,9 +126,14 @@ pub struct WindowedMedian {
 }
 
 impl WindowedMedian {
-    /// A median over the trailing `k ≥ 1` observations.
+    /// A median over the trailing `k` observations,
+    /// `1 ≤ k ≤` [`MAX_MEDIAN_WINDOW`].
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "median window must hold at least 1 sample");
+        assert!(
+            k <= MAX_MEDIAN_WINDOW,
+            "median window must hold at most {MAX_MEDIAN_WINDOW} samples"
+        );
         WindowedMedian { k, buf: VecDeque::with_capacity(k), name: format!("median{k}") }
     }
 }
@@ -141,9 +150,16 @@ impl Forecaster for WindowedMedian {
         if self.buf.is_empty() {
             return None;
         }
-        let mut sorted: Vec<f64> = self.buf.iter().copied().collect();
-        sorted.sort_by(f64::total_cmp);
-        let n = sorted.len();
+        // `new` bounds the window, so it always fits the stack array.
+        let mut stack = [0.0f64; MAX_MEDIAN_WINDOW];
+        let n = self.buf.len();
+        let sorted = stack.get_mut(..n)?;
+        for (slot, &v) in sorted.iter_mut().zip(&self.buf) {
+            *slot = v;
+        }
+        // Values equal under `total_cmp` are bit-identical, so an
+        // unstable sort orders them exactly as a stable one would.
+        sorted.sort_unstable_by(f64::total_cmp);
         let mid = sorted[n / 2];
         if n % 2 == 1 {
             Some(mid)
@@ -272,6 +288,53 @@ mod tests {
         let mut even = WindowedMedian::new(4);
         feed(&mut even, &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(even.predict(), Some(2.5));
+    }
+
+    /// The allocating reference: copy the window, sort, take the middle.
+    fn sorted_median(window: &[f64]) -> Option<f64> {
+        if window.is_empty() {
+            return None;
+        }
+        let mut sorted = window.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let mid = sorted[n / 2];
+        Some(if n % 2 == 1 { mid } else { (sorted[n / 2 - 1] + mid) / 2.0 })
+    }
+
+    proptest::proptest! {
+        /// The stack-sorted median matches the sort-based reference to
+        /// the bit on every prefix of a random trace, odd and even
+        /// windows alike, with repeated values and signed zeros mixed in.
+        fn windowed_median_matches_the_sorted_reference(
+            k in 1usize..=MAX_MEDIAN_WINDOW,
+            raw in proptest::collection::vec((0u8..8, 0.0f64..100.0), 0..160),
+        ) {
+            // Tags 0-3 draw small integers (so windows repeat values), 4
+            // draws a negative zero, the rest keep the random float.
+            let trace: Vec<f64> = raw
+                .iter()
+                .map(|&(tag, v)| match tag {
+                    0..=3 => f64::from(tag),
+                    4 => -0.0,
+                    _ => v,
+                })
+                .collect();
+            let mut f = WindowedMedian::new(k);
+            proptest::prop_assert_eq!(f.predict(), None);
+            for (i, &v) in trace.iter().enumerate() {
+                f.observe(v);
+                let window = &trace[(i + 1).saturating_sub(k)..=i];
+                let want = sorted_median(window).map(f64::to_bits);
+                proptest::prop_assert_eq!(f.predict().map(f64::to_bits), want, "k={} i={}", k, i);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn windowed_median_rejects_windows_beyond_the_stack_array() {
+        WindowedMedian::new(MAX_MEDIAN_WINDOW + 1);
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! horizon degrades the answer to the dedicated-machine prediction and
 //! flags it stale.
 //!
+//! The forecast is chosen at report time: each accepted sample scores
+//! the bank and stores the winner's prediction. A query never evaluates
+//! a forecaster; it checks the newest sample's age against the horizon
+//! and copies the stored winner, so it costs O(1) whatever the bank.
+//!
 //! The pipeline is deliberately exact where the model is exact: a
 //! constant load trace of `p` contenders makes every forecaster predict
 //! `p` to the bit (see `tests/forecast_properties.rs`), so forecast-fed

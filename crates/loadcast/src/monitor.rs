@@ -1,9 +1,11 @@
 //! Per-machine load monitoring: samples in, workload mixes out.
 //!
 //! [`LoadMonitor`] glues the pipeline together for one machine: reports
-//! land in a [`SlidingWindow`] and feed a [`SelectivePredictor`]; a
-//! query converts the winning forecast into the contender count and
-//! [`WorkloadMix`] the contention model consumes.
+//! land in a [`SlidingWindow`] and feed a [`SelectivePredictor`], which
+//! picks the winning forecast right then, once per accepted report. A
+//! query only checks staleness against its `now` and copies that stored
+//! forecast out as the contender count (and, on request, the
+//! [`WorkloadMix`]) the contention model consumes.
 //!
 //! **Staleness policy.** A forecast is only as good as its samples. If
 //! the newest sample is older than the configured horizon (or no samples
@@ -114,6 +116,8 @@ impl LoadMonitor {
     }
 
     /// The forecast load as of `now`, subject to the staleness policy.
+    /// The forecast itself was chosen by the last accepted report; `now`
+    /// only decides whether it is still fresh.
     pub fn forecast(&self, now: Seconds) -> LoadForecast {
         let age = self.window.latest().map(|s| secs((now.get() - s.at.get()).max(0.0)));
         let fresh = age.is_some_and(|a| a <= self.cfg.horizon);

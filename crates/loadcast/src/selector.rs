@@ -6,8 +6,9 @@
 //! close to the best of the bank in hindsight. [`SelectivePredictor`]
 //! implements exactly that: before each new sample updates the bank,
 //! every forecaster's outstanding prediction is scored against it
-//! (mean absolute error), and `predict` forwards the forecaster with the
-//! lowest MAE so far.
+//! (mean absolute error), and the forecaster with the lowest MAE so far
+//! becomes the winner. The winner is chosen once per sample, in
+//! `observe`; `predict` only reads it back.
 
 use crate::forecast::{default_family, Forecaster};
 use contention_model::units::f64_from_u64;
@@ -44,6 +45,9 @@ pub struct ForecasterScore {
 /// incoming sample, and forwards the current lowest-MAE winner.
 pub struct SelectivePredictor {
     entries: Vec<Entry>,
+    /// The winner's prediction and its index in `entries`, chosen after
+    /// the last observed sample; `None` before the first.
+    winner: Option<(f64, usize)>,
 }
 
 impl SelectivePredictor {
@@ -55,6 +59,7 @@ impl SelectivePredictor {
                 .into_iter()
                 .map(|forecaster| Entry { forecaster, abs_err_sum: 0.0, scored: 0 })
                 .collect(),
+            winner: None,
         }
     }
 
@@ -65,41 +70,36 @@ impl SelectivePredictor {
     }
 
     /// Scores every forecaster's outstanding prediction against `load`,
-    /// then feeds `load` to the whole bank.
+    /// feeds `load` to the whole bank, and chooses the new winner: lowest
+    /// running MAE, earliest entry on ties. Before any forecaster has
+    /// been scored (fewer than two samples) the first entry wins.
     pub fn observe(&mut self, load: f64) {
-        for e in &mut self.entries {
+        // Index and MAE of the best scored forecaster so far.
+        let mut best: Option<(usize, f64)> = None;
+        for (i, e) in self.entries.iter_mut().enumerate() {
             if let Some(p) = e.forecaster.predict() {
                 e.abs_err_sum += (p - load).abs();
                 e.scored += 1;
             }
             e.forecaster.observe(load);
-        }
-    }
-
-    /// The current winner's prediction and name: lowest running MAE,
-    /// earliest entry on ties. Before any forecaster has been scored
-    /// (fewer than two samples) the first entry with a prediction wins.
-    /// `None` until at least one sample has been observed.
-    pub fn predict(&self) -> Option<(f64, &str)> {
-        let mut best: Option<(&Entry, f64)> = None;
-        for e in &self.entries {
-            if let (Some(mae), Some(_)) = (e.mae(), e.forecaster.predict()) {
-                let better = match best {
-                    None => true,
-                    Some((_, best_mae)) => mae < best_mae,
-                };
-                if better {
-                    best = Some((e, mae));
+            if let Some(mae) = e.mae() {
+                if best.is_none_or(|(_, best_mae)| mae < best_mae) {
+                    best = Some((i, mae));
                 }
             }
         }
-        let winner = match best {
-            Some((e, _)) => e,
-            // Not scored yet: fall back to the first forecaster that has
-            // anything to say.
-            None => self.entries.iter().find(|e| e.forecaster.predict().is_some())?,
-        };
-        winner.forecaster.predict().map(|p| (p, winner.forecaster.name()))
+        // A forecaster predicts once it has observed a sample (the
+        // `Forecaster` contract), so only the winner is asked.
+        let i = best.map_or(0, |(i, _)| i);
+        self.winner = self.entries.get(i).and_then(|e| e.forecaster.predict()).map(|p| (p, i));
+    }
+
+    /// The winner chosen by the last [`observe`](Self::observe): its
+    /// prediction and name. `None` until at least one sample has been
+    /// observed. Reads the stored choice; evaluates no forecaster.
+    pub fn predict(&self) -> Option<(f64, &str)> {
+        let (p, i) = self.winner?;
+        self.entries.get(i).map(|e| (p, e.forecaster.name()))
     }
 
     /// Every forecaster's running score, in bank order.
@@ -127,6 +127,7 @@ impl Clone for SelectivePredictor {
                     scored: e.scored,
                 })
                 .collect(),
+            winner: self.winner,
         }
     }
 }

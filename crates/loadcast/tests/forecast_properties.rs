@@ -1,8 +1,14 @@
-//! The constant-trace equivalence property (ISSUE 3 acceptance):
-//! a constant load trace of `p` contenders makes **every** forecaster in
-//! the bank — and the NWS selector over them — converge to exactly `p`,
-//! and the mix built from that forecast yields placement decisions
-//! **bit-identical** to a direct `decide()` call with the true mix.
+//! The constant-trace equivalence property: a constant load trace of
+//! `p` contenders makes **every** forecaster in the bank — and the NWS
+//! selector over them — converge to exactly `p`, and the mix built from
+//! that forecast yields placement decisions **bit-identical** to a
+//! direct `decide()` call with the true mix.
+//!
+//! The cached-winner property: the winner the selector stores at report
+//! time is the one a from-scratch argmin over the bank picks, on random
+//! traces, constant traces, exact MAE ties, a single sample, and traces
+//! with rejected reports; and a monitor cloned mid-trace stays identical
+//! to the original when both are fed the same later reports.
 
 use contention_model::comm::{LinearCommModel, PiecewiseCommModel};
 use contention_model::dataset::DataSet;
@@ -10,7 +16,9 @@ use contention_model::delay::{CommDelayTable, CompDelayTable};
 use contention_model::mix::WorkloadMix;
 use contention_model::predict::{ParagonPredictor, ParagonTask};
 use contention_model::units::{prob, secs, BytesPerSec};
-use loadcast::{default_family, LoadMonitor, MonitorConfig, SelectivePredictor};
+use loadcast::{
+    default_family, Ewma, Forecaster, LastValue, LoadMonitor, MonitorConfig, SelectivePredictor,
+};
 use proptest::prelude::*;
 
 fn linear(alpha: f64, beta_wps: f64) -> LinearCommModel {
@@ -41,8 +49,199 @@ fn predictor() -> ParagonPredictor {
     }
 }
 
+/// A from-scratch model of the selector: its own copy of a bank, scored
+/// the same way, with the winner found by a full argmin over the bank
+/// each time it is asked.
+struct Reference {
+    bank: Vec<Box<dyn Forecaster + Send + Sync>>,
+    abs_err: Vec<f64>,
+    scored: Vec<u64>,
+}
+
+impl Reference {
+    fn new(bank: Vec<Box<dyn Forecaster + Send + Sync>>) -> Self {
+        let n = bank.len();
+        Reference { bank, abs_err: vec![0.0; n], scored: vec![0; n] }
+    }
+
+    fn observe(&mut self, load: f64) {
+        for (i, f) in self.bank.iter_mut().enumerate() {
+            if let Some(p) = f.predict() {
+                self.abs_err[i] += (p - load).abs();
+                self.scored[i] += 1;
+            }
+            f.observe(load);
+        }
+    }
+
+    /// Lowest MAE among scored forecasters, earliest on ties; before any
+    /// scoring, the first forecaster with a prediction.
+    fn winner(&self) -> Option<(f64, String)> {
+        let mut best: Option<(f64, usize)> = None;
+        for (i, f) in self.bank.iter().enumerate() {
+            if self.scored[i] == 0 || f.predict().is_none() {
+                continue;
+            }
+            let mae = self.abs_err[i] / self.scored[i] as f64;
+            if best.is_none_or(|(m, _)| mae < m) {
+                best = Some((mae, i));
+            }
+        }
+        let i = match best {
+            Some((_, i)) => i,
+            None => self.bank.iter().position(|f| f.predict().is_some())?,
+        };
+        Some((self.bank[i].predict()?, self.bank[i].name().to_string()))
+    }
+}
+
+/// The selector's stored winner in the reference's terms.
+fn stored(sel: &SelectivePredictor) -> Option<(u64, String)> {
+    sel.predict().map(|(p, name)| (p.to_bits(), name.to_string()))
+}
+
+/// The reference's argmin winner, bitwise.
+fn argmin(r: &Reference) -> Option<(u64, String)> {
+    r.winner().map(|(p, name)| (p.to_bits(), name))
+}
+
+/// A trace step drawn by the generators below.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// A valid report of this load, one second after the newest.
+    Load(f64),
+    /// A report of NaN load: rejected.
+    NaN,
+    /// A report older than the newest sample: rejected.
+    Regress,
+}
+
+/// Turns raw draws into steps: tag 0 regresses time, tag 1 reports NaN,
+/// tags 2-5 report small integers (so forecasters tie), the rest report
+/// the random float.
+fn steps(raw: &[(u8, f64)]) -> Vec<Step> {
+    raw.iter()
+        .map(|&(tag, v)| match tag {
+            0 => Step::Regress,
+            1 => Step::NaN,
+            2..=5 => Step::Load(f64::from(tag - 2)),
+            _ => Step::Load(v),
+        })
+        .collect()
+}
+
+/// The monitor's forecast right after its newest report, as
+/// `(load bits, forecaster)`.
+fn fresh_forecast(m: &LoadMonitor, newest: f64) -> (u64, String) {
+    let f = m.forecast(secs(newest));
+    (f.load.to_bits(), f.forecaster)
+}
+
+#[test]
+fn single_sample_stores_the_first_forecaster() {
+    let mut sel = SelectivePredictor::nws_default();
+    let mut r = Reference::new(default_family());
+    sel.observe(2.5);
+    r.observe(2.5);
+    assert_eq!(stored(&sel), argmin(&r));
+    assert_eq!(stored(&sel), Some((2.5f64.to_bits(), "last".to_string())));
+}
+
+#[test]
+fn exact_mae_ties_go_to_the_earliest_entry() {
+    // On small dyadic values `Ewma(1.0)` computes exactly what
+    // last-value does: every prediction, and so every MAE, is equal to
+    // the bit. Either order, the earlier entry must win.
+    let trace = [1.0, 4.0, 2.0, 2.0, 7.5, 0.0, 3.0];
+    for last_first in [true, false] {
+        let bank = || -> Vec<Box<dyn Forecaster + Send + Sync>> {
+            if last_first {
+                vec![Box::new(LastValue::new()), Box::new(Ewma::new(1.0))]
+            } else {
+                vec![Box::new(Ewma::new(1.0)), Box::new(LastValue::new())]
+            }
+        };
+        let mut sel = SelectivePredictor::new(bank());
+        let mut r = Reference::new(bank());
+        for &v in &trace {
+            sel.observe(v);
+            r.observe(v);
+            assert_eq!(stored(&sel), argmin(&r));
+        }
+        let scores = sel.scores();
+        assert_eq!(scores[0].mae, scores[1].mae, "the tie must be exact");
+        let want = if last_first { "last" } else { "ewma1.00" };
+        assert_eq!(sel.predict().map(|(_, n)| n), Some(want));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// On random traces with rejected reports mixed in, the monitor's
+    /// fresh forecast and a bare selector both forward the reference's
+    /// argmin winner after every report; a clone taken mid-trace and fed
+    /// the same later reports stays identical to the original.
+    fn stored_winner_is_the_argmin_and_clones_stay_identical(
+        raw in prop::collection::vec((0u8..12, 0.0f64..8.0), 1..80),
+        split in 0usize..80,
+    ) {
+        let mut monitor = LoadMonitor::new(MonitorConfig::default());
+        let mut sel = SelectivePredictor::nws_default();
+        let mut r = Reference::new(default_family());
+        let mut copy: Option<LoadMonitor> = None;
+        let mut newest: Option<f64> = None;
+        for (i, step) in steps(&raw).into_iter().enumerate() {
+            if i == split {
+                copy = Some(monitor.clone());
+            }
+            let next = newest.map_or(0.0, |t| t + 1.0);
+            let (at, load, valid) = match step {
+                Step::Load(v) => (next, v, true),
+                Step::NaN => (next, f64::NAN, false),
+                Step::Regress => (newest.map_or(-1.0, |t| t - 1.0), 1.0, false),
+            };
+            if at < 0.0 {
+                continue;
+            }
+            prop_assert_eq!(monitor.report(secs(at), load, None), valid, "step {} {:?}", i, step);
+            if let Some(c) = copy.as_mut() {
+                prop_assert_eq!(c.report(secs(at), load, None), valid);
+            }
+            if valid {
+                newest = Some(at);
+                sel.observe(load);
+                r.observe(load);
+            }
+            prop_assert_eq!(stored(&sel), argmin(&r), "step {}", i);
+            if let (Some(t), Some((p, name))) = (newest, r.winner()) {
+                let want = (p.max(0.0).to_bits(), name);
+                prop_assert_eq!(fresh_forecast(&monitor, t), want, "step {}", i);
+                if let Some(c) = copy.as_ref() {
+                    prop_assert_eq!(fresh_forecast(c, t), fresh_forecast(&monitor, t));
+                    prop_assert_eq!(c.scores(), monitor.scores());
+                    prop_assert_eq!(c.frac(), monitor.frac());
+                }
+            }
+        }
+    }
+
+    /// Constant traces: every forecaster ties at MAE 0, so the stored
+    /// winner is the first entry and forwards the constant exactly.
+    fn constant_traces_store_the_first_forecaster(
+        p in 0usize..=8,
+        len in 1usize..40,
+    ) {
+        let load = p as f64;
+        let mut sel = SelectivePredictor::nws_default();
+        let mut r = Reference::new(default_family());
+        for _ in 0..len {
+            sel.observe(load);
+            r.observe(load);
+            prop_assert_eq!(stored(&sel), argmin(&r));
+        }
+        prop_assert_eq!(stored(&sel), Some((load.to_bits(), "last".to_string())));
+    }
 
     /// Every forecaster in the default bank is exact on constant input.
     fn every_forecaster_converges_to_the_constant(

@@ -82,8 +82,9 @@ const MAX_EVENTS: usize = 256;
 /// A connection that moves no bytes either way for this long is
 /// closed: a silent peer, one that stopped mid-request, or one that
 /// stopped reading its replies would otherwise hold its descriptor and
-/// buffers for as long as it stays connected.
-const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+/// buffers for as long as it stays connected. Public so a client that
+/// keeps a connection between sparse requests knows when to reopen it.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Idle connections are looked for at most this often, so one is
 /// closed within [`IDLE_TIMEOUT`] plus this.
@@ -91,8 +92,9 @@ const SWEEP_EVERY: Duration = Duration::from_secs(1);
 
 /// When `accept` fails for a reason other than an empty backlog (most
 /// often the descriptor limit), the loop stops watching its listener
-/// for this long instead of waking on it again at once.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
+/// for this long instead of waking on it again at once. Public so the
+/// gateway's event loop pauses the same way.
+pub const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
 /// How a connection's bytes are interpreted.
 enum Mode {

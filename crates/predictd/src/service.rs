@@ -12,6 +12,15 @@
 //! the epoch and invalidating the cache by the core's own coherence
 //! rule.
 //!
+//! **One resolve rule.** The monitor picks its forecast when a report
+//! arrives, so a query's forecast is a staleness check plus a copy.
+//! Every path — `load_report` on the shard and on a replica, the shard
+//! read-lock fast path, its write-lock slow path, and the lock-free
+//! replica path — keys the forecast by its shape and rebuilds the mix
+//! (three allocations, the `O(p²)` distribution, an epoch bump) only
+//! when that shape changed. The mix is a pure function of the shape,
+//! so answers are the same bits as building it afresh per query.
+//!
 //! **Sharding & lock discipline.** Machine state is split across N
 //! shards, each behind its own [`RwLock`]; a machine routes to a shard
 //! by a stable FNV-1a hash of its name, so a machine's monitor, mix,
@@ -41,7 +50,7 @@ use contention_model::predict::ParagonPredictor;
 use contention_model::profile::{ProfileCache, SlowdownProfile};
 use contention_model::units::{Prob, Seconds};
 use hetsched::forecast::rank_all_forecast;
-use loadcast::{LoadMonitor, MixForecast, MonitorConfig};
+use loadcast::{LoadMonitor, MonitorConfig};
 
 use crate::metrics::{Metrics, ReqKind};
 use crate::proto::{
@@ -109,24 +118,40 @@ impl MachineState {
         let accepted = self.monitor.report(at, load, frac);
         // Keep the epoch-keyed cache coherent with the new forecast
         // shape right away, not lazily at the next predict.
-        let mf = self.monitor.mix_forecast(at);
-        if !mf.forecast.stale {
-            self.sync_mix(&mf);
+        let fc = self.monitor.forecast(at);
+        if !fc.stale {
+            self.sync_shape(fc.p);
         }
-        (accepted, mf.forecast.p)
+        (accepted, fc.p)
     }
 
-    /// Re-keys the stored mix when the forecast shape changed. Keeping
-    /// the mix (and its epoch) stable on same-shape forecasts is what
-    /// lets the epoch-keyed cache hit.
-    fn sync_mix(&mut self, mf: &MixForecast) {
+    /// The shape of a fresh forecast of `p` contenders: `p` and the
+    /// tracked fraction's bits. The mix is a pure function of it.
+    fn shape_of(&self, p: usize) -> (usize, u64) {
         // modelcheck-allow: float-env — the shape key must distinguish
         // every distinct frac, and bit equality is exactly that.
-        let key = (mf.forecast.p, mf.frac.get().to_bits());
+        (p, self.monitor.frac().get().to_bits())
+    }
+
+    /// Rebuilds the stored mix only when the forecast shape changed.
+    /// Keeping the mix (and its epoch) stable on same-shape forecasts is
+    /// what lets the epoch-keyed cache hit, and skips the mix's
+    /// allocations and `O(p²)` distribution on every unchanged query.
+    fn sync_shape(&mut self, p: usize) {
+        let key = self.shape_of(p);
         if self.shape != Some(key) {
-            self.mix = mf.mix.clone();
+            self.mix = WorkloadMix::from_probs(&vec![self.monitor.frac(); p]);
             self.shape = Some(key);
         }
+    }
+
+    /// The cached profile, if it answers a fresh forecast of `p`
+    /// contenders as it stands: same shape, and current for the mix.
+    fn current_profile(&self, p: usize) -> Option<&SlowdownProfile> {
+        if self.shape != Some(self.shape_of(p)) {
+            return None;
+        }
+        self.cache.peek().filter(|profile| profile.is_current(&self.mix))
     }
 }
 
@@ -489,22 +514,15 @@ impl Service {
                     Resolved { p: 0, stale: true, forecaster: fc.forecaster, cache_hit: true };
                 return f(&self.dedicated, meta);
             }
-            // modelcheck-allow: float-env — must mirror `sync_mix`'s
-            // bit-exact shape key or cache hits would misfire.
-            let key = (fc.p, state.monitor.frac().get().to_bits());
-            if state.shape == Some(key) {
-                if let Some(profile) = state.cache.peek() {
-                    if profile.is_current(&state.mix) {
-                        self.metrics.cache_hit();
-                        let meta = Resolved {
-                            p: u64::try_from(fc.p).unwrap_or(u64::MAX),
-                            stale: false,
-                            forecaster: fc.forecaster,
-                            cache_hit: true,
-                        };
-                        return f(profile, meta);
-                    }
-                }
+            if let Some(profile) = state.current_profile(fc.p) {
+                self.metrics.cache_hit();
+                let meta = Resolved {
+                    p: u64::try_from(fc.p).unwrap_or(u64::MAX),
+                    stale: false,
+                    forecaster: fc.forecaster,
+                    cache_hit: true,
+                };
+                return f(profile, meta);
             }
         }
         // Slow path: the shape moved or the cache is cold. Re-resolve
@@ -536,24 +554,23 @@ impl Service {
         now: Seconds,
         f: impl FnOnce(&SlowdownProfile, Resolved) -> R,
     ) -> R {
-        let mf = state.monitor.mix_forecast(now);
-        if mf.forecast.stale {
+        let fc = state.monitor.forecast(now);
+        if fc.stale {
             self.metrics.cache_hit();
-            let meta =
-                Resolved { p: 0, stale: true, forecaster: mf.forecast.forecaster, cache_hit: true };
+            let meta = Resolved { p: 0, stale: true, forecaster: fc.forecaster, cache_hit: true };
             return f(&self.dedicated, meta);
         }
-        state.sync_mix(&mf);
-        let hit = state.cache.peek().is_some_and(|pr| pr.is_current(&state.mix));
+        state.sync_shape(fc.p);
+        let hit = state.current_profile(fc.p).is_some();
         if hit {
             self.metrics.cache_hit();
         } else {
             self.metrics.cache_miss();
         }
         let meta = Resolved {
-            p: u64::try_from(mf.forecast.p).unwrap_or(u64::MAX),
+            p: u64::try_from(fc.p).unwrap_or(u64::MAX),
             stale: false,
-            forecaster: mf.forecast.forecaster,
+            forecaster: fc.forecaster,
             cache_hit: hit,
         };
         let profile =
@@ -912,6 +929,41 @@ mod tests {
         let Response::Decisions(want) = want else { panic!("want decisions") };
         let Response::Decisions(got) = got else { panic!("want decisions") };
         assert_eq!(got.decisions, want.decisions);
+    }
+
+    #[test]
+    fn unchanged_shape_keeps_the_mix_and_every_query_hits() {
+        let s = svc();
+        let mut aff = Affinity::new();
+        for t in 0..4 {
+            s.handle_local(&report("m0", f64::from(t), 3.0), &mut aff);
+        }
+        let shard_epoch = |s: &Service| {
+            read_lock(&s.shards[s.shard_of("m0")]).machines.get("m0").map(|m| m.mix.epoch())
+        };
+        let replica_epoch = |aff: &Affinity| aff.machines.get("m0").map(|r| r.state.mix.epoch());
+        let (shard_before, replica_before) = (shard_epoch(&s), replica_epoch(&aff));
+        assert!(shard_before.is_some() && replica_before.is_some(), "reports built both mixes");
+        // The first query on each path fills that path's cache.
+        s.handle(&predict_at("m0", 3.0));
+        s.handle_local(&predict_at("m0", 3.0), &mut aff);
+        for i in 0..1000 {
+            let now = 3.0 + f64::from(i) * 1e-3;
+            let (shard, _) = s.handle(&predict_at("m0", now));
+            let (local, _) = s.handle_local(&predict_at("m0", now), &mut aff);
+            for (path, resp) in [("shard", shard), ("replica", local)] {
+                let Response::Prediction(p) = resp else { panic!("want prediction") };
+                assert!(p.cache_hit, "{path} query {i} missed the cache");
+                assert_eq!(p.p, 3);
+            }
+        }
+        assert_eq!(shard_epoch(&s), shard_before, "shard mix rebuilt on an unchanged shape");
+        assert_eq!(
+            replica_epoch(&aff),
+            replica_before,
+            "replica mix rebuilt on an unchanged shape"
+        );
+        assert_eq!(aff.replicas(), 1);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! threshold), not any single request's.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use predictd::server::IDLE_TIMEOUT;
 use predictd::{Client, ClientError};
 use proto::{Request, Response};
 
@@ -138,19 +139,41 @@ pub struct BackendConn {
     client: Option<Client>,
     connect_timeout: Duration,
     io_timeout: Option<Duration>,
+    /// When the cached connection last sent a request.
+    last_used: Instant,
+    /// predictd's [`IDLE_TIMEOUT`]: the backend closes a connection
+    /// this idle, so one that sat this long is reopened before use.
+    /// Unit tests shorten it.
+    pub(crate) idle_limit: Duration,
 }
 
 impl BackendConn {
     /// A handle that will connect on first use.
     pub fn new(addr: String, connect_timeout: Duration, io_timeout: Option<Duration>) -> Self {
-        BackendConn { addr, client: None, connect_timeout, io_timeout }
+        BackendConn {
+            addr,
+            client: None,
+            connect_timeout,
+            io_timeout,
+            last_used: Instant::now(),
+            idle_limit: IDLE_TIMEOUT,
+        }
     }
 
     /// Sends one request and decodes the response, connecting (or
     /// reconnecting) as needed. Any transport error tears down this
     /// thread's socket so the next call starts from a clean connect —
     /// the caller decides whether to fail over; this type never does.
+    /// A connection idle past the backend's idle close (a health probe
+    /// spaced wider than it) is reopened rather than found closed.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
+        let now = Instant::now();
+        if now.duration_since(self.last_used) >= self.idle_limit {
+            self.client = None;
+        }
+        // Stamped at send time, before the backend's own idle clock
+        // restarts, so this side always reopens first.
+        self.last_used = now;
         if self.client.is_none() {
             self.client = Some(Client::connect_binary_timeout(
                 self.addr.as_str(),
@@ -221,6 +244,63 @@ mod tests {
         assert_eq!((b.cursor(), b.in_flight()), (1, 1));
         b.broadcast_settled(false);
         assert_eq!((b.cursor(), b.in_flight()), (1, 0), "a failed send leaves a gap");
+    }
+
+    /// A stand-in backend that answers like predictd and, like
+    /// predictd, closes a connection that sat idle for `idle`. Serves
+    /// one connection at a time, which is all one `BackendConn` needs.
+    fn idle_closing_backend(idle: Duration) -> String {
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        std::thread::spawn(move || {
+            let service =
+                predictd::Service::with_default_predictor(predictd::ServiceConfig::default());
+            for stream in listener.incoming() {
+                let Ok(mut stream) = stream else { continue };
+                let _ = stream.set_read_timeout(Some(idle));
+                let mut preamble = [0u8; 4];
+                if stream.read_exact(&mut preamble).is_err() {
+                    continue;
+                }
+                let mut out = Vec::new();
+                loop {
+                    // A read that times out is the idle close: drop the
+                    // stream and serve the next connection.
+                    let mut len = [0u8; 4];
+                    if stream.read_exact(&mut len).is_err() {
+                        break;
+                    }
+                    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+                    if stream.read_exact(&mut body).is_err() {
+                        break;
+                    }
+                    out.clear();
+                    service.handle_frame_into(&body, &mut out);
+                    if stream.write_all(&out).is_err() {
+                        break;
+                    }
+                }
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn probe_after_the_backend_idle_close_reopens_the_connection() {
+        let idle = Duration::from_millis(150);
+        let mut c = BackendConn::new(
+            idle_closing_backend(idle),
+            Duration::from_secs(1),
+            Some(Duration::from_secs(5)),
+        );
+        c.idle_limit = idle;
+        for probe in 0..3 {
+            let reply = c.request(&Request::Stats);
+            assert!(matches!(reply, Ok(Response::Stats(_))), "probe {probe}: {reply:?}");
+            // Longer than the backend's idle close: it has hung up.
+            std::thread::sleep(idle * 3);
+        }
     }
 
     #[test]

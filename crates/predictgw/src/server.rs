@@ -34,7 +34,9 @@
 //! `rank`, `decide_batch` chunks) move down the preference list, and
 //! broadcast gaps are left to the health checker's journal replay. A
 //! slow or silent backend delays only the requests routed to it, never
-//! the worker.
+//! the worker. A failed `accept` (most often the descriptor limit)
+//! pauses the listener for predictd's `ACCEPT_BACKOFF` rather than
+//! spinning on it.
 //!
 //! ## Broadcast order
 //!
@@ -56,6 +58,7 @@ use std::time::{Duration, Instant};
 use predictd::poll::{
     bind_reuseport, Epoll, EpollEvent, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
+use predictd::server::ACCEPT_BACKOFF;
 use predictd::ServerConfig;
 use proto::{binproto, Request, Response};
 
@@ -356,6 +359,8 @@ fn event_loop(
     // After `stop`, linger briefly to flush pending responses (most
     // importantly the `ok` reply to the shutdown request itself).
     let mut drain_deadline: Option<Instant> = None;
+    // When to watch the listener again after a failed `accept`.
+    let mut accept_paused_until: Option<Instant> = None;
     loop {
         if stop.load(Ordering::Acquire) {
             let deadline =
@@ -365,14 +370,20 @@ fn event_loop(
                 return Ok(());
             }
         }
-        let timeout = w.io.wait_ms(Instant::now(), drain_deadline.is_some());
+        let timeout = w.io.wait_ms(Instant::now(), drain_deadline.is_some(), accept_paused_until);
         let n = w.io.epoll.wait(&mut events, timeout)?;
         let now = Instant::now();
         for ev in events.iter().take(n) {
             let token = ev.data;
             let bits = ev.events;
             match token {
-                TOKEN_LISTENER => w.accept(&listener),
+                TOKEN_LISTENER => {
+                    if !w.accept(&listener)
+                        && w.io.epoll.modify(listener.as_raw_fd(), TOKEN_LISTENER, 0).is_ok()
+                    {
+                        accept_paused_until = Some(now + ACCEPT_BACKOFF);
+                    }
+                }
                 TOKEN_WAKER => {
                     waker.drain();
                     w.retry_deferred(now);
@@ -390,12 +401,20 @@ fn event_loop(
             }
         }
         w.end_batch(now);
+        if accept_paused_until.is_some_and(|t| now >= t)
+            && w.io.epoll.modify(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN).is_ok()
+        {
+            accept_paused_until = None;
+        }
     }
 }
 
 impl Worker<'_> {
     /// Accepts every pending connection (level-triggered listener).
-    fn accept(&mut self, listener: &TcpListener) {
+    /// Returns false when `accept` failed for a reason other than an
+    /// empty backlog — most often the descriptor limit, which leaves the
+    /// listener readable, so the caller must stop watching it a while.
+    fn accept(&mut self, listener: &TcpListener) -> bool {
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
@@ -422,9 +441,9 @@ impl Worker<'_> {
                         self.free.push(idx);
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
+                Err(_) => return false,
             }
         }
     }
@@ -577,20 +596,20 @@ impl Worker<'_> {
 
 impl Io<'_> {
     /// How long `epoll_wait` may sleep: until the nearest lane deadline
-    /// (forever without one), at once with failures queued, and in
-    /// short slices while draining for shutdown.
-    fn wait_ms(&self, now: Instant, draining: bool) -> i32 {
+    /// or `resume_accept` (forever without one), at once with failures
+    /// queued, and in short slices while draining for shutdown.
+    fn wait_ms(&self, now: Instant, draining: bool, resume_accept: Option<Instant>) -> i32 {
         if !self.failed.is_empty() {
             return 0;
         }
         let cfg = self.gateway.config();
+        let lane_deadlines =
+            self.lanes.iter().filter_map(|l| l.deadline(cfg.connect_timeout, cfg.io_timeout));
         let mut ms: i32 = -1;
-        for lane in &self.lanes {
-            if let Some(d) = lane.deadline(cfg.connect_timeout, cfg.io_timeout) {
-                let left = d.saturating_duration_since(now).as_micros().div_ceil(1000);
-                let left = i32::try_from(left).unwrap_or(i32::MAX);
-                ms = if ms < 0 { left } else { ms.min(left) };
-            }
+        for d in lane_deadlines.chain(resume_accept) {
+            let left = d.saturating_duration_since(now).as_micros().div_ceil(1000);
+            let left = i32::try_from(left).unwrap_or(i32::MAX);
+            ms = if ms < 0 { left } else { ms.min(left) };
         }
         if draining {
             ms = if ms < 0 { 20 } else { ms.min(20) };
