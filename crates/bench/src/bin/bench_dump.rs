@@ -16,6 +16,11 @@
 //! clients in both the JSON and binary codecs at 1/4/16 connections,
 //! client-observed latency quantiles included.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+
 use bench::paragon_predictor;
 use contention_model::dataset::DataSet;
 use contention_model::mix::WorkloadMix;
@@ -169,21 +174,14 @@ fn main() {
 fn modelcheck_report() -> Value {
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let start = Instant::now();
-    let (mut diags, stats) = modelcheck::scan_workspace_with_stats(root);
+    let (diags, stats) = modelcheck::scan_workspace_with_stats(root);
     let scan_secs = start.elapsed().as_secs_f64();
-    let text =
-        std::fs::read_to_string(modelcheck::baseline::default_path(root)).unwrap_or_default();
-    let (entries, _bad) = modelcheck::baseline::parse(&text);
-    modelcheck::baseline::mark(&mut diags, &entries);
-    let baselined = diags.iter().filter(|d| d.baselined).count();
     Value::Map(vec![
         ("scan_ms".to_string(), Value::Float(scan_secs * 1e3)),
         ("files".to_string(), Value::UInt(stats.files as u64)),
         ("graph_nodes".to_string(), Value::UInt(stats.graph_nodes as u64)),
         ("graph_edges".to_string(), Value::UInt(stats.graph_edges as u64)),
         ("diagnostics".to_string(), Value::UInt(diags.len() as u64)),
-        ("baselined".to_string(), Value::UInt(baselined as u64)),
-        ("new".to_string(), Value::UInt((diags.len() - baselined) as u64)),
     ])
 }
 

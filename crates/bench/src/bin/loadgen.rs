@@ -16,6 +16,11 @@
 //! A reader that closes stdout early (`loadgen … | head -2`) ends the
 //! run quietly with exit status 0.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+
 use std::io::{self, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;

@@ -6,8 +6,11 @@
 //! behind the "actual" curves in `benches/simulator.rs`, the `pcompᵢ`
 //! complexity claims in `benches/mix_updates.rs`, and the calibration
 //! fitting in `benches/calibration_fit.rs`.
-//!
-//! modelcheck: no-todo-dbg, lossy-cast
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
 
 pub mod loadgen;
 

@@ -58,13 +58,16 @@ pub fn calibrate_cm2(cfg: PlatformConfig, spec: Cm2CalibrationSpec, seed: u64) -
 
 /// Runs one probe on an otherwise-quiet platform (production noise floor
 /// only); returns elapsed seconds.
+#[expect(
+    clippy::expect_used,
+    reason = "a stalled probe is a simulator defect, not a model state; elapsed is Some for \
+              any id run_until_done returned"
+)]
 fn run_probe(cfg: PlatformConfig, seed: u64, app: hetplat::phase::ScriptedApp) -> f64 {
     let mut p = Platform::new(cfg, seed);
     p.spawn(Box::new(hetload::generators::DaemonNoise::default_noise()));
     let id = p.spawn(Box::new(app));
-    // modelcheck-allow: no-panic — a stalled probe is a simulator defect, not a model state
     p.run_until_done(id).expect("probe stalled");
-    // modelcheck-allow: no-panic — elapsed is Some for any id run_until_done returned
     p.elapsed(id).expect("probe finished").as_secs_f64()
 }
 

@@ -72,7 +72,10 @@ fn run_comm_probe_one(
         Box::new(pingpong_app("probe", spec.probe_burst, words, outbound)),
         SimTime::ZERO + spec.warmup,
     );
-    // modelcheck-allow: no-panic — a stalled probe is a simulator defect, not a model state
+    #[expect(
+        clippy::expect_used,
+        reason = "a stalled probe is a simulator defect, not a model state"
+    )]
     p.run_until_done(probe).expect("probe stalled");
     let kind = if outbound { PhaseKind::Send } else { PhaseKind::Recv };
     p.phase_time(probe, kind).as_secs_f64()
@@ -104,6 +107,11 @@ fn mean_rel_delay(contended: &[f64], dedicated: &[f64]) -> f64 {
 
 /// Runs the CPU-bound probe against a set of contenders and returns its
 /// elapsed seconds.
+#[expect(
+    clippy::expect_used,
+    reason = "a stalled probe is a simulator defect, not a model state; elapsed is Some for \
+              any id run_until_done returned"
+)]
 fn run_comp_probe(
     cfg: PlatformConfig,
     contenders: Vec<Box<dyn AppProcess>>,
@@ -117,9 +125,7 @@ fn run_comp_probe(
     }
     let probe =
         p.spawn_at(Box::new(sun_task_app("probe", spec.comp_probe)), SimTime::ZERO + spec.warmup);
-    // modelcheck-allow: no-panic — a stalled probe is a simulator defect, not a model state
     p.run_until_done(probe).expect("probe stalled");
-    // modelcheck-allow: no-panic — elapsed is Some for any id run_until_done returned
     p.elapsed(probe).expect("probe finished").as_secs_f64()
 }
 

@@ -15,9 +15,12 @@
 //! [`calibrate_paragon`] bundles everything a
 //! [`ParagonPredictor`](contention_model::predict::ParagonPredictor) needs.
 
-//!
-//! modelcheck: no-panic, lossy-cast, missing-docs
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
 
 pub mod cm2;
 pub mod delays;

@@ -63,7 +63,7 @@ pub fn measure_pingpong(
             let mut p = Platform::new(cfg, seed);
             p.spawn(Box::new(hetload::generators::DaemonNoise::default_noise()));
             let id = p.spawn(Box::new(pingpong_app("pp", spec.burst, words, outbound)));
-            // modelcheck-allow: no-panic — a stalled probe is a simulator defect
+            #[expect(clippy::expect_used, reason = "a stalled probe is a simulator defect")]
             p.run_until_done(id).expect("ping-pong stalled");
             let kind = if outbound { PhaseKind::Send } else { PhaseKind::Recv };
             PingPongPoint { words, burst_time: p.phase_time(id, kind).as_secs_f64() }
@@ -106,9 +106,9 @@ fn sse(points: &[PingPongPoint], burst: u64, model: &PiecewiseCommModel) -> f64 
 /// fit both pieces and keep the model with the lowest error. Falls back
 /// to a single-piece fit when no split is viable.
 pub fn fit_piecewise(points: &[PingPongPoint], burst: u64) -> PiecewiseCommModel {
+    #[expect(clippy::expect_used, reason = "documented precondition: callers sweep ≥ 2 sizes")]
     let uniform = fit_linear(points, burst)
         .map(PiecewiseCommModel::uniform)
-        // modelcheck-allow: no-panic — documented precondition: callers sweep ≥ 2 sizes
         .expect("at least two distinct sizes required");
     let mut best = uniform;
     let mut best_err = sse(points, burst, &best);

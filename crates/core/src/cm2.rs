@@ -70,13 +70,17 @@ impl Cm2TaskCosts {
     /// Smallest `p` at which the slowed serial stream, rather than the CM2
     /// pipeline, dominates `T_cm2` — i.e. where contention starts to hurt
     /// the back-end execution. `None` if the serial part is zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "ratio is a small non-negative count"
+    )]
     pub fn contention_onset(&self) -> Option<u32> {
         if self.dserial_cm2 <= Seconds::ZERO {
             return None;
         }
         let ratio = (self.dcomp_cm2 + self.didle_cm2) / self.dserial_cm2;
         // Need (p+1) > ratio, so p = ceil(ratio - 1), clamped at 0.
-        // modelcheck-allow: lossy-cast — ratio is a small non-negative count
         Some(((ratio - 1.0).max(0.0)).ceil() as u32)
     }
 }

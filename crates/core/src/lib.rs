@@ -52,8 +52,13 @@
 //! ```
 
 //!
-//! modelcheck: no-panic, naked-f64, lossy-cast, missing-docs, float-env
+//! modelcheck: naked-f64, float-env
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
 
 pub mod cm2;
 pub mod comm;

@@ -56,9 +56,10 @@ const MAX_EXACT_IN_F64: u64 = 1 << 53;
 /// Converts a message/word count to `f64`, debug-checking that the value
 /// is exactly representable (word counts beyond 2⁵³ would silently lose
 /// precision).
+#[expect(clippy::cast_precision_loss, reason = "the sanctioned funnel, guarded above")]
 pub fn f64_from_u64(n: u64) -> f64 {
     debug_assert!(n <= MAX_EXACT_IN_F64, "{n} is not exactly representable in f64");
-    n as f64 // modelcheck-allow: lossy-cast — the sanctioned funnel, guarded above
+    n as f64
 }
 
 /// [`f64_from_u64`] for `usize` counts (contender indices, loop counters).

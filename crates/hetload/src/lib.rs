@@ -5,10 +5,12 @@
 //! simulated counterparts), CM2 instruction-stream builders, transfer and
 //! ping-pong probes, contention generators, and synthetic benchmark
 //! generation.
-//!
-//! modelcheck: no-todo-dbg, lossy-cast
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
 
 pub mod apps;
 pub mod costs;

@@ -17,6 +17,10 @@ use hetplat::phase::{Cm2Instr, Cm2Program};
 /// `(m−k−1) × (m−k+1)` block; no scalar result is needed until the final
 /// residual reduction, so the serial stream runs ahead of the CM2.
 pub fn gauss_program(m: u64, p: &Cm2ProgramParams) -> Cm2Program {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "m is a matrix dimension; the capacity is only a hint"
+    )]
     let mut instrs = Vec::with_capacity(2 * m as usize + 2);
     for k in 0..m {
         instrs.push(Cm2Instr::Serial(p.serial_per_step));

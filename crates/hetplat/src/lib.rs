@@ -16,10 +16,12 @@
 //!
 //! Applications are phase machines (see [`phase`]); workload and benchmark
 //! apps live in the `hetload` crate.
-//!
-//! modelcheck: no-todo-dbg, lossy-cast
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
 
 pub mod config;
 pub mod phase;

@@ -102,6 +102,10 @@ impl Dag {
     }
 
     /// Exhaustive search over all `m^k` assignments (small instances).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the task count fits u32 and each base-m digit is below m, a usize"
+    )]
     pub fn best_exhaustive(&self, env: &Environment) -> (Vec<usize>, f64) {
         let m = self.machines as u64;
         let k = self.tasks.len() as u32;

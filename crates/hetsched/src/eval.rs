@@ -113,6 +113,10 @@ impl<'a> DeltaWalker<'a> {
     /// at coordinate `i` is `+1`/`−1` on the same parity. This lets
     /// disjoint rank ranges be walked independently (see
     /// [`rank_all_par`](crate::eval)).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "each base-m digit is below m, a usize machine count"
+    )]
     fn start_at_rank(
         wf: &'a Workflow,
         env: &'a Environment,
@@ -170,6 +174,7 @@ impl<'a> DeltaWalker<'a> {
 
     /// Advances to the next assignment in Gray order; `false` once every
     /// assignment has been visited. Amortized `O(1)` (odometer carries).
+    #[expect(clippy::cast_sign_loss, reason = "`next >= 0` is checked before the cast")]
     fn step(&mut self) -> bool {
         let k = self.assignment.len();
         for j in 0..k {
@@ -219,6 +224,10 @@ pub fn best_exhaustive(wf: &Workflow, env: &Environment) -> Schedule {
 
 /// [`best_exhaustive`] with caller-owned scratch buffers, allocation-free
 /// in steady state when the instance shape repeats.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the task count fits u32; the size guard rejects a large mᵏ"
+)]
 pub fn best_exhaustive_with(
     wf: &Workflow,
     env: &Environment,
@@ -249,6 +258,10 @@ pub fn best_exhaustive_with(
 
 /// The seed's full-re-evaluation exhaustive search, retained as the test
 /// oracle for [`best_exhaustive`]: `O(k)` per schedule, no shared state.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the task count fits u32 and each base-m digit is below m, a usize"
+)]
 pub fn best_exhaustive_oracle(wf: &Workflow, env: &Environment) -> Schedule {
     let m = wf.machines();
     let k = wf.len();
@@ -325,6 +338,10 @@ pub fn best_chain_dp(wf: &Workflow, env: &Environment) -> Schedule {
 /// Ranks every schedule of a small instance, best first — useful for
 /// inspecting how contention reorders the candidates. Enumerates via the
 /// Gray-code walk, so each makespan costs `O(1)` instead of `O(k)`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the task count fits u32; the size guard caps mᵏ at 100k"
+)]
 pub fn rank_all(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
     let m = wf.machines();
     let k = wf.len();
@@ -346,6 +363,10 @@ pub fn rank_all(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
 
 /// The seed's full-re-evaluation ranking, retained as the test oracle for
 /// [`rank_all`].
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the task count fits u32; the size guard caps mᵏ at 100k, and each base-m digit is below m"
+)]
 pub fn rank_all_oracle(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
     let m = wf.machines();
     let k = wf.len();
@@ -373,6 +394,10 @@ pub fn rank_all_oracle(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
 /// threads. Chunk boundaries pay one full evaluation each; everything
 /// else stays `O(1)` per schedule.
 #[cfg(feature = "par")]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the task count fits u32; the size guard caps mᵏ, so chunks and ranges fit a usize"
+)]
 pub fn rank_all_par(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
     let m = wf.machines();
     let k = wf.len();

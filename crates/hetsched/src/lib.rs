@@ -19,8 +19,13 @@
 //!   (the paper's §4 future work).
 
 //!
-//! modelcheck: no-panic, lossy-cast, float-env
+//! modelcheck: float-env
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
 
 pub mod adapt;
 pub mod dag;

@@ -25,9 +25,14 @@
 //!
 //! [`WorkloadMix`]: contention_model::mix::WorkloadMix
 //!
-//! modelcheck: no-panic, lossy-cast, missing-docs, float-env
+//! modelcheck: float-env
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
 
 pub mod forecast;
 pub mod monitor;

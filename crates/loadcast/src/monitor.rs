@@ -185,6 +185,11 @@ impl std::fmt::Debug for LoadMonitor {
 
 /// Rounds a forecast load to a whole contender count, capped at
 /// [`MAX_CONTENDERS`]. Exact for integer-valued loads.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "bounded is a whole number clamped to 0..=1024 above"
+)]
 pub fn contenders(load: f64) -> usize {
     let bounded = load.max(0.0).round().min(1024.0);
     debug_assert!((0.0..=1024.0).contains(&bounded));

@@ -293,7 +293,7 @@ mod tests {
                    fn helper() {}\n\
                    impl A { fn dup(&self) {} }\n\
                    impl B { fn dup(&self) {} }\n";
-        let (input, _) = FileInput::build("x.rs", src, FileScope::ALL);
+        let input = FileInput::build("x.rs", src, FileScope::ALL).expect("lexes");
         let toks = input.code_tokens();
         let ast = parse(&toks).expect("parses");
         let g = CallGraph::build(&[ctx_of(&input, &toks, &ast, Some("c"))]);
@@ -307,8 +307,8 @@ mod tests {
     fn crate_local_definitions_shadow_workspace_ones() {
         let a = "fn caller() { shared(); }\nfn shared() {}\n";
         let b = "fn shared() {}\n";
-        let (ia, _) = FileInput::build("a.rs", a, FileScope::ALL);
-        let (ib, _) = FileInput::build("b.rs", b, FileScope::ALL);
+        let ia = FileInput::build("a.rs", a, FileScope::ALL).expect("lexes");
+        let ib = FileInput::build("b.rs", b, FileScope::ALL).expect("lexes");
         let (ta, tb) = (ia.code_tokens(), ib.code_tokens());
         let (pa, pb) = (parse(&ta).unwrap(), parse(&tb).unwrap());
         let g =
@@ -322,8 +322,8 @@ mod tests {
     fn cross_crate_unique_names_resolve() {
         let a = "fn caller() { only_in_b(); }\n";
         let b = "fn only_in_b() {}\n";
-        let (ia, _) = FileInput::build("a.rs", a, FileScope::ALL);
-        let (ib, _) = FileInput::build("b.rs", b, FileScope::ALL);
+        let ia = FileInput::build("a.rs", a, FileScope::ALL).expect("lexes");
+        let ib = FileInput::build("b.rs", b, FileScope::ALL).expect("lexes");
         let (ta, tb) = (ia.code_tokens(), ib.code_tokens());
         let (pa, pb) = (parse(&ta).unwrap(), parse(&tb).unwrap());
         let g =
@@ -339,7 +339,7 @@ mod tests {
                    \x20 fn m(&mut self, len: usize, (a, b): (u8, u8), map: HashMap<K, V>) {}\n\
                    }\n\
                    fn free(x: &[u8], mut n: u64) {}\n";
-        let (input, _) = FileInput::build("x.rs", src, FileScope::ALL);
+        let input = FileInput::build("x.rs", src, FileScope::ALL).expect("lexes");
         let toks = input.code_tokens();
         let ast = parse(&toks).expect("parses");
         let g = CallGraph::build(&[ctx_of(&input, &toks, &ast, None)]);
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn split_args_handles_nested_groups() {
         let src = "fn f() { g(a, h(b, c), [d, e], k); }\n";
-        let (input, _) = FileInput::build("x.rs", src, FileScope::ALL);
+        let input = FileInput::build("x.rs", src, FileScope::ALL).expect("lexes");
         let toks = input.code_tokens();
         let ast = parse(&toks).expect("parses");
         let call = ast.calls.iter().find(|c| toks[c.name_tok].text == "g").unwrap();

@@ -12,32 +12,36 @@
 //! walks, the wire-taint rule as a per-function dataflow over `let`
 //! bindings, and the event-loop purity rule as a crate-level
 //! reachability check ([`resolve`] holds the shared name/annotation
-//! helpers). Cheap textual rules stay on the line/token path, and a
+//! helpers). The cheap `naked-f64` rule stays on the line path, and a
 //! cross-file pass checks the wire protocol for drift between
 //! `proto.rs`, `codec.rs`, and the DESIGN.md protocol table.
+//!
+//! Rules the toolchain already has are left to it: panics
+//! (`clippy::{unwrap_used, expect_used, panic}`) and lossy casts
+//! (`clippy::{cast_precision_loss, cast_possible_truncation,
+//! cast_sign_loss}`) are crate-root `cfg_attr(not(test), warn(…))`
+//! lines, `todo!`/`dbg!` are workspace `[lints]`, and undocumented
+//! public items are rustc's `missing_docs`. CI's
+//! `cargo clippy -- -D warnings` makes all of them errors.
 //!
 //! **Crates opt in via a root pragma.** Each crate declares the rules
 //! it holds itself to with a doc line in its crate root (`src/lib.rs`,
 //! or `src/main.rs` for pure binaries):
 //!
 //! ```text
-//! //! modelcheck: no-panic, lossy-cast, missing-docs
+//! //! modelcheck: naked-f64, float-env, wire-taint
 //! ```
 //!
 //! [`scan_workspace`] discovers every `Cargo.toml` under the root
 //! (skipping `vendor/`, `target/`, `.git/`, `fixtures/`), reads the
 //! crate root's pragma, and applies the named rules to that crate's
-//! `src/` tree. A crate with no pragma gets only the global rules. A
+//! `src/` tree. A crate with no pragma gets only the always-on rules. A
 //! pragma naming an unknown rule is itself a diagnostic (`pragma`), so
 //! typos fail the build instead of silently disabling a rule.
 //!
 //! | rule | family | what it rejects |
 //! |------|--------|-----------------|
-//! | `no-panic` | style | `.unwrap()`, `.expect(`, `panic!` in model code |
 //! | `naked-f64` | style | `f64`/`f32` in a `pub fn` signature (`units.rs` exempt) |
-//! | `lossy-cast` | style | `as f64`/`as f32` and visible float → integer casts |
-//! | `no-todo-dbg` | style | `todo!` / `dbg!` anywhere scanned, tests included |
-//! | `missing-docs` | style | a public item with no doc comment |
 //! | `lock-discipline` | concurrency | `write()` in a `// modelcheck: read-path` fn; a second shard lock while a guard is live; a guard held across I/O |
 //! | `atomics` | concurrency | `SeqCst`/`AcqRel` without a justification; `store(load(..))` read-modify-write of an atomic |
 //! | `event-loop` | concurrency | a blocking call (`.lock(`, `write_lock(`, `sleep`, `read_to_end`, `write_all`, stdio macros) in a fn reachable from a `// modelcheck: event-loop` entry point, transitively through the workspace call graph |
@@ -53,21 +57,11 @@
 //! on line *n* or anywhere in the contiguous comment block directly
 //! above it (justifications are encouraged to take several lines); the
 //! comment is expected to say *why* the exception is sound. Code under
-//! `#[cfg(test)]` is exempt from every rule except `no-todo-dbg` —
-//! which also covers crates' `tests/`, `benches/`, and `examples/`
-//! trees, not just `src/`.
-//!
-//! **Baseline.** Findings present at adoption live in a committed
-//! `modelcheck.baseline` file (`file:line:rule`, one per line): they
-//! are reported as warnings, while any finding *not* in the baseline
-//! is an error. `--fix-baseline` regenerates the file; see [`baseline`].
-//!
-//! [`Seconds`]: ../contention_model/units/struct.Seconds.html
+//! `#[cfg(test)]` is exempt from every rule. Every finding is an error.
 
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod baseline;
 pub mod graph;
 pub mod lexer;
 pub mod passes;
@@ -81,16 +75,8 @@ use std::path::{Path, PathBuf};
 /// `modelcheck-allow` comments reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// `.unwrap()` / `.expect(` / `panic!` in pragma'd crate sources.
-    NoPanic,
     /// Bare `f64`/`f32` in a `pub fn` signature of a pragma'd crate.
     NakedF64,
-    /// Lossy `as` casts between integer and float types.
-    LossyCast,
-    /// `todo!` / `dbg!` anywhere.
-    NoTodoDbg,
-    /// Undocumented public item in a pragma'd crate.
-    MissingDocs,
     /// Shard-lock discipline: write locks in read paths, nested lock
     /// acquisition, guards held across I/O.
     LockDiscipline,
@@ -123,12 +109,8 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in the order `--list-rules` prints them.
-    pub const ALL: [Rule; 15] = [
-        Rule::NoPanic,
+    pub const ALL: [Rule; 11] = [
         Rule::NakedF64,
-        Rule::LossyCast,
-        Rule::NoTodoDbg,
-        Rule::MissingDocs,
         Rule::LockDiscipline,
         Rule::Atomics,
         Rule::EventLoop,
@@ -145,11 +127,7 @@ impl Rule {
     /// comments.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::NoPanic => "no-panic",
             Rule::NakedF64 => "naked-f64",
-            Rule::LossyCast => "lossy-cast",
-            Rule::NoTodoDbg => "no-todo-dbg",
-            Rule::MissingDocs => "missing-docs",
             Rule::LockDiscipline => "lock-discipline",
             Rule::Atomics => "atomics",
             Rule::WireTaint => "wire-taint",
@@ -166,13 +144,7 @@ impl Rule {
     /// One-line description, as printed by `--list-rules`.
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::NoPanic => "`.unwrap()`, `.expect(`, `panic!` in model code",
             Rule::NakedF64 => "bare `f64`/`f32` in a `pub fn` signature (units.rs exempt)",
-            Rule::LossyCast => "lossy `as` casts between integer and float types",
-            // Spelled via concat! so the textual pass does not flag
-            // its own description.
-            Rule::NoTodoDbg => concat!("`to", "do!` / `d", "bg!` anywhere, tests included"),
-            Rule::MissingDocs => "a public item with no doc comment",
             Rule::LockDiscipline => {
                 "write locks in read paths, nested shard locks, guards held across I/O"
             }
@@ -200,17 +172,14 @@ impl Rule {
     /// `None` for rules that always run.
     pub fn pragma_spelling(self) -> Option<&'static str> {
         match self {
-            Rule::NoPanic
-            | Rule::NakedF64
-            | Rule::LossyCast
-            | Rule::MissingDocs
+            Rule::NakedF64
             | Rule::LockDiscipline
             | Rule::Atomics
             | Rule::WireTaint
             | Rule::EventLoop
             | Rule::LockOrder
             | Rule::FloatEnv => Some(self.name()),
-            Rule::NoTodoDbg | Rule::ProtocolDrift | Rule::Pragma | Rule::Lex | Rule::Parse => None,
+            Rule::ProtocolDrift | Rule::Pragma | Rule::Lex | Rule::Parse => None,
         }
     }
 
@@ -218,11 +187,7 @@ impl Rule {
     /// families so tooling can gate on whole categories.
     pub fn family(self) -> &'static str {
         match self {
-            Rule::NoPanic
-            | Rule::NakedF64
-            | Rule::LossyCast
-            | Rule::NoTodoDbg
-            | Rule::MissingDocs => "style",
+            Rule::NakedF64 => "style",
             Rule::LockDiscipline | Rule::Atomics | Rule::EventLoop | Rule::LockOrder => {
                 "concurrency"
             }
@@ -252,9 +217,6 @@ pub struct Diagnostic {
     pub rule: Rule,
     /// Human-readable explanation.
     pub message: String,
-    /// True when the finding matches a committed baseline entry (a
-    /// warning at adoption, not an error). Set by [`baseline::mark`].
-    pub baselined: bool,
 }
 
 impl Diagnostic {
@@ -268,7 +230,7 @@ impl Diagnostic {
         rule: Rule,
         message: String,
     ) -> Self {
-        Diagnostic { file: file.to_string(), line, col, end_col, rule, message, baselined: false }
+        Diagnostic { file: file.to_string(), line, col, end_col, rule, message }
     }
 
     /// A diagnostic covering an unknown span (column 1).
@@ -297,14 +259,13 @@ impl Diagnostic {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"file\":\"{}\",\"line\":{},\"col\":{},\"end_col\":{},\"rule\":\"{}\",\
-             \"family\":\"{}\",\"baselined\":{},\"message\":\"{}\"}}",
+             \"family\":\"{}\",\"message\":\"{}\"}}",
             escape_json(&self.file),
             self.line,
             self.col,
             self.end_col,
             self.rule.name(),
             self.rule.family(),
-            self.baselined,
             escape_json(&self.message)
         )
     }
@@ -335,14 +296,8 @@ fn escape_json(s: &str) -> String {
 /// Which rules apply to a given file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileScope {
-    /// `no-panic` applies.
-    pub no_panic: bool,
     /// `naked-f64` applies.
     pub naked_f64: bool,
-    /// `lossy-cast` applies.
-    pub lossy_cast: bool,
-    /// `missing-docs` applies.
-    pub missing_docs: bool,
     /// `lock-discipline` applies.
     pub lock_discipline: bool,
     /// `atomics` applies.
@@ -358,12 +313,9 @@ pub struct FileScope {
 }
 
 impl FileScope {
-    /// No opt-in rules (only the global `no-todo-dbg` fires).
+    /// No opt-in rules (only the always-on rules fire).
     pub const NONE: FileScope = FileScope {
-        no_panic: false,
         naked_f64: false,
-        lossy_cast: false,
-        missing_docs: false,
         lock_discipline: false,
         atomics: false,
         wire_taint: false,
@@ -374,10 +326,7 @@ impl FileScope {
 
     /// Every opt-in rule enabled.
     pub const ALL: FileScope = FileScope {
-        no_panic: true,
         naked_f64: true,
-        lossy_cast: true,
-        missing_docs: true,
         lock_discipline: true,
         atomics: true,
         wire_taint: true,
@@ -387,8 +336,7 @@ impl FileScope {
     };
 
     /// Builds a scope from pragma rule names; unknown names are returned
-    /// for the caller to report. `no-todo-dbg` is accepted but redundant
-    /// (it is global).
+    /// for the caller to report.
     pub fn from_rule_names<'a>(
         names: impl IntoIterator<Item = &'a str>,
     ) -> (FileScope, Vec<String>) {
@@ -396,17 +344,13 @@ impl FileScope {
         let mut unknown = Vec::new();
         for name in names {
             match name {
-                "no-panic" => scope.no_panic = true,
                 "naked-f64" => scope.naked_f64 = true,
-                "lossy-cast" => scope.lossy_cast = true,
-                "missing-docs" => scope.missing_docs = true,
                 "lock-discipline" => scope.lock_discipline = true,
                 "atomics" => scope.atomics = true,
                 "wire-taint" => scope.wire_taint = true,
                 "event-loop" => scope.event_loop = true,
                 "lock-order" => scope.lock_order = true,
                 "float-env" => scope.float_env = true,
-                "no-todo-dbg" => {}
                 other => unknown.push(other.to_string()),
             }
         }
@@ -448,15 +392,14 @@ pub fn parse_pragma(text: &str) -> Option<(usize, Vec<String>)> {
 /// one-file call graph, so a lone file behaves exactly like a one-file
 /// workspace.
 pub fn scan_file(rel: &str, text: &str, scope: FileScope) -> Vec<Diagnostic> {
-    let scope = scope.for_file(rel);
-    let (input, mut diags) = passes::FileInput::build(rel, text, scope);
-    diags.extend(passes::textual::run(&input));
+    let input = match passes::FileInput::build(rel, text, scope.for_file(rel)) {
+        Ok(input) => input,
+        Err(lex) => return vec![lex],
+    };
+    let mut diags = passes::textual::run(&input);
     diags.extend(passes::float_env::run(&input));
-    if input.tokens.is_empty() {
-        return diags; // lexing failed: the AST passes cannot run
-    }
     let toks = input.code_tokens();
-    match ast::parse(&toks) {
+    match parse_file(&input, &toks) {
         Ok(tree) => {
             diags.extend(passes::lock::run(&input, &toks, &tree));
             diags.extend(passes::atomics::run(&input, &toks, &tree));
@@ -465,16 +408,27 @@ pub fn scan_file(rel: &str, text: &str, scope: FileScope) -> Vec<Diagnostic> {
             let g = graph::CallGraph::build(&files);
             diags.extend(run_graph_passes(&files, &g, false).0);
         }
-        Err(e) => diags.push(Diagnostic::spanned(
-            rel,
+        Err(parse) => diags.push(parse),
+    }
+    diags
+}
+
+/// Parses a lexed file, or returns the [`Rule::Parse`] diagnostic under
+/// which the structural passes skip it.
+fn parse_file(
+    input: &passes::FileInput<'_>,
+    toks: &[&lexer::Token<'_>],
+) -> Result<ast::Ast, Diagnostic> {
+    ast::parse(toks).map_err(|e| {
+        Diagnostic::spanned(
+            input.rel,
             e.line,
             e.col,
             e.col + 1,
             Rule::Parse,
             format!("file does not parse ({}); structural passes skipped", e.message),
-        )),
-    }
-    diags
+        )
+    })
 }
 
 /// Runs the workspace graph passes (interprocedural wire-taint,
@@ -661,8 +615,7 @@ pub struct ScanStats {
 /// Scans every `.rs` file under `root` (skipping `vendor/`, `target/`,
 /// `.git/`, and `fixtures/`), scoping each file by its owning crate's
 /// root pragma, runs the cross-file protocol-drift pass, and returns
-/// all diagnostics ordered by path and line. Baseline status is *not*
-/// applied here — see [`baseline::mark`].
+/// all diagnostics ordered by path and line.
 pub fn scan_workspace(root: &Path) -> Vec<Diagnostic> {
     scan_workspace_with_stats(root).0
 }
@@ -706,7 +659,7 @@ fn analyze(root: &Path, want_summaries: bool) -> (Vec<Diagnostic>, ScanStats, Ve
         // The owning crate is the one whose src/ tree contains the file;
         // the longest directory prefix wins for nested layouts. Files
         // outside any src/ tree (tests/, benches/, examples/) get the
-        // global rules only.
+        // always-on rules only.
         let owner = crates
             .iter()
             .filter(|c| {
@@ -726,41 +679,29 @@ fn analyze(root: &Path, want_summaries: bool) -> (Vec<Diagnostic>, ScanStats, Ve
         });
     }
     // Lex and parse each file exactly once; every pass below reads
-    // these shared inputs.
-    let mut inputs: Vec<passes::FileInput<'_>> = Vec::with_capacity(loaded.len());
+    // these shared inputs. A file that does not lex is skipped whole.
+    let mut inputs = Vec::with_capacity(loaded.len());
     for l in &loaded {
-        let (input, d) = passes::FileInput::build(&l.rel, &l.text, l.scope.for_file(&l.rel));
-        diags.extend(d);
-        inputs.push(input);
+        match passes::FileInput::build(&l.rel, &l.text, l.scope.for_file(&l.rel)) {
+            Ok(input) => inputs.push((input, l.crate_dir.as_deref())),
+            Err(lex) => diags.push(lex),
+        }
     }
-    let toks: Vec<Vec<&lexer::Token<'_>>> = inputs.iter().map(|i| i.code_tokens()).collect();
+    let toks: Vec<Vec<&lexer::Token<'_>>> = inputs.iter().map(|(i, _)| i.code_tokens()).collect();
     let mut asts: Vec<Option<ast::Ast>> = Vec::with_capacity(inputs.len());
-    for (i, input) in inputs.iter().enumerate() {
-        if input.tokens.is_empty() {
-            asts.push(None); // lexing failed: the AST passes cannot run
-            continue;
-        }
-        match ast::parse(&toks[i]) {
-            Ok(t) => asts.push(Some(t)),
-            Err(e) => {
-                diags.push(Diagnostic::spanned(
-                    input.rel,
-                    e.line,
-                    e.col,
-                    e.col + 1,
-                    Rule::Parse,
-                    format!("file does not parse ({}); structural passes skipped", e.message),
-                ));
-                asts.push(None);
-            }
-        }
-    }
-    for (i, input) in inputs.iter().enumerate() {
+    for ((input, _), toks) in inputs.iter().zip(&toks) {
         diags.extend(passes::textual::run(input));
         diags.extend(passes::float_env::run(input));
-        if let Some(t) = &asts[i] {
-            diags.extend(passes::lock::run(input, &toks[i], t));
-            diags.extend(passes::atomics::run(input, &toks[i], t));
+        match parse_file(input, toks) {
+            Ok(t) => {
+                diags.extend(passes::lock::run(input, toks, &t));
+                diags.extend(passes::atomics::run(input, toks, &t));
+                asts.push(Some(t));
+            }
+            Err(parse) => {
+                diags.push(parse);
+                asts.push(None);
+            }
         }
     }
     // Workspace call graph over every file that parsed, then the
@@ -769,14 +710,8 @@ fn analyze(root: &Path, want_summaries: bool) -> (Vec<Diagnostic>, ScanStats, Ve
         .iter()
         .zip(&toks)
         .zip(&asts)
-        .zip(&loaded)
-        .filter_map(|(((input, toks), ast), l)| {
-            ast.as_ref().map(|ast| graph::FileCtx {
-                input,
-                toks,
-                ast,
-                crate_dir: l.crate_dir.as_deref(),
-            })
+        .filter_map(|(((input, crate_dir), toks), ast)| {
+            ast.as_ref().map(|ast| graph::FileCtx { input, toks, ast, crate_dir: *crate_dir })
         })
         .collect();
     let g = graph::CallGraph::build(&ctxs);
@@ -785,7 +720,7 @@ fn analyze(root: &Path, want_summaries: bool) -> (Vec<Diagnostic>, ScanStats, Ve
     diags.extend(passes::drift::check_workspace(root));
     diags.sort_by(|a, b| (a.file.as_str(), a.line, a.col).cmp(&(b.file.as_str(), b.line, b.col)));
     let stats =
-        ScanStats { files: inputs.len(), graph_nodes: g.nodes.len(), graph_edges: g.edge_count() };
+        ScanStats { files: loaded.len(), graph_nodes: g.nodes.len(), graph_edges: g.edge_count() };
     (diags, stats, summaries)
 }
 
@@ -798,32 +733,30 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_flagged_under_scope_only() {
-        let body = "fn f() { x.unwrap(); }\n";
+    fn naked_f64_flagged_under_scope_only() {
+        let body = "pub fn f(x: f64) {}\n";
         assert_eq!(core_scan(body).len(), 1);
-        assert_eq!(core_scan(body)[0].rule, Rule::NoPanic);
+        assert_eq!(core_scan(body)[0].rule, Rule::NakedF64);
         assert!(scan_file("crates/experiments/src/sample.rs", body, FileScope::NONE).is_empty());
     }
 
     #[test]
-    fn unwrap_or_is_not_unwrap() {
-        assert!(core_scan("fn f() { x.unwrap_or(0.0); }\n").is_empty());
-    }
-
-    #[test]
     fn pragma_parses_rule_lists() {
-        let text = "//! Crate docs.\n//!\n//! modelcheck: no-panic, lossy-cast\npub fn x() {}\n";
+        let text = "//! Crate docs.\n//!\n//! modelcheck: naked-f64, float-env\npub fn x() {}\n";
         let (line, names) = parse_pragma(text).unwrap();
         assert_eq!(line, 2);
-        assert_eq!(names, vec!["no-panic".to_string(), "lossy-cast".to_string()]);
+        assert_eq!(names, vec!["naked-f64".to_string(), "float-env".to_string()]);
         assert_eq!(parse_pragma("//! Just docs.\n"), None);
 
         let (scope, unknown) = FileScope::from_rule_names(names.iter().map(String::as_str));
-        assert!(scope.no_panic && scope.lossy_cast);
-        assert!(!scope.naked_f64 && !scope.missing_docs);
+        assert!(scope.naked_f64 && scope.float_env);
+        assert!(!scope.lock_order && !scope.wire_taint);
         assert!(unknown.is_empty());
-        let (_, unknown) = FileScope::from_rule_names(["no-panick"]);
-        assert_eq!(unknown, vec!["no-panick".to_string()]);
+        // A typo, and the rules that moved to rustc/clippy: a stale
+        // pragma naming them is reported, not silently accepted.
+        let stale = ["no-panick", "no-panic", "lossy-cast", "missing-docs", "no-todo-dbg"];
+        let (_, unknown) = FileScope::from_rule_names(stale);
+        assert_eq!(unknown, stale.map(String::from).to_vec());
     }
 
     #[test]
@@ -831,31 +764,31 @@ mod tests {
         let (scope, unknown) =
             FileScope::from_rule_names(["lock-discipline", "atomics", "float-env"]);
         assert!(scope.lock_discipline && scope.atomics && scope.float_env);
-        assert!(!scope.no_panic);
+        assert!(!scope.naked_f64);
         assert!(unknown.is_empty());
     }
 
     #[test]
     fn allow_on_same_or_previous_line_suppresses() {
-        let same = "fn f() { x.unwrap(); } // modelcheck-allow: no-panic — invariant\n";
+        let same = "pub fn f(x: f64) {} // modelcheck-allow: naked-f64 — invariant\n";
         assert!(core_scan(same).is_empty());
-        let above = "// modelcheck-allow: no-panic — invariant\nfn f() { x.unwrap(); }\n";
+        let above = "// modelcheck-allow: naked-f64 — invariant\npub fn f(x: f64) {}\n";
         assert!(core_scan(above).is_empty());
-        let wrong_rule = "// modelcheck-allow: lossy-cast\nfn f() { x.unwrap(); }\n";
+        let wrong_rule = "// modelcheck-allow: float-env\npub fn f(x: f64) {}\n";
         assert_eq!(core_scan(wrong_rule).len(), 1);
         // A multi-line justification block counts as one allow…
-        let block = "// modelcheck-allow: no-panic — the invariant takes\n\
+        let block = "// modelcheck-allow: naked-f64 — the invariant takes\n\
                      // a couple of lines to state properly\n\
-                     fn f() { x.unwrap(); }\n";
+                     pub fn f(x: f64) {}\n";
         assert!(core_scan(block).is_empty());
         // …but code between the allow and the finding breaks the block.
-        let detached = "// modelcheck-allow: no-panic\nfn g() {}\nfn f() { x.unwrap(); }\n";
+        let detached = "// modelcheck-allow: naked-f64\nfn g() {}\npub fn f(x: f64) {}\n";
         assert_eq!(core_scan(detached).len(), 1);
     }
 
     #[test]
-    fn cfg_test_blocks_are_exempt_from_panics() {
-        let body = "#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); }\n}\n";
+    fn cfg_test_blocks_are_exempt() {
+        let body = "#[cfg(test)]\nmod tests {\n    pub fn f(x: f64) -> u64 { x.to_bits() }\n}\n";
         assert!(core_scan(body).is_empty());
     }
 
@@ -863,8 +796,8 @@ mod tests {
     fn naked_f64_spans_multiline_signatures() {
         let body = "pub fn f(\n    a: Seconds,\n    b: f64,\n) -> Words {\n    body\n}\n";
         let d = core_scan(body);
-        assert_eq!(d.len(), 2, "{d:?}"); // naked-f64 + missing-docs
-        assert!(d.iter().any(|d| d.rule == Rule::NakedF64 && d.line == 1));
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].rule == Rule::NakedF64 && d[0].line == 1);
     }
 
     #[test]
@@ -880,75 +813,40 @@ mod tests {
     }
 
     #[test]
-    fn lossy_casts_need_an_allow() {
-        assert_eq!(core_scan("fn f(n: u64) { let x = n as f64; }\n").len(), 1);
-        assert!(core_scan(
-            "fn f(n: u64) { let x = n as f64; } // modelcheck-allow: lossy-cast — bounded\n"
-        )
-        .is_empty());
-        // Visible float → int truncation.
-        assert_eq!(core_scan("fn f(x: f64) { let n = x.floor() as u64; }\n").len(), 1);
-        assert_eq!(core_scan("fn f() { let n = 1.5 as u64; }\n").len(), 1);
-        // Int → int is not modelcheck's business.
-        assert!(core_scan("fn f(n: u64) { let x = n as usize; }\n").is_empty());
-    }
-
-    #[test]
-    fn todo_and_dbg_flagged_even_in_tests_and_unscoped_files() {
-        let pat = concat!("to", "do!()");
-        let body = format!("#[cfg(test)]\nmod tests {{\n    fn f() {{ {pat}; }}\n}}\n");
-        let d = scan_file("crates/experiments/src/sample.rs", &body, FileScope::NONE);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, Rule::NoTodoDbg);
-    }
-
-    #[test]
-    fn missing_docs_sees_through_attributes() {
-        let documented = "/// Doc.\n#[derive(Debug)]\npub struct S;\n";
-        assert!(core_scan(documented).is_empty());
-        let bare = "#[derive(Debug)]\npub struct S;\n";
-        assert_eq!(core_scan(bare).len(), 1);
-        assert_eq!(core_scan(bare)[0].rule, Rule::MissingDocs);
-        // `pub use` re-exports and restricted visibility are skipped.
-        assert!(core_scan("pub use crate::units::Seconds;\n").is_empty());
-        assert!(core_scan("pub(crate) fn helper() {}\n").is_empty());
-    }
-
-    #[test]
     fn prose_in_comments_is_never_flagged() {
-        let body = "/// Calling `.unwrap()` here would be wrong; `panic!` too.\n\
+        let body = "/// Calling `x.to_bits()` here would be wrong; so would\n\
+                    /// pub fn f(x: f64) -> f64\n\
                     pub fn f() {}\n";
         assert!(core_scan(body).is_empty());
     }
 
     #[test]
     fn block_comments_and_strings_are_not_code() {
-        // v3 (lexer-backed comment stripping): a block comment holding
-        // `.unwrap()` is prose, and `//` inside a string does not hide
-        // the rest of the line.
-        let block = "/* x.unwrap() would be wrong */\nfn f() {}\n";
+        // A block comment holding a naked signature is prose, and `//`
+        // inside a string does not hide the rest of the line.
+        let block = "/*\npub fn g(x: f64) -> u64 { x.to_bits() }\n*/\nfn f() {}\n";
         assert!(core_scan(block).is_empty());
-        let url = "fn f() { let u = \"https://host/x\"; g.unwrap(); }\n";
+        let url = "fn f() { let u = \"https://host/x\"; g.to_bits(); }\n";
         let d = core_scan(url);
         assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, Rule::NoPanic);
+        assert_eq!(d[0].rule, Rule::FloatEnv);
     }
 
     #[test]
     fn diagnostics_carry_spans() {
-        let d = core_scan("fn f() { x.unwrap(); }\n");
+        let d = core_scan("fn f() { x.to_bits(); }\n");
         assert_eq!(d.len(), 1);
-        assert_eq!((d[0].line, d[0].col), (1, 11), "{:?}", d[0]);
+        assert_eq!((d[0].line, d[0].col), (1, 12), "{:?}", d[0]);
         assert!(d[0].end_col > d[0].col);
     }
 
     #[test]
     fn json_output_escapes_quotes_and_carries_family() {
-        let d = Diagnostic::spanned("a.rs", 3, 5, 9, Rule::NoPanic, "say \"no\"".to_string());
+        let d = Diagnostic::spanned("a.rs", 3, 5, 9, Rule::NakedF64, "say \"no\"".to_string());
         assert_eq!(
             d.to_json(),
-            "{\"file\":\"a.rs\",\"line\":3,\"col\":5,\"end_col\":9,\"rule\":\"no-panic\",\
-             \"family\":\"style\",\"baselined\":false,\"message\":\"say \\\"no\\\"\"}"
+            "{\"file\":\"a.rs\",\"line\":3,\"col\":5,\"end_col\":9,\"rule\":\"naked-f64\",\
+             \"family\":\"style\",\"message\":\"say \\\"no\\\"\"}"
         );
         assert_eq!(to_json(&[]), "[]");
     }

@@ -6,16 +6,11 @@
 //! cargo run -p modelcheck -- --emit github     # GitHub Actions annotations
 //! cargo run -p modelcheck -- --list-rules      # every rule, one per line
 //! cargo run -p modelcheck -- --dump-summaries  # per-function summaries
-//! cargo run -p modelcheck -- --fix-baseline    # accept current findings
-//! cargo run -p modelcheck -- --baseline F      # read/write baseline at F
 //! cargo run -p modelcheck -- <root>            # scan a different tree
 //! ```
 //!
-//! Findings listed in the baseline file (`modelcheck.baseline` at the
-//! scan root by default) are reported as warnings; anything else is an
-//! error. Exits 0 when there are no *new* findings, 1 when any
-//! non-baselined rule fires, 2 on usage errors — so CI can gate on it
-//! directly.
+//! Every finding is an error. Exits 0 on a clean scan, 1 when any rule
+//! fires, 2 on usage errors — so CI can gate on it directly.
 //!
 //! ## `--emit json` output schema
 //!
@@ -30,7 +25,6 @@
 //! rule       string  rule name as printed by --list-rules
 //! family     string  rule family (style, concurrency, dataflow,
 //!                    numeric, protocol, config, lexer, parser)
-//! baselined  bool    true when the finding is in the baseline file
 //! message    string  human-readable explanation with the fix hint
 //! ```
 //!
@@ -41,11 +35,10 @@
 //! ## `--emit github` output format
 //!
 //! One [workflow command] per finding —
-//! `::error file=F,line=L,col=C,endColumn=E,title=modelcheck R::MSG`
-//! (baselined findings use `::warning`) — so a CI job's findings show
-//! up as inline annotations on the pull request diff with no extra
-//! tooling. Message text is escaped per the workflow-command rules
-//! (`%` → `%25`, newlines → `%0A`/`%0D`).
+//! `::error file=F,line=L,col=C,endColumn=E,title=modelcheck R::MSG` —
+//! so a CI job's findings show up as inline annotations on the pull
+//! request diff with no extra tooling. Message text is escaped per the
+//! workflow-command rules (`%` → `%25`, newlines → `%0A`/`%0D`).
 //!
 //! [workflow command]:
 //!     https://docs.github.com/actions/reference/workflow-commands-for-github-actions
@@ -90,9 +83,7 @@ fn gh_escape_prop(s: &str) -> String {
 
 fn main() -> ExitCode {
     let mut emit = Emit::Human;
-    let mut fix_baseline = false;
     let mut dump_summaries = false;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -124,18 +115,10 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--dump-summaries" => dump_summaries = true,
-            "--fix-baseline" => fix_baseline = true,
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("modelcheck: --baseline needs a path");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
                 eprintln!(
                     "usage: modelcheck [--emit human|json|github] [--list-rules] \
-                     [--dump-summaries] [--fix-baseline] [--baseline <file>] [workspace-root]"
+                     [--dump-summaries] [workspace-root]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -152,47 +135,19 @@ fn main() -> ExitCode {
     // the workspace root is two levels up.
     let root =
         root.unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join(".."));
-    let baseline_path = baseline_path.unwrap_or_else(|| modelcheck::baseline::default_path(&root));
 
     if dump_summaries {
         print!("{}", modelcheck::dump_summaries(&root));
         return ExitCode::SUCCESS;
     }
 
-    let mut diags = modelcheck::scan_workspace(&root);
-
-    if fix_baseline {
-        let text = modelcheck::baseline::render(&diags);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("modelcheck: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "modelcheck: baselined {} finding{} into {}",
-            diags.len(),
-            if diags.len() == 1 { "" } else { "s" },
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let mut stale = 0;
-    if let Ok(text) = std::fs::read_to_string(&baseline_path) {
-        let (entries, bad) = modelcheck::baseline::parse(&text);
-        for b in &bad {
-            eprintln!("modelcheck: unparseable baseline line ignored: {b:?}");
-        }
-        stale = modelcheck::baseline::mark(&mut diags, &entries);
-    }
-    let new = diags.iter().filter(|d| !d.baselined).count();
-
+    let diags = modelcheck::scan_workspace(&root);
     match emit {
         Emit::Json => println!("{}", modelcheck::to_json(&diags)),
         Emit::Github => {
             for d in &diags {
-                let level = if d.baselined { "warning" } else { "error" };
                 println!(
-                    "::{level} file={},line={},col={},endColumn={},title={}::{}",
+                    "::error file={},line={},col={},endColumn={},title={}::{}",
                     gh_escape_prop(&d.file),
                     d.line,
                     d.col,
@@ -201,37 +156,22 @@ fn main() -> ExitCode {
                     gh_escape_value(&d.message)
                 );
             }
-            eprintln!(
-                "modelcheck: {new} new diagnostic{}, {} baselined",
-                if new == 1 { "" } else { "s" },
-                diags.len() - new
-            );
         }
         Emit::Human => {
             for d in &diags {
-                if d.baselined {
-                    println!("{d} (baselined)");
-                } else {
-                    println!("{d}");
-                }
-            }
-            eprintln!(
-                "modelcheck: {} new diagnostic{}, {} baselined, in {}",
-                new,
-                if new == 1 { "" } else { "s" },
-                diags.len() - new,
-                root.display()
-            );
-            if stale > 0 {
-                eprintln!(
-                    "modelcheck: {stale} stale baseline entr{} — run --fix-baseline to shrink \
-                     the baseline",
-                    if stale == 1 { "y" } else { "ies" }
-                );
+                println!("{d}");
             }
         }
     }
-    if new == 0 {
+    if emit != Emit::Json {
+        eprintln!(
+            "modelcheck: {} diagnostic{} in {}",
+            diags.len(),
+            if diags.len() == 1 { "" } else { "s" },
+            root.display()
+        );
+    }
+    if diags.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -375,13 +375,14 @@ pub fn check(
     journal: Option<&str>,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let (proto_in, lex1) = FileInput::build(proto_rel, proto, FileScope::NONE);
-    let (codec_in, lex2) = FileInput::build(codec_rel, codec, FileScope::NONE);
-    if !lex1.is_empty() || !lex2.is_empty() {
+    let (Ok(proto_in), Ok(codec_in)) = (
+        FileInput::build(proto_rel, proto, FileScope::NONE),
+        FileInput::build(codec_rel, codec, FileScope::NONE),
+    ) else {
         // Lex failures are already reported by the per-file passes;
         // drift checking on a half-lexed protocol would only add noise.
         return diags;
-    }
+    };
 
     let mut sides: BTreeMap<&'static str, Side> = BTreeMap::new();
     sides.insert("request", Side::default());
@@ -395,12 +396,7 @@ pub fn check(
     // passes report the lex failure), a missing one is a finding.
     let bin_cov = match binproto {
         Some(text) => {
-            let (bin_in, lex3) = FileInput::build(binproto_rel, text, FileScope::NONE);
-            if lex3.is_empty() {
-                Some(harvest_codec(&bin_in))
-            } else {
-                None
-            }
+            FileInput::build(binproto_rel, text, FileScope::NONE).ok().map(|i| harvest_codec(&i))
         }
         None => {
             diags.push(Diagnostic::at_line(
@@ -419,12 +415,7 @@ pub fn check(
     // kinds only; a half-lexed gateway is skipped (its own per-file
     // passes report the lex failure).
     let gw_cov = gateway.and_then(|text| {
-        let (gw_in, lex4) = FileInput::build(gateway_rel, text, FileScope::NONE);
-        if lex4.is_empty() {
-            Some(harvest_codec(&gw_in))
-        } else {
-            None
-        }
+        FileInput::build(gateway_rel, text, FileScope::NONE).ok().map(|i| harvest_codec(&i))
     });
 
     let rows = design.map(design_rows);
@@ -536,8 +527,7 @@ pub fn check(
     // row must name a live constant. A half-lexed journal is skipped
     // (its own per-file passes report the lex failure).
     if let (Some(journal), Some(design)) = (journal, design) {
-        let (j_in, lexj) = FileInput::build(journal_rel, journal, FileScope::NONE);
-        if lexj.is_empty() {
+        if let Ok(j_in) = FileInput::build(journal_rel, journal, FileScope::NONE) {
             let consts = journal_consts(&j_in);
             let rows = design_journal_rows(design);
             if !consts.is_empty() && rows.is_empty() {

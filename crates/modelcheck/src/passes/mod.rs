@@ -1,13 +1,14 @@
 //! The analysis passes and the shared per-file input they run over.
 //!
 //! [`FileInput::build`] lexes a file once and derives everything every
-//! pass needs: the raw lines (for allow comments and doc detection), a
+//! pass needs: the raw lines (for allow comments and annotations), a
 //! *code view* of each line with comment bytes blanked out (so textual
 //! rules never fire on prose, even in block comments or after `//`
 //! hidden inside a string), the per-line `modelcheck-allow` grants, the
-//! `#[cfg(test)]` mask, and the token stream itself. If the lexer fails
-//! the pass degrades to the v2 line scanner (cut each line at the first
-//! `//`) and a [`crate::Rule::Lex`] diagnostic records the failure.
+//! `#[cfg(test)]` mask, and the token stream itself. A file the lexer
+//! rejects is skipped: its only finding is one [`crate::Rule::Lex`]
+//! diagnostic, just as a file that does not parse is skipped by the
+//! structural passes.
 
 pub mod atomics;
 pub mod drift;
@@ -36,42 +37,35 @@ pub struct FileInput<'a> {
     /// `test_mask[i]` is true when 0-based line `i` sits inside a
     /// `#[cfg(test)]`-gated item.
     pub test_mask: Vec<bool>,
-    /// The token stream; empty when lexing failed.
+    /// The token stream.
     pub tokens: Vec<Token<'a>>,
     /// The rules in force for this file.
     pub scope: FileScope,
 }
 
 impl<'a> FileInput<'a> {
-    /// Lexes `text` and assembles the shared pass input. The returned
-    /// diagnostics are lex failures (at most one), not rule findings.
+    /// Lexes `text` and assembles the shared pass input, or returns the
+    /// [`Rule::Lex`] diagnostic when the file does not lex.
     pub fn build(
         rel: &'a str,
         text: &'a str,
         scope: FileScope,
-    ) -> (FileInput<'a>, Vec<Diagnostic>) {
+    ) -> Result<FileInput<'a>, Diagnostic> {
+        let tokens = lex(text).map_err(|e| {
+            Diagnostic::spanned(
+                rel,
+                e.line,
+                e.col,
+                e.col + 1,
+                Rule::Lex,
+                format!("file does not lex ({}); file skipped", e.message),
+            )
+        })?;
         let raw_lines: Vec<&str> = text.lines().collect();
-        let mut diags = Vec::new();
-        let (tokens, code_lines) = match lex(text) {
-            Ok(tokens) => {
-                let code = blank_comments(text, &tokens);
-                (tokens, code)
-            }
-            Err(e) => {
-                diags.push(Diagnostic::spanned(
-                    rel,
-                    e.line,
-                    e.col,
-                    e.col + 1,
-                    Rule::Lex,
-                    format!("file does not lex ({}); falling back to line scanning", e.message),
-                ));
-                (Vec::new(), raw_lines.iter().map(|l| code_part(l).to_string()).collect())
-            }
-        };
+        let code_lines = blank_comments(text, &tokens);
         let allows = collect_allows(&raw_lines);
         let test_mask = cfg_test_mask(&code_lines);
-        (FileInput { rel, raw_lines, code_lines, allows, test_mask, tokens, scope }, diags)
+        Ok(FileInput { rel, raw_lines, code_lines, allows, test_mask, tokens, scope })
     }
 
     /// True when 0-based line `i` carries an allow for `rule`: on the
@@ -132,14 +126,6 @@ fn blank_comments(text: &str, tokens: &[Token<'_>]) -> Vec<String> {
         .collect()
 }
 
-/// The v2 fallback code view: everything before the first `//`.
-pub(crate) fn code_part(line: &str) -> &str {
-    match line.find("//") {
-        Some(i) => &line[..i],
-        None => line,
-    }
-}
-
 /// Per-line allow annotations: `allows[i]` is the rule name granted on
 /// line `i` (0-based), if any.
 fn collect_allows(lines: &[&str]) -> Vec<Option<String>> {
@@ -197,36 +183,6 @@ fn cfg_test_mask(code_lines: &[String]) -> Vec<bool> {
     mask
 }
 
-/// True when `needle` occurs in `hay` with non-identifier characters (or
-/// the string boundary) on both sides — so `f64` does not match inside
-/// `f64_from_u64`.
-pub(crate) fn contains_token(hay: &str, needle: &str) -> bool {
-    find_token(hay, needle).is_some()
-}
-
-pub(crate) fn find_token(hay: &str, needle: &str) -> Option<usize> {
-    token_positions(hay, needle).first().copied()
-}
-
-/// Every token-boundary occurrence of `needle` in `hay`.
-pub(crate) fn token_positions(hay: &str, needle: &str) -> Vec<usize> {
-    let bytes = hay.as_bytes();
-    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
-    let mut found = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = hay[from..].find(needle) {
-        let start = from + pos;
-        let end = start + needle.len();
-        let ok_before = start == 0 || !is_ident(bytes[start - 1]);
-        let ok_after = end >= bytes.len() || !is_ident(bytes[end]);
-        if ok_before && ok_after {
-            found.push(start);
-        }
-        from = start + 1;
-    }
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,8 +190,7 @@ mod tests {
     #[test]
     fn code_view_blanks_block_and_line_comments_but_keeps_strings() {
         let text = "let a = 1; /* panic! */ // more\nlet s = \"x // y\";\n";
-        let (input, diags) = FileInput::build("a.rs", text, FileScope::ALL);
-        assert!(diags.is_empty());
+        let input = FileInput::build("a.rs", text, FileScope::ALL).expect("lexes");
         assert!(!input.code_lines[0].contains("panic"));
         assert!(!input.code_lines[0].contains("more"));
         assert!(input.code_lines[0].contains("let a = 1;"));
@@ -245,26 +200,27 @@ mod tests {
     #[test]
     fn multiline_block_comment_blanks_every_line() {
         let text = "a\n/*\nx.unwrap()\n*/\nb\n";
-        let (input, _) = FileInput::build("a.rs", text, FileScope::ALL);
+        let input = FileInput::build("a.rs", text, FileScope::ALL).expect("lexes");
         assert_eq!(input.code_lines.len(), 5);
         assert!(input.code_lines[2].trim().is_empty());
         assert_eq!(input.code_lines[4], "b");
     }
 
     #[test]
-    fn lex_failure_degrades_with_a_diagnostic() {
-        let text = "let s = \"never closed;\n";
-        let (input, diags) = FileInput::build("a.rs", text, FileScope::ALL);
-        assert_eq!(diags.len(), 1);
+    fn a_file_that_does_not_lex_yields_exactly_one_lex_finding() {
+        // Every opt-in rule would fire on this text if it were scanned:
+        // a naked `f64` in a public signature and a `to_bits` call.
+        let text = "pub fn f(x: f64) -> u64 { x.to_bits() }\nlet s = \"never closed;\n";
+        let diags = crate::scan_file("a.rs", text, FileScope::ALL);
+        assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, Rule::Lex);
-        assert!(input.tokens.is_empty());
-        assert_eq!(input.code_lines.len(), 1);
+        assert_eq!(diags[0].line, 2);
     }
 
     #[test]
     fn cfg_test_mask_ignores_comment_mentions() {
         let text = "// #[cfg(test)] would mask\nfn f() {}\n#[cfg(test)]\nmod t {\n}\n";
-        let (input, _) = FileInput::build("a.rs", text, FileScope::ALL);
+        let input = FileInput::build("a.rs", text, FileScope::ALL).expect("lexes");
         assert!(!input.test_mask[0] && !input.test_mask[1]);
         assert!(input.test_mask[2] && input.test_mask[3] && input.test_mask[4]);
     }

@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn fn_annotated_sees_trailing_and_block_markers() {
         let src = "// modelcheck: event-loop\n#[inline]\nfn a() {}\n\nfn b() {}\n";
-        let (input, _) = FileInput::build("x.rs", src, FileScope::ALL);
+        let input = FileInput::build("x.rs", src, FileScope::ALL).expect("lexes");
         assert!(fn_annotated(&input, 3, "modelcheck: event-loop"));
         assert!(!fn_annotated(&input, 5, "modelcheck: event-loop"));
     }

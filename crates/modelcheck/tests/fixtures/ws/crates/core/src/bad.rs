@@ -4,23 +4,16 @@ pub fn naked(x: f64) -> f64 {
     x
 }
 
-/// Documented, but unwraps.
-pub fn panics(v: &[u32]) -> u32 {
-    *v.first().unwrap()
+/// Documented, but reads the bit pattern outside units.rs.
+pub fn bits(x: Seconds) -> u64 {
+    x.get().to_bits()
 }
 
-/// Documented; the allow above the signature covers only the rule it names.
-// modelcheck-allow: naked-f64 — fixture: the cast below is the target here
-pub fn lossy(n: u64) -> f64 {
-    n as f64
-}
+/// The allow above the signature covers only the rule it names.
+// modelcheck-allow: naked-f64 — fixture: the bit access is the target here
+pub fn raw(x: f64) -> u64 { x.to_bits() }
 
 /// The escape hatch suppresses the named rule on the annotated line.
-pub fn allowed(n: u64) -> u64 {
-    let _x = n as f64; // modelcheck-allow: lossy-cast — fixture
-    n
-}
-
-fn unfinished() {
-    todo!()
+pub fn allowed(x: Seconds) -> u64 {
+    x.get().to_bits() // modelcheck-allow: float-env — fixture
 }

@@ -1,5 +1,5 @@
-//! Fixture crate opting into every rule.
+//! Fixture crate opting into the numeric rules.
 //!
-//! modelcheck: no-panic, naked-f64, lossy-cast, missing-docs
+//! modelcheck: naked-f64, float-env
 
 pub mod bad;

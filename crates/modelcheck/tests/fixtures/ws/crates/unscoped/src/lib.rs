@@ -1,5 +1,5 @@
-// No pragma: this crate never opted in, so only the global rule applies.
+// No pragma: this crate never opted in, so only the always-on rules apply.
 
-pub fn undocumented_and_panicky(v: &[u32]) -> f64 {
-    *v.first().unwrap() as f64
+pub fn naked_bits(x: f64) -> f64 {
+    f64::from_bits(x.to_bits())
 }

@@ -19,6 +19,12 @@
 //! `rank` with no workflow argument ranks the paper's worked example
 //! (`hetsched::example::workflow`).
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+
 use std::process::ExitCode;
 
 use contention_model::dataset::DataSet;

@@ -25,6 +25,12 @@
 //! is accepted for callers that still pass it and changes nothing; any
 //! other `--engine` value exits 2.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+
 use std::net::ToSocketAddrs;
 use std::process::ExitCode;
 

@@ -25,9 +25,14 @@
 //! Two binaries ship with the crate: `predictd` (the daemon) and
 //! `predictctl` (a thin command-line client used by tests and CI).
 //!
-//! modelcheck: no-panic, lossy-cast, missing-docs, lock-discipline, atomics, float-env, wire-taint, event-loop, lock-order
+//! modelcheck: lock-discipline, atomics, float-env, wire-taint, event-loop, lock-order
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
 
 pub mod client;
 pub mod metrics;

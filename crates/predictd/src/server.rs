@@ -87,8 +87,9 @@ const MAX_EVENTS: usize = 256;
 pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Idle connections are looked for at most this often, so one is
-/// closed within [`IDLE_TIMEOUT`] plus this.
-const SWEEP_EVERY: Duration = Duration::from_secs(1);
+/// closed within [`IDLE_TIMEOUT`] plus this. Public so the gateway's
+/// event loop sweeps the same way.
+pub const SWEEP_EVERY: Duration = Duration::from_secs(1);
 
 /// When `accept` fails for a reason other than an empty backlog (most
 /// often the descriptor limit), the loop stops watching its listener

@@ -292,13 +292,16 @@ impl Service {
 
     /// The shard a machine's state lives in: stable FNV-1a 64 over the
     /// name, reduced mod the shard count.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the shard count is a small usize; the modulus fits it"
+    )]
     fn shard_of(&self, machine: &str) -> usize {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in machine.as_bytes() {
             h ^= u64::from(*b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        // The shard count is a small usize; the modulus fits it.
         (h % self.shards.len() as u64) as usize
     }
 

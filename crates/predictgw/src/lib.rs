@@ -29,9 +29,14 @@
 //! connection per backend in its epoll set, so no backend round trip
 //! ever blocks a worker.
 //!
-//! modelcheck: no-panic, lossy-cast, missing-docs, lock-discipline, atomics, float-env, wire-taint, event-loop, lock-order
+//! modelcheck: lock-discipline, atomics, float-env, wire-taint, event-loop, lock-order
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
 
 pub mod backend;
 pub mod gateway;

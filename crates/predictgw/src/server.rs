@@ -36,7 +36,9 @@
 //! slow or silent backend delays only the requests routed to it, never
 //! the worker. A failed `accept` (most often the descriptor limit)
 //! pauses the listener for predictd's `ACCEPT_BACKOFF` rather than
-//! spinning on it.
+//! spinning on it, and a client connection the gateway owes nothing
+//! that moves no bytes for predictd's `IDLE_TIMEOUT` is closed, swept
+//! at most once per `SWEEP_EVERY` as predictd does.
 //!
 //! ## Broadcast order
 //!
@@ -58,7 +60,7 @@ use std::time::{Duration, Instant};
 use predictd::poll::{
     bind_reuseport, Epoll, EpollEvent, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use predictd::server::ACCEPT_BACKOFF;
+use predictd::server::{ACCEPT_BACKOFF, IDLE_TIMEOUT, SWEEP_EVERY};
 use predictd::ServerConfig;
 use proto::{binproto, Request, Response};
 
@@ -133,10 +135,12 @@ struct Conn {
     dead: bool,
     /// Queued for the end-of-batch flush.
     dirty: bool,
+    /// The last batch that read, routed, answered, or wrote for it.
+    last_active: Instant,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, id: u64) -> Self {
+    fn new(stream: TcpStream, id: u64, now: Instant) -> Self {
         Conn {
             id,
             stream,
@@ -153,6 +157,7 @@ impl Conn {
             deferred: None,
             dead: false,
             dirty: false,
+            last_active: now,
         }
     }
 
@@ -196,6 +201,8 @@ impl Conn {
 pub struct GatewayServer {
     listeners: Vec<TcpListener>,
     addr: SocketAddr,
+    /// [`IDLE_TIMEOUT`]; unit tests shorten it.
+    idle_timeout: Duration,
 }
 
 impl GatewayServer {
@@ -219,7 +226,7 @@ impl GatewayServer {
         for _ in 1..workers {
             listeners.push(bind_reuseport(SocketAddrV4::new(*v4.ip(), port))?);
         }
-        Ok(GatewayServer { listeners, addr: bound })
+        Ok(GatewayServer { listeners, addr: bound, idle_timeout: IDLE_TIMEOUT })
     }
 
     /// The address the listeners are bound to (port resolved).
@@ -241,19 +248,18 @@ impl GatewayServer {
         let addrs: Vec<Option<SocketAddrV4>> =
             gateway.config().backends.iter().map(|a| resolve_v4(a)).collect();
         let mut listeners = self.listeners;
+        let idle = self.idle_timeout;
         std::thread::scope(|scope| {
             let wakers = &wakers[..];
             let addrs = &addrs[..];
             let mut handles = Vec::new();
             for (i, listener) in listeners.drain(1..).enumerate() {
-                handles.push(
-                    scope.spawn(move || {
-                        event_loop(listener, i + 1, gateway, cfg, stop, wakers, addrs)
-                    }),
-                );
+                handles.push(scope.spawn(move || {
+                    event_loop(listener, i + 1, gateway, cfg, idle, stop, wakers, addrs)
+                }));
             }
             let first = match listeners.pop() {
-                Some(l) => event_loop(l, 0, gateway, cfg, stop, wakers, addrs),
+                Some(l) => event_loop(l, 0, gateway, cfg, idle, stop, wakers, addrs),
                 None => Ok(()),
             };
             for h in handles {
@@ -318,13 +324,15 @@ struct Worker<'a> {
 
 /// One worker's loop: accept, sniff, parse, route through its own
 /// backend lanes, write — client and backend I/O nonblocking and
-/// level-triggered.
+/// level-triggered — and close clients idle for `idle_timeout`.
 // modelcheck: event-loop
+#[allow(clippy::too_many_arguments)]
 fn event_loop(
     listener: TcpListener,
     me: usize,
     gateway: &Gateway,
     cfg: &ServerConfig,
+    idle_timeout: Duration,
     stop: &AtomicBool,
     wakers: &[Arc<Waker>],
     addrs: &[Option<SocketAddrV4>],
@@ -361,6 +369,8 @@ fn event_loop(
     let mut drain_deadline: Option<Instant> = None;
     // When to watch the listener again after a failed `accept`.
     let mut accept_paused_until: Option<Instant> = None;
+    // When to look for idle clients; `None` while there are none.
+    let mut next_sweep: Option<Instant> = None;
     loop {
         if stop.load(Ordering::Acquire) {
             let deadline =
@@ -370,7 +380,11 @@ fn event_loop(
                 return Ok(());
             }
         }
-        let timeout = w.io.wait_ms(Instant::now(), drain_deadline.is_some(), accept_paused_until);
+        let timeout = w.io.wait_ms(
+            Instant::now(),
+            drain_deadline.is_some(),
+            [accept_paused_until, next_sweep],
+        );
         let n = w.io.epoll.wait(&mut events, timeout)?;
         let now = Instant::now();
         for ev in events.iter().take(n) {
@@ -378,11 +392,12 @@ fn event_loop(
             let bits = ev.events;
             match token {
                 TOKEN_LISTENER => {
-                    if !w.accept(&listener)
+                    if !w.accept(&listener, now)
                         && w.io.epoll.modify(listener.as_raw_fd(), TOKEN_LISTENER, 0).is_ok()
                     {
                         accept_paused_until = Some(now + ACCEPT_BACKOFF);
                     }
+                    next_sweep.get_or_insert(now + idle_timeout);
                 }
                 TOKEN_WAKER => {
                     waker.drain();
@@ -406,6 +421,9 @@ fn event_loop(
         {
             accept_paused_until = None;
         }
+        if next_sweep.is_some_and(|t| now >= t) {
+            next_sweep = w.close_idle(now, idle_timeout);
+        }
     }
 }
 
@@ -414,7 +432,7 @@ impl Worker<'_> {
     /// Returns false when `accept` failed for a reason other than an
     /// empty backlog — most often the descriptor limit, which leaves the
     /// listener readable, so the caller must stop watching it a while.
-    fn accept(&mut self, listener: &TcpListener) -> bool {
+    fn accept(&mut self, listener: &TcpListener, now: Instant) -> bool {
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
@@ -423,7 +441,7 @@ impl Worker<'_> {
                     }
                     let _ = stream.set_nodelay(true);
                     let fd = stream.as_raw_fd();
-                    let conn = Conn::new(stream, self.next_id);
+                    let conn = Conn::new(stream, self.next_id, now);
                     self.next_id += 1;
                     let idx = match self.free.pop() {
                         Some(i) => {
@@ -535,6 +553,7 @@ impl Worker<'_> {
         let Some(Some(conn)) = self.conns.get_mut(idx) else { return };
         conn.dirty = false;
         if !conn.dead {
+            conn.last_active = now;
             self.io.route_all(conn, idx, now);
             write_ready(conn, &mut self.io.json);
             if !on_writable(conn) {
@@ -567,6 +586,27 @@ impl Worker<'_> {
         refresh_interest(&self.io.epoll, conn, TOKEN_CONNS + u64::try_from(idx).unwrap_or(0));
     }
 
+    /// Closes every client idle for `idle_timeout` and returns when to
+    /// look again: when the next survivor would expire, but no sooner
+    /// than [`SWEEP_EVERY`] from now, or `None` when no client is left.
+    /// A client still owed a reply is not idle, whatever its age.
+    fn close_idle(&mut self, now: Instant, idle_timeout: Duration) -> Option<Instant> {
+        let mut next: Option<Instant> = None;
+        for idx in 0..self.conns.len() {
+            let Some(Some(conn)) = self.conns.get(idx) else { continue };
+            let expires = conn.last_active + idle_timeout;
+            let owed = conn.dead || !conn.slots.is_empty() || conn.deferred.is_some();
+            if expires <= now && !owed {
+                let _ = self.io.epoll.delete(conn.stream.as_raw_fd());
+                self.conns[idx] = None;
+                self.free.push(idx);
+            } else {
+                next = Some(next.map_or(expires, |t| t.min(expires)));
+            }
+        }
+        next.map(|t| t.max(now + SWEEP_EVERY))
+    }
+
     /// Replies still owed to a live client.
     fn busy(&self) -> bool {
         self.conns.iter().flatten().any(|c| {
@@ -596,9 +636,9 @@ impl Worker<'_> {
 
 impl Io<'_> {
     /// How long `epoll_wait` may sleep: until the nearest lane deadline
-    /// or `resume_accept` (forever without one), at once with failures
+    /// or `wake_at` entry (forever without one), at once with failures
     /// queued, and in short slices while draining for shutdown.
-    fn wait_ms(&self, now: Instant, draining: bool, resume_accept: Option<Instant>) -> i32 {
+    fn wait_ms(&self, now: Instant, draining: bool, wake_at: [Option<Instant>; 2]) -> i32 {
         if !self.failed.is_empty() {
             return 0;
         }
@@ -606,7 +646,7 @@ impl Io<'_> {
         let lane_deadlines =
             self.lanes.iter().filter_map(|l| l.deadline(cfg.connect_timeout, cfg.io_timeout));
         let mut ms: i32 = -1;
-        for d in lane_deadlines.chain(resume_accept) {
+        for d in lane_deadlines.chain(wake_at.into_iter().flatten()) {
             let left = d.saturating_duration_since(now).as_micros().div_ceil(1000);
             let left = i32::try_from(left).unwrap_or(i32::MAX);
             ms = if ms < 0 { left } else { ms.min(left) };
@@ -924,5 +964,56 @@ fn refresh_interest(epoll: &Epoll, conn: &mut Conn, token: u64) {
     }
     if want != conn.interest && epoll.modify(conn.stream.as_raw_fd(), token, want).is_ok() {
         conn.interest = want;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::GatewayConfig;
+    use std::io::BufRead;
+
+    /// A client that stops mid-line sees EOF once the idle timeout
+    /// passes, while a client that keeps talking on the same loop stays
+    /// served. `stats` is answered by the gateway itself, so the
+    /// backend address is never dialed.
+    #[test]
+    fn idle_connection_is_closed_and_a_busy_one_is_not() {
+        let mut server =
+            GatewayServer::bind("127.0.0.1:0".parse().expect("loopback"), 1).expect("bind");
+        server.idle_timeout = Duration::from_millis(200);
+        let addr = server.local_addr();
+        // Leaked and detached, so a failed assertion cannot hang the test.
+        let gateway: &'static Gateway = Box::leak(Box::new(
+            Gateway::new(GatewayConfig {
+                backends: vec!["127.0.0.1:9".to_string()],
+                ..GatewayConfig::default()
+            })
+            .expect("gateway"),
+        ));
+        let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+        let loops = std::thread::spawn(move || server.run(gateway, &ServerConfig::default(), stop));
+
+        let started = Instant::now();
+        let mut stuck = TcpStream::connect(addr).expect("stuck client");
+        stuck.write_all(b"{\"kind\":\"sta").expect("half a line");
+        stuck.set_read_timeout(Some(Duration::from_millis(50))).expect("read timeout");
+        let mut live = io::BufReader::new(TcpStream::connect(addr).expect("busy client"));
+        let mut closed_after = None;
+        // Keep the busy client talking until past the sweep after the close.
+        while started.elapsed() < SWEEP_EVERY + Duration::from_millis(500) {
+            if closed_after.is_none() && matches!(stuck.read(&mut [0u8; 64]), Ok(0)) {
+                closed_after = Some(started.elapsed());
+            }
+            live.get_mut().write_all(b"{\"kind\":\"stats\"}\n").expect("stats request");
+            let mut reply = String::new();
+            live.read_line(&mut reply).expect("stats reply");
+            assert!(reply.contains("\"kind\":\"gw_stats\""), "{reply:?}");
+        }
+        let waited = closed_after.expect("the stuck client must see EOF");
+        assert!(waited >= Duration::from_millis(200), "closed before the timeout: {waited:?}");
+
+        live.get_mut().write_all(b"{\"kind\":\"shutdown\"}\n").expect("shutdown");
+        loops.join().expect("event loop").expect("clean exit");
     }
 }

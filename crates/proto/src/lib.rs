@@ -23,9 +23,14 @@
 //!
 //! [`predictgw`]: ../predictgw/index.html
 //!
-//! modelcheck: no-panic, lossy-cast, missing-docs, lock-discipline, atomics, float-env, wire-taint
+//! modelcheck: lock-discipline, atomics, float-env, wire-taint
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
 
 pub mod binproto;
 pub mod codec;

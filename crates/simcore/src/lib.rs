@@ -23,10 +23,12 @@
 //! assert_eq!(t.as_secs_f64(), 6.0);
 //! assert_eq!(cpu.on_event(t, gen).len(), 2);
 //! ```
-//!
-//! modelcheck: no-todo-dbg, lossy-cast
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
 
 pub mod cpu;
 pub mod engine;

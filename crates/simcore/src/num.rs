@@ -1,7 +1,8 @@
 //! Sanctioned numeric conversions for the simulation kernel.
 //!
 //! Bare `as` casts between integer and float types truncate or lose
-//! precision silently, so the `lossy-cast` rule bans them in model
+//! precision silently, so clippy's cast lints (`cast_precision_loss`,
+//! `cast_possible_truncation`, `cast_sign_loss`) ban them in model
 //! code. The handful of conversions the kernel actually needs funnel
 //! through this module instead, where each one states its bound and
 //! is checked — or explicitly documented as approximate — exactly
@@ -14,9 +15,10 @@ pub const MAX_EXACT_IN_F64: u64 = 1 << 53;
 /// Converts a count to `f64`, debug-checking that the value is exactly
 /// representable. Use for observation counts, matrix dimensions, word
 /// and flop counts — quantities far below 2⁵³.
+#[expect(clippy::cast_precision_loss, reason = "the sanctioned funnel, guarded above")]
 pub fn f64_from_u64(n: u64) -> f64 {
     debug_assert!(n <= MAX_EXACT_IN_F64, "{n} is not exactly representable in f64");
-    n as f64 // modelcheck-allow: lossy-cast — the sanctioned funnel, guarded above
+    n as f64
 }
 
 /// [`f64_from_u64`] for `usize` counts (indices, lengths).
@@ -26,9 +28,10 @@ pub fn f64_from_usize(n: usize) -> f64 {
 
 /// Converts a signed tally (concordant − discordant pair counts and
 /// the like) to `f64`, debug-checking exactness.
+#[expect(clippy::cast_precision_loss, reason = "the sanctioned funnel, guarded above")]
 pub fn f64_from_i64(n: i64) -> f64 {
     debug_assert!(n.unsigned_abs() <= MAX_EXACT_IN_F64, "{n} is not exactly representable in f64");
-    n as f64 // modelcheck-allow: lossy-cast — the sanctioned funnel, guarded above
+    n as f64
 }
 
 /// Converts a nanosecond tick count to `f64`, rounding to nearest
@@ -36,19 +39,30 @@ pub fn f64_from_i64(n: i64) -> f64 {
 /// `SimTime::MAX` "never" sentinel). The approximation is accepted by
 /// design: the result feeds seconds-granularity float arithmetic, not
 /// exact tick comparisons.
+#[expect(clippy::cast_precision_loss, reason = "documented approximate conversion")]
 pub fn f64_approx_from_nanos(n: u64) -> f64 {
-    n as f64 // modelcheck-allow: lossy-cast — documented approximate conversion
+    n as f64
 }
 
 /// Converts an already-rounded non-negative float into `u64` ticks or
 /// counts with saturating semantics: NaN maps to 0, negatives clamp
 /// to 0, values at or beyond 2⁶⁴ clamp to `u64::MAX`. Callers choose
 /// the rounding (`.ceil()`, `.round().max(1.0)`) before converting.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "`as` from float saturates: NaN to 0, negatives to 0, overflow to MAX"
+)]
 pub fn sat_u64_from_f64(x: f64) -> u64 {
     x as u64
 }
 
 /// [`sat_u64_from_f64`] for `usize` results (plot columns, indices).
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "`as` from float saturates: NaN to 0, negatives to 0, overflow to MAX"
+)]
 pub fn sat_usize_from_f64(x: f64) -> usize {
     x as usize
 }
