@@ -15,6 +15,15 @@
 //! [`BackendConn`]s. Both share one routing and one set of `gw_stats`
 //! counters.
 //!
+//! What an op sends is a [`Payload`]: a decoded request, or a binary
+//! `predict`/`rank` frame the event loop has checked and relays as
+//! bytes — the step reads only its machine, to route it. What comes
+//! back is an [`Answer`]: a decoded reply, or a single backend's reply
+//! frame relayed to a binary client. Only the event loop relays;
+//! [`Gateway::handle`] takes and returns values. A query op keeps the
+//! index of its machine's preference row in the [`Ring`], not a list of
+//! its own, so planning a query allocates nothing.
+//!
 //! ## Replication by broadcast
 //!
 //! Every accepted `load_report` is (1) appended to the journal and
@@ -68,7 +77,7 @@ use std::time::{Duration, Instant};
 use predictd::poll::Waker;
 use predictd::ClientError;
 use proto::proto::{DecideBatch, Decisions, GwStatsReply};
-use proto::{Request, Response};
+use proto::{binproto, Request, Response};
 
 use crate::backend::{BackendConn, BackendState};
 use crate::journal::{self, Journal};
@@ -156,7 +165,7 @@ impl Lanes {
     }
 }
 
-/// One sub-request to send: `op.request(part)` to backend `backend`.
+/// One sub-request to send: `op.payload(part)` to backend `backend`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Part {
     /// Which of the op's sub-requests (a `decide_batch` chunk index;
@@ -166,34 +175,109 @@ pub(crate) struct Part {
     pub(crate) backend: usize,
 }
 
+/// What a request or sub-request carries to a backend.
+#[derive(Debug)]
+pub(crate) enum Payload {
+    /// A decoded request, encoded again for the backend.
+    Request(Request),
+    /// A binary `predict`/`rank` frame, length prefix included, that
+    /// passed [`binproto::check_request`]: relayed as is.
+    Frame(Vec<u8>),
+}
+
+impl Payload {
+    /// The request kind, for log lines.
+    fn kind(&self) -> &'static str {
+        match self {
+            Payload::Request(req) => req.kind(),
+            Payload::Frame(frame) => match frame.get(4) {
+                Some(&binproto::REQ_PREDICT) => "predict",
+                Some(&binproto::REQ_RANK) => "rank",
+                _ => "frame",
+            },
+        }
+    }
+
+    /// The machine the request names; empty for `stats`/`shutdown`.
+    fn machine(&self) -> &str {
+        match self {
+            Payload::Request(req) => match req {
+                Request::Predict(q) => &q.machine,
+                Request::Rank(q) => &q.machine,
+                Request::DecideBatch(q) => &q.machine,
+                Request::LoadReport(r) => &r.machine,
+                Request::Stats | Request::Shutdown => "",
+            },
+            Payload::Frame(frame) => {
+                frame.get(4..).and_then(binproto::request_machine).unwrap_or_default()
+            }
+        }
+    }
+}
+
+/// A backend's answer as the gateway holds it.
+#[derive(Debug)]
+pub(crate) enum Answer {
+    /// A decoded reply.
+    Response(Response),
+    /// A reply frame, length prefix included, that passed
+    /// [`binproto::check_response`]: relayed to a binary client as is.
+    Frame(Vec<u8>),
+}
+
+impl Answer {
+    /// The reply as a value; a relayed frame is decoded.
+    pub(crate) fn into_response(self) -> Response {
+        match self {
+            Answer::Response(resp) => resp,
+            Answer::Frame(frame) => binproto::decode_response(frame.get(4..).unwrap_or_default())
+                .unwrap_or_else(|e| Response::error(format!("bad reply: {e}"))),
+        }
+    }
+}
+
+impl From<Response> for Answer {
+    fn from(resp: Response) -> Answer {
+        Answer::Response(resp)
+    }
+}
+
 /// One client request being routed: the request plus what it waits on.
 /// Built by [`Gateway::plan`], advanced by [`Gateway::settle`]; it is
 /// finished only when no part of it is in flight.
 #[derive(Debug)]
 pub(crate) struct Op {
-    req: Request,
+    payload: Payload,
     state: OpState,
 }
 
 #[derive(Debug)]
 enum OpState {
     /// `predict`/`rank`, or a `decide_batch` routed whole: one part in
-    /// flight, to `pref[next - 1]`; failures move down the list.
-    Query { pref: Vec<usize>, next: usize },
+    /// flight, to entry `next - 1` of the machine's preference list
+    /// (ring row `row`); failures move down the list.
+    Query { row: usize, next: usize },
     /// `decide_batch` chunks, all in flight at once.
-    Fanout { chunks: Vec<Request>, answers: Vec<Option<Decisions>>, pending: usize, failed: bool },
+    Fanout { chunks: Vec<Payload>, answers: Vec<Option<Decisions>>, pending: usize, failed: bool },
     /// A journaled `load_report` sent to every healthy backend; `acks`
     /// is indexed by backend.
-    Broadcast { acks: Vec<Option<Response>>, pending: usize },
+    Broadcast { acks: Vec<Option<Answer>>, pending: usize },
 }
 
 impl Op {
-    /// The sub-request a part sends.
-    pub(crate) fn request(&self, part: usize) -> &Request {
+    /// What a part sends.
+    pub(crate) fn payload(&self, part: usize) -> &Payload {
         match &self.state {
-            OpState::Fanout { chunks, .. } => chunks.get(part).unwrap_or(&self.req),
-            _ => &self.req,
+            OpState::Fanout { chunks, .. } => chunks.get(part).unwrap_or(&self.payload),
+            _ => &self.payload,
         }
+    }
+
+    /// Whether the op's answer is one backend's reply, unchanged — so
+    /// a binary client may be sent its frame as is. Fan-out chunks are
+    /// merged and broadcast acks chosen among, so they are decoded.
+    pub(crate) fn relays(&self) -> bool {
+        matches!(self.state, OpState::Query { .. })
     }
 }
 
@@ -237,17 +321,6 @@ pub struct Gateway {
     turn_free: Condvar,
     next_broadcaster: AtomicU64,
     started: Instant,
-}
-
-/// The machine a routed query names.
-fn machine_of(req: &Request) -> &str {
-    match req {
-        Request::Predict(q) => &q.machine,
-        Request::Rank(q) => &q.machine,
-        Request::DecideBatch(q) => &q.machine,
-        Request::LoadReport(r) => &r.machine,
-        Request::Stats | Request::Shutdown => "",
-    }
 }
 
 impl Gateway {
@@ -335,7 +408,7 @@ impl Gateway {
     pub fn handle(&self, req: &Request, lanes: &mut Lanes) -> (Response, bool) {
         let mut sends = Vec::new();
         let mut op = loop {
-            match self.plan(req.clone(), &lanes.who, &mut sends) {
+            match self.plan(Payload::Request(req.clone()), &lanes.who, &mut sends) {
                 Planned::Reply(resp, stop) => return (resp, stop),
                 Planned::Routed(op) => break op,
                 Planned::Deferred(_) => self.await_turn(),
@@ -343,12 +416,17 @@ impl Gateway {
         };
         let mut queue: VecDeque<Part> = sends.drain(..).collect();
         while let Some(sent) = queue.pop_front() {
-            let result = match lanes.conn(sent.backend) {
-                Some(conn) => conn.request(op.request(sent.part)).map_err(|e| e.to_string()),
-                None => Err("no connection to that backend".to_string()),
+            let result = match (lanes.conn(sent.backend), op.payload(sent.part)) {
+                (Some(conn), Payload::Request(req)) => {
+                    conn.request(req).map(Answer::Response).map_err(|e| e.to_string())
+                }
+                (Some(_), Payload::Frame(_)) => {
+                    Err("relayed frames travel on event-loop lanes only".to_string())
+                }
+                (None, _) => Err("no connection to that backend".to_string()),
             };
-            if let Some(resp) = self.settle(&mut op, sent, result, &mut sends) {
-                return (resp, false);
+            if let Some(answer) = self.settle(&mut op, sent, result, &mut sends) {
+                return (answer.into_response(), false);
             }
             queue.extend(sends.drain(..));
         }
@@ -369,11 +447,21 @@ impl Gateway {
 
     /// Plans one request: answers it locally, routes it (appending the
     /// parts to send to `sends`), or defers a `load_report` that must
-    /// wait for the broadcast turn.
-    pub(crate) fn plan(&self, req: Request, who: &Broadcaster, sends: &mut Vec<Part>) -> Planned {
+    /// wait for the broadcast turn. A relayed frame is always a
+    /// `predict` or `rank`, so it is routed as a query.
+    pub(crate) fn plan(
+        &self,
+        payload: Payload,
+        who: &Broadcaster,
+        sends: &mut Vec<Part>,
+    ) -> Planned {
+        let req = match payload {
+            Payload::Frame(_) => return self.plan_query(payload, sends),
+            Payload::Request(req) => req,
+        };
         match &req {
             Request::LoadReport(_) => self.plan_broadcast(req, who, sends),
-            Request::Predict(_) | Request::Rank(_) => self.plan_query(req, sends),
+            Request::Predict(_) | Request::Rank(_) => self.plan_query(Payload::Request(req), sends),
             Request::DecideBatch(_) => self.plan_decide_batch(req, sends),
             Request::Stats => Planned::Reply(Response::GwStats(self.gw_stats()), false),
             Request::Shutdown => Planned::Reply(Response::Ok, true),
@@ -437,7 +525,10 @@ impl Gateway {
         seq.outstanding += pending;
         drop(seq);
         let acks = self.backends.iter().map(|_| None).collect();
-        Planned::Routed(Op { req, state: OpState::Broadcast { acks, pending } })
+        Planned::Routed(Op {
+            payload: Payload::Request(req),
+            state: OpState::Broadcast { acks, pending },
+        })
     }
 
     /// Settles one broadcast send; the owner's last one ends its turn
@@ -464,10 +555,10 @@ impl Gateway {
     /// Routes an idempotent single-answer query down the machine's
     /// preference list: owner first, ring successors on unhealth or
     /// mid-flight failure.
-    fn plan_query(&self, req: Request, sends: &mut Vec<Part>) -> Planned {
-        let pref = self.ring.preference(machine_of(&req));
-        self.count_dispatch(&pref);
-        let mut op = Op { req, state: OpState::Query { pref, next: 0 } };
+    fn plan_query(&self, payload: Payload, sends: &mut Vec<Part>) -> Planned {
+        let row = self.ring.row_of(payload.machine());
+        self.count_dispatch(self.ring.row(row));
+        let mut op = Op { payload, state: OpState::Query { row, next: 0 } };
         match self.next_query_part(&mut op, None, sends) {
             Some(resp) => Planned::Reply(resp, false),
             None => Planned::Routed(op),
@@ -482,8 +573,8 @@ impl Gateway {
         last_err: Option<String>,
         sends: &mut Vec<Part>,
     ) -> Option<Response> {
-        if let OpState::Query { pref, next } = &mut op.state {
-            while let Some(&i) = pref.get(*next) {
+        if let OpState::Query { row, next } = &mut op.state {
+            while let Some(&i) = self.ring.row(*row).get(*next) {
                 *next += 1;
                 if self.backends.get(i).is_some_and(BackendState::is_healthy) {
                     sends.push(Part { part: 0, backend: i });
@@ -491,7 +582,7 @@ impl Gateway {
                 }
             }
         }
-        let machine = machine_of(&op.req);
+        let machine = op.payload.machine();
         Some(match last_err {
             Some(e) => Response::error(format!("every backend failed for {machine}: {e}")),
             None => Response::error(format!("no healthy backend for {machine}")),
@@ -504,7 +595,9 @@ impl Gateway {
     /// falls back to routing the whole batch as a single idempotent
     /// query — simpler than partial retry and just as correct.
     fn plan_decide_batch(&self, req: Request, sends: &mut Vec<Part>) -> Planned {
-        let Request::DecideBatch(q) = &req else { return self.plan_query(req, sends) };
+        let Request::DecideBatch(q) = &req else {
+            return self.plan_query(Payload::Request(req), sends);
+        };
         let pref = self.ring.preference(&q.machine);
         let healthy: Vec<usize> = pref
             .iter()
@@ -512,21 +605,21 @@ impl Gateway {
             .filter(|&i| self.backends.get(i).is_some_and(BackendState::is_healthy))
             .collect();
         if healthy.len() < 2 || q.tasks.len() < 2 {
-            return self.plan_query(req, sends);
+            return self.plan_query(Payload::Request(req), sends);
         }
-        self.count_dispatch(&pref);
+        self.count_dispatch(pref);
         let lanes_count = healthy.len().min(q.tasks.len());
         let chunk_len = q.tasks.len().div_ceil(lanes_count);
-        let chunks: Vec<Request> = q
+        let chunks: Vec<Payload> = q
             .tasks
             .chunks(chunk_len)
             .map(|tasks| {
-                Request::DecideBatch(DecideBatch {
+                Payload::Request(Request::DecideBatch(DecideBatch {
                     machine: q.machine.clone(),
                     now: q.now,
                     tasks: tasks.to_vec(),
                     j_words: q.j_words,
-                })
+                }))
             })
             .collect();
         for (k, &backend) in (0..chunks.len()).zip(healthy.iter().cycle()) {
@@ -535,7 +628,7 @@ impl Gateway {
         let answers = chunks.iter().map(|_| None).collect();
         let pending = chunks.len();
         Planned::Routed(Op {
-            req,
+            payload: Payload::Request(req),
             state: OpState::Fanout { chunks, answers, pending, failed: false },
         })
     }
@@ -547,16 +640,16 @@ impl Gateway {
         &self,
         op: &mut Op,
         sent: Part,
-        result: Result<Response, String>,
+        result: Result<Answer, String>,
         sends: &mut Vec<Part>,
-    ) -> Option<Response> {
+    ) -> Option<Answer> {
         let backend = sent.backend;
         let addr = self.backends.get(backend).map_or("?", BackendState::addr);
         match &mut op.state {
             OpState::Query { .. } => match result {
-                Ok(resp) => {
+                Ok(answer) => {
                     self.metrics.backend_request(backend);
-                    Some(resp)
+                    Some(answer)
                 }
                 Err(e) => {
                     self.metrics.failover(backend);
@@ -564,15 +657,15 @@ impl Gateway {
                     // path only, rate-bounded by backend failures.
                     eprintln!(
                         "predictgw: failover: {} for {} re-sent past backend {addr} ({e})",
-                        op.req.kind(),
-                        machine_of(&op.req)
+                        op.payload.kind(),
+                        op.payload.machine()
                     );
-                    self.next_query_part(op, Some(e), sends)
+                    self.next_query_part(op, Some(e), sends).map(Answer::Response)
                 }
             },
             OpState::Fanout { answers, pending, failed, .. } => {
                 match result {
-                    Ok(Response::Decisions(d)) => {
+                    Ok(Answer::Response(Response::Decisions(d))) => {
                         self.metrics.backend_request(backend);
                         if let Some(slot) = answers.get_mut(sent.part) {
                             *slot = Some(d);
@@ -585,7 +678,7 @@ impl Gateway {
                         // path only; the re-route is the real handling.
                         eprintln!(
                             "predictgw: decide_batch chunk on backend {backend} answered {}; falling back to single-backend routing",
-                            other.kind()
+                            other.into_response().kind()
                         );
                         self.metrics.failover(backend);
                         *failed = true;
@@ -605,10 +698,10 @@ impl Gateway {
                     return None;
                 }
                 if *failed {
-                    let pref = self.ring.preference(machine_of(&op.req));
-                    self.count_dispatch(&pref);
-                    op.state = OpState::Query { pref, next: 0 };
-                    return self.next_query_part(op, None, sends);
+                    let row = self.ring.row_of(op.payload.machine());
+                    self.count_dispatch(self.ring.row(row));
+                    op.state = OpState::Query { row, next: 0 };
+                    return self.next_query_part(op, None, sends).map(Answer::Response);
                 }
                 // Headers (machine, p, stale, forecaster) are
                 // bit-identical across caught-up backends; keep the
@@ -625,18 +718,18 @@ impl Gateway {
                         }
                     }
                 }
-                Some(merged.map_or_else(
+                Some(Answer::Response(merged.map_or_else(
                     || Response::error("decide_batch fan-out produced no answer"),
                     Response::Decisions,
-                ))
+                )))
             }
             OpState::Broadcast { acks, pending } => {
                 self.broadcast_settled(backend, result.is_ok());
                 match result {
-                    Ok(resp) => {
+                    Ok(answer) => {
                         self.metrics.backend_request(backend);
                         if let Some(slot) = acks.get_mut(backend) {
-                            *slot = Some(resp);
+                            *slot = Some(answer);
                         }
                     }
                     Err(e) => {
@@ -653,11 +746,9 @@ impl Gateway {
                 if *pending > 0 {
                     return None;
                 }
-                Some(
-                    acks.iter_mut().find_map(Option::take).unwrap_or_else(|| {
-                        Response::error("no healthy backend accepted the report")
-                    }),
-                )
+                Some(acks.iter_mut().find_map(Option::take).unwrap_or_else(|| {
+                    Answer::Response(Response::error("no healthy backend accepted the report"))
+                }))
             }
         }
     }
@@ -956,6 +1047,38 @@ mod tests {
         let s = gw.gw_stats();
         assert_eq!(s.hits, 1, "owner was (optimistically) healthy at dispatch");
         assert_eq!(s.failovers, 2, "both backends failed mid-flight");
+    }
+
+    #[test]
+    fn a_relayed_frame_is_routed_by_its_machine_and_sent_unchanged() {
+        let cfg = GatewayConfig {
+            backends: vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()],
+            ..GatewayConfig::default()
+        };
+        let gw = Gateway::new(cfg).expect("gateway");
+        let who = gw.broadcaster(None);
+        for i in 0..20 {
+            let machine = format!("frame-m{i}");
+            let req = Request::Rank(proto::proto::Rank {
+                machine: machine.clone(),
+                now: 1.0,
+                workflow: hetsched::example::workflow(),
+                front_end: 0,
+                j_words: 500,
+                limit: 2,
+            });
+            let mut frame = Vec::new();
+            assert!(binproto::encode_request(&req, &mut frame));
+            let mut sends = Vec::new();
+            let Planned::Routed(op) = gw.plan(Payload::Frame(frame.clone()), &who, &mut sends)
+            else {
+                panic!("a rank frame must be routed");
+            };
+            assert_eq!(sends, [Part { part: 0, backend: gw.ring().owner(&machine) }]);
+            assert!(op.relays());
+            assert!(matches!(op.payload(0), Payload::Frame(f) if *f == frame));
+            assert_eq!((op.payload.kind(), op.payload.machine()), ("rank", machine.as_str()));
+        }
     }
 
     #[test]

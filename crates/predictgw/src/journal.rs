@@ -35,7 +35,10 @@
 //! [`Journal::sync`] (called at snapshot and shutdown) — an explicit
 //! trade: reports arrive at fleet rates, and per-record fsync would put
 //! a disk round-trip on every request. A torn trailing record (crash
-//! mid-append) is detected on open and truncated away.
+//! mid-append) is detected on open and truncated away. An append that
+//! fails part-way (`EFBIG`, `ENOSPC`) cuts its torn bytes off at once,
+//! so the next append still lands on a record boundary; if even that
+//! cut fails, the handle refuses every later append.
 //!
 //! The batched syncs run on the journal's own thread, started by the
 //! first full batch: the append that completes a batch only asks for
@@ -96,6 +99,9 @@ pub struct Journal {
     synced: u64,
     /// The sync thread, started by the first full batch.
     syncer: Option<Syncer>,
+    /// A failed append left bytes past `bytes` that could not be cut
+    /// off; nothing more may be appended behind them.
+    torn: bool,
 }
 
 impl Journal {
@@ -124,6 +130,7 @@ impl Journal {
             appended: 0,
             synced: 0,
             syncer: None,
+            torn: false,
         };
         if raw.is_empty() {
             let mut meta = Vec::with_capacity(META_MAGIC.len() + 1);
@@ -246,8 +253,14 @@ impl Journal {
         Ok(dropped)
     }
 
-    /// Low-level append of one framed record (no fsync bookkeeping).
+    /// Low-level append of one framed record (no fsync bookkeeping). A
+    /// write that fails part-way is cut back to the last whole record.
     fn append(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
+        if self.torn {
+            return Err(io::Error::other(
+                "journal ends in a torn record that could not be cut off",
+            ));
+        }
         let len = u32::try_from(1 + payload.len()).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidInput, "journal record exceeds u32 length")
         })?;
@@ -258,7 +271,10 @@ impl Journal {
         // modelcheck-allow: event-loop — the durable append IS the
         // journal's job; frames are capped and fsync is batched, so the
         // stall is bounded and by design.
-        self.file.write_all(&frame)?;
+        if let Err(e) = self.file.write_all(&frame) {
+            self.torn = self.file.set_len(self.bytes).is_err();
+            return Err(e);
+        }
         self.frames += 1;
         self.appended += 1;
         self.bytes += u64::try_from(frame.len()).unwrap_or(0);

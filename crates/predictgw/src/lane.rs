@@ -2,11 +2,17 @@
 //! a *lane*.
 //!
 //! A lane never blocks: it connects with a nonblocking `connect`
-//! (finished on `EPOLLOUT`, checked with `SO_ERROR`), queues encoded
-//! requests in an outbox the event loop flushes once per event batch,
-//! and keeps a FIFO of the requests in flight. predictd answers each
-//! connection's requests in order, so the oldest in-flight entry owns
-//! the next reply frame — no correlation id on the wire.
+//! (finished on `EPOLLOUT`, checked with `SO_ERROR`), queues requests
+//! in an outbox the event loop flushes once per event batch, and keeps
+//! a FIFO of the requests in flight. predictd answers each connection's
+//! requests in order, so the oldest in-flight entry owns the next reply
+//! frame — no correlation id on the wire.
+//!
+//! **Relay.** A relayed request frame is copied into the outbox as is;
+//! any other request is encoded there. Each in-flight entry's [`Tag`]
+//! says whether its reply is relayed: such a reply is vouched for with
+//! [`binproto::check_response`] and handed back as its frame bytes,
+//! never decoded. Every other reply is decoded here, once.
 //!
 //! A lane *breaks* when its transport fails (connect error, reset, EOF,
 //! a malformed or unsolicited reply) and *times out* when its oldest
@@ -26,25 +32,29 @@ use predictd::client::MAX_REPLY_FRAME_BYTES;
 use predictd::poll::{
     connect_nonblocking, Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use proto::{binproto, Request, Response};
+use proto::binproto;
 
-use crate::gateway::Part;
+use crate::gateway::{Answer, Part, Payload};
 
 /// Compact the outbox once this many sent bytes sit at its front.
 const OUTBOX_COMPACT_BYTES: usize = 64 * 1024;
 
 /// Where a backend reply goes: the client connection (slab index plus
-/// the id that rules out a reused slot), its reply slot, and the part.
+/// the id that rules out a reused slot), its reply slot, and the part —
+/// and whether it goes there as its frame bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Tag {
     pub(crate) conn: usize,
     pub(crate) conn_id: u64,
     pub(crate) slot: u64,
     pub(crate) part: Part,
+    /// Relay the reply frame instead of decoding it: a single-backend
+    /// query from a binary client.
+    pub(crate) relay: bool,
 }
 
 /// One backend answer — or the reason there is none — for a tag.
-pub(crate) type Reply = (Tag, Result<Response, String>);
+pub(crate) type Reply = (Tag, Result<Answer, String>);
 
 /// One nonblocking connection to one backend (see module docs).
 #[derive(Debug)]
@@ -88,13 +98,13 @@ impl Lane {
         }
     }
 
-    /// Queues `req` (connecting first if needed); its reply, or its
+    /// Queues `payload` (connecting first if needed); its reply, or its
     /// failure, comes back under `tag`. An `Err` means the request
     /// never made it onto the lane and must be settled as failed now.
     pub(crate) fn send(
         &mut self,
         epoll: &Epoll,
-        req: &Request,
+        payload: &Payload,
         tag: Tag,
         now: Instant,
     ) -> Result<(), String> {
@@ -104,8 +114,13 @@ impl Lane {
         if self.stream.is_none() {
             self.open(epoll, now)?;
         }
-        if !binproto::encode_request(req, &mut self.out) {
-            return Err("request exceeds binary frame limits".to_string());
+        match payload {
+            Payload::Frame(frame) => self.out.extend_from_slice(frame),
+            Payload::Request(req) => {
+                if !binproto::encode_request(req, &mut self.out) {
+                    return Err("request exceeds binary frame limits".to_string());
+                }
+            }
         }
         self.in_flight.push_back((tag, now));
         Ok(())
@@ -175,7 +190,8 @@ impl Lane {
     }
 
     /// Matches every complete reply frame in `inbuf` to the oldest
-    /// in-flight request.
+    /// in-flight request. A malformed reply fails its request and
+    /// breaks the lane.
     fn parse_replies(&mut self, replies: &mut Vec<Reply>) {
         let mut at = 0;
         while let Some(rest) = self.inbuf.get(at..) {
@@ -185,14 +201,26 @@ impl Lane {
                 self.broken = Some(format!("reply frame of {len} bytes exceeds the limit"));
                 break;
             }
-            let Some(body) = rest.get(4..4 + len) else { break };
+            let Some(frame) = rest.get(..4 + len) else { break };
             let Some((tag, _)) = self.in_flight.pop_front() else {
                 self.broken = Some("reply with nothing in flight".to_string());
                 break;
             };
-            let result = binproto::decode_response(body).map_err(|e| format!("bad reply: {e}"));
+            at += frame.len();
+            let body = &frame[4..];
+            let result = if tag.relay && binproto::check_response(body) {
+                Ok(Answer::Frame(frame.to_vec()))
+            } else {
+                binproto::decode_response(body)
+                    .map(Answer::Response)
+                    .map_err(|e| format!("bad reply: {e}"))
+            };
+            let bad = result.as_ref().err().cloned();
             replies.push((tag, result));
-            at += 4 + len;
+            if bad.is_some() {
+                self.broken = bad;
+                break;
+            }
         }
         self.inbuf.drain(..at);
     }

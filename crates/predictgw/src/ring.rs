@@ -31,10 +31,18 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// A consistent-hash ring over `backends` backends, `vnodes` virtual
 /// points each.
+///
+/// The failover preference list of every ring point is computed once,
+/// at construction, so routing a query costs one binary search and no
+/// allocation: `points × backends` entries in all (`vnodes ×
+/// backends²`; 128 × 2 for two backends at the default 64 vnodes).
 #[derive(Debug, Clone)]
 pub struct Ring {
-    /// `(point hash, backend index)`, sorted by hash.
-    points: Vec<(u64, usize)>,
+    /// Point hashes, sorted.
+    points: Vec<u64>,
+    /// Row `i` (`backends` entries from `i × backends`) is the
+    /// preference list of a machine that hashes onto point `i`.
+    prefs: Vec<usize>,
     backends: usize,
 }
 
@@ -57,7 +65,22 @@ impl Ring {
         // Ties (a full 64-bit hash collision) resolve to the lower
         // backend index, deterministically on every gateway.
         points.sort_unstable();
-        Ring { points, backends }
+        let mut prefs = Vec::with_capacity(points.len() * backends);
+        let mut seen = vec![false; backends];
+        for start in 0..points.len() {
+            // All distinct backends clockwise from this point.
+            seen.fill(false);
+            let row = prefs.len();
+            for &(_, b) in points.iter().cycle().skip(start).take(points.len()) {
+                if !std::mem::replace(&mut seen[b], true) {
+                    prefs.push(b);
+                    if prefs.len() - row == backends {
+                        break;
+                    }
+                }
+            }
+        }
+        Ring { points: points.into_iter().map(|(h, _)| h).collect(), prefs, backends }
     }
 
     /// How many backends the ring routes across.
@@ -68,44 +91,32 @@ impl Ring {
     /// The backend that owns `machine`: the first ring point at or
     /// clockwise of the machine's hash (wrapping past the top).
     pub fn owner(&self, machine: &str) -> usize {
-        self.point_at(self.position(machine)).1
+        self.preference(machine).first().copied().unwrap_or(0)
     }
 
     /// All distinct backends in ring order starting at the owner —
     /// the failover preference list for `machine`. The first entry is
     /// [`Ring::owner`]; each later entry is the next distinct backend
     /// clockwise, so two gateways agree on where traffic fails over.
-    pub fn preference(&self, machine: &str) -> Vec<usize> {
-        let start = self.position(machine);
-        let mut order = Vec::with_capacity(self.backends);
-        let mut seen = vec![false; self.backends];
-        for off in 0..self.points.len() {
-            let (_, b) = self.point_at(start + off);
-            if !seen[b] {
-                seen[b] = true;
-                order.push(b);
-                if order.len() == self.backends {
-                    break;
-                }
-            }
-        }
-        order
+    pub fn preference(&self, machine: &str) -> &[usize] {
+        self.row(self.row_of(machine))
     }
 
-    /// Index of the first point at or clockwise of the machine's hash.
-    fn position(&self, machine: &str) -> usize {
+    /// The preference row `machine` routes by — a stand-in for
+    /// [`Ring::preference`] that a routing step can keep without
+    /// borrowing the ring.
+    pub(crate) fn row_of(&self, machine: &str) -> usize {
         let h = fnv1a(machine.as_bytes());
-        match self.points.binary_search(&(h, 0)) {
-            Ok(i) => i,
-            Err(i) => i, // may equal len(): point_at wraps
-        }
+        // The first point at or clockwise of the hash; past the top
+        // point, the circle wraps to point 0.
+        self.points.partition_point(|&p| p < h) % self.points.len().max(1)
     }
 
-    /// The ring point at `idx`, wrapping around the circle.
-    fn point_at(&self, idx: usize) -> (u64, usize) {
-        // The constructor guarantees at least one point.
-        let len = self.points.len().max(1);
-        *self.points.get(idx % len).unwrap_or(&(0, 0))
+    /// Preference row `row` (see [`Ring::row_of`]); empty when out of
+    /// range.
+    pub(crate) fn row(&self, row: usize) -> &[usize] {
+        let start = row.saturating_mul(self.backends);
+        self.prefs.get(start..start.saturating_add(self.backends)).unwrap_or(&[])
     }
 }
 
@@ -140,9 +151,28 @@ mod tests {
             let pref = ring.preference(&m);
             assert_eq!(pref.len(), 5);
             assert_eq!(pref[0], ring.owner(&m));
-            let mut sorted = pref.clone();
+            let mut sorted = pref.to_vec();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
+        }
+    }
+
+    #[test]
+    fn owner_is_the_first_point_clockwise_of_the_hash() {
+        // The owner found through the precomputed rows, against a scan
+        // of every vnode label.
+        let (backends, vnodes) = (3, 16);
+        let ring = Ring::new(backends, vnodes);
+        let points: Vec<(u64, usize)> = (0..backends)
+            .flat_map(|b| (0..vnodes).map(move |v| (b, v)))
+            .map(|(b, v)| (fnv1a(format!("backend-{b}#vnode-{v}").as_bytes()), b))
+            .collect();
+        for i in 0..300 {
+            let m = format!("scan-{i}");
+            let h = fnv1a(m.as_bytes());
+            let clockwise = points.iter().filter(|&&(p, _)| p >= h).min();
+            let want = clockwise.or_else(|| points.iter().min()).map(|&(_, b)| b);
+            assert_eq!(Some(ring.owner(&m)), want, "{m}");
         }
     }
 
@@ -188,6 +218,6 @@ mod tests {
         let ring = Ring::new(0, 0);
         assert_eq!(ring.backends(), 1);
         assert_eq!(ring.owner("anything"), 0);
-        assert_eq!(ring.preference("anything"), vec![0]);
+        assert_eq!(ring.preference("anything"), [0]);
     }
 }

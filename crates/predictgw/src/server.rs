@@ -16,6 +16,14 @@
 //! knob. Replies are matched to requests in FIFO order per lane and
 //! folded back with [`Gateway::settle`].
 //!
+//! A binary client's `predict` and `rank` frames are relayed, not
+//! decoded: the loop reads the frame's tag, vouches for the rest with
+//! [`binproto::check_request`], and hands the routing step the frame
+//! itself, which the lane copies out as is. The reply to such a query
+//! comes back as the backend's frame and is copied into the client's
+//! write buffer. A frame that fails the check is decoded instead, and
+//! answered `bad frame: …` here without reaching a backend.
+//!
 //! ## Reply slots
 //!
 //! Each client connection keeps an ordered queue of reply slots, one
@@ -64,7 +72,7 @@ use predictd::server::{ACCEPT_BACKOFF, IDLE_TIMEOUT, SWEEP_EVERY};
 use predictd::ServerConfig;
 use proto::{binproto, Request, Response};
 
-use crate::gateway::{Broadcaster, Gateway, Op, Part, Planned};
+use crate::gateway::{Answer, Broadcaster, Gateway, Op, Part, Payload, Planned};
 use crate::lane::{Lane, Reply, Tag};
 
 /// Reads per readiness wakeup go through this per-loop scratch buffer.
@@ -105,7 +113,7 @@ enum Slot {
     /// Routed; backend parts still in flight.
     Waiting(Op),
     /// Answered, waiting for the slots before it.
-    Ready(Response),
+    Ready(Answer),
 }
 
 /// One client connection's state machine (see the predictd evented
@@ -487,7 +495,7 @@ impl Worker<'_> {
     }
 
     /// Folds one backend outcome into the op it belongs to.
-    fn settle(&mut self, tag: Tag, result: Result<Response, String>, now: Instant) {
+    fn settle(&mut self, tag: Tag, result: Result<Answer, String>, now: Instant) {
         let Some(Some(conn)) = self.conns.get_mut(tag.conn) else { return };
         if conn.id != tag.conn_id {
             return;
@@ -505,7 +513,7 @@ impl Worker<'_> {
                 continue;
             }
             let Some(req) = conn.deferred.take() else { continue };
-            let flow = self.io.route(conn, idx, req, now);
+            let flow = self.io.route(conn, idx, Payload::Request(req), now);
             match flow {
                 Flow::Go => self.io.route_all(conn, idx, now),
                 Flow::Stop => conn.rbuf.clear(),
@@ -529,9 +537,13 @@ impl Worker<'_> {
             for (tag, result) in std::mem::take(&mut self.io.failed) {
                 self.settle(tag, result, now);
             }
-            for idx in std::mem::take(&mut self.dirty) {
+            let mut dirty = std::mem::take(&mut self.dirty);
+            for idx in dirty.drain(..) {
                 self.finish(idx, now);
             }
+            // `finish` marks nothing dirty: hand the list back with its
+            // capacity rather than allocating it again next batch.
+            self.dirty = dirty;
             for lane in &mut self.io.lanes {
                 lane.flush(&self.io.epoll);
             }
@@ -673,11 +685,22 @@ impl Io<'_> {
 
     /// Queues the parts in `self.sends` of the op in `slot` on their
     /// lanes; a part that cannot be queued fails at the end of the batch.
-    fn dispatch(&mut self, op: &Op, conn: usize, conn_id: u64, slot: u64, now: Instant) {
+    /// A binary client's single-backend query is relayed: its reply
+    /// comes back as the backend's frame.
+    fn dispatch(
+        &mut self,
+        op: &Op,
+        binary: bool,
+        conn: usize,
+        conn_id: u64,
+        slot: u64,
+        now: Instant,
+    ) {
+        let relay = binary && op.relays();
         for &part in &self.sends {
-            let tag = Tag { conn, conn_id, slot, part };
+            let tag = Tag { conn, conn_id, slot, part, relay };
             let queued = match self.lanes.get_mut(part.backend) {
-                Some(lane) => lane.send(&self.epoll, op.request(part.part), tag, now),
+                Some(lane) => lane.send(&self.epoll, op.payload(part.part), tag, now),
                 None => Err("no lane to that backend".to_string()),
             };
             if let Err(why) = queued {
@@ -688,32 +711,27 @@ impl Io<'_> {
 
     /// Folds one backend outcome into its op: a reply fills the slot,
     /// anything else goes out on the lanes.
-    fn settle(
-        &mut self,
-        conn: &mut Conn,
-        tag: Tag,
-        result: Result<Response, String>,
-        now: Instant,
-    ) {
+    fn settle(&mut self, conn: &mut Conn, tag: Tag, result: Result<Answer, String>, now: Instant) {
         let Some(i) = tag.slot.checked_sub(conn.first_slot).and_then(|d| usize::try_from(d).ok())
         else {
             return;
         };
+        let binary = matches!(conn.mode, Mode::Binary);
         let Some(slot) = conn.slots.get_mut(i) else { return };
         let Slot::Waiting(op) = slot else { return };
         self.sends.clear();
         match self.gateway.settle(op, tag.part, result, &mut self.sends) {
-            Some(resp) => *slot = Slot::Ready(resp),
-            None => self.dispatch(op, tag.conn, tag.conn_id, tag.slot, now),
+            Some(answer) => *slot = Slot::Ready(answer),
+            None => self.dispatch(op, binary, tag.conn, tag.conn_id, tag.slot, now),
         }
     }
 
     /// Routes one request of `conn` into a new reply slot.
-    fn route(&mut self, conn: &mut Conn, idx: usize, req: Request, now: Instant) -> Flow {
+    fn route(&mut self, conn: &mut Conn, idx: usize, payload: Payload, now: Instant) -> Flow {
         self.sends.clear();
-        match self.gateway.plan(req, &self.who, &mut self.sends) {
+        match self.gateway.plan(payload, &self.who, &mut self.sends) {
             Planned::Reply(resp, stop) => {
-                conn.push(Slot::Ready(resp));
+                conn.push(Slot::Ready(resp.into()));
                 if !stop {
                     return Flow::Go;
                 }
@@ -726,8 +744,9 @@ impl Io<'_> {
             }
             Planned::Routed(op) => {
                 let seq = conn.push(Slot::Waiting(op));
+                let binary = matches!(conn.mode, Mode::Binary);
                 if let Some(Slot::Waiting(op)) = conn.slots.back() {
-                    self.dispatch(op, idx, conn.id, seq, now);
+                    self.dispatch(op, binary, idx, conn.id, seq, now);
                 }
                 Flow::Go
             }
@@ -754,7 +773,9 @@ impl Io<'_> {
                     conn.rbuf.drain(..4);
                     conn.mode = Mode::Binary;
                 } else {
-                    conn.push(Slot::Ready(Response::error("bad preamble: expected BD 50 44 01")));
+                    conn.push(Slot::Ready(
+                        Response::error("bad preamble: expected BD 50 44 01").into(),
+                    ));
                     conn.closing = true;
                     conn.rbuf.clear();
                     return;
@@ -795,13 +816,13 @@ impl Io<'_> {
             };
             match parsed {
                 Ok(req) => {
-                    flow = self.route(conn, idx, req, now);
+                    flow = self.route(conn, idx, Payload::Request(req), now);
                     if flow != Flow::Go {
                         break;
                     }
                 }
                 Err(message) => {
-                    conn.push(Slot::Ready(Response::error(message)));
+                    conn.push(Slot::Ready(Response::error(message).into()));
                 }
             }
         }
@@ -809,13 +830,18 @@ impl Io<'_> {
         if flow == Flow::Stop || conn.json_discard {
             conn.rbuf.clear();
         } else if conn.rbuf.len() > max && !conn.rbuf.contains(&b'\n') {
-            conn.push(Slot::Ready(Response::error(format!("request line exceeds {max} bytes"))));
+            conn.push(Slot::Ready(
+                Response::error(format!("request line exceeds {max} bytes")).into(),
+            ));
             conn.rbuf.clear();
             conn.json_discard = true;
         }
     }
 
-    /// Binary mode: route every complete frame in `rbuf`.
+    /// Binary mode: route every complete frame in `rbuf`. A `predict`
+    /// or `rank` frame that passes [`binproto::check_request`] is
+    /// routed by its machine and relayed as is; every other frame is
+    /// decoded, and one that fails is answered `bad frame` here.
     fn route_binary(&mut self, conn: &mut Conn, idx: usize, now: Instant) {
         let max = self.cfg.max_frame_bytes;
         let mut consumed = 0;
@@ -835,27 +861,35 @@ impl Io<'_> {
             let len = usize::try_from(u32::from_le_bytes(*len4)).unwrap_or(usize::MAX);
             if len == 0 {
                 consumed += 4;
-                conn.push(Slot::Ready(Response::error("bad frame: empty frame")));
+                conn.push(Slot::Ready(Response::error("bad frame: empty frame").into()));
                 continue;
             }
             if len > max {
                 consumed += 4;
                 conn.bin_discard = len;
-                conn.push(Slot::Ready(Response::error(format!("frame exceeds {max} bytes"))));
+                conn.push(Slot::Ready(
+                    Response::error(format!("frame exceeds {max} bytes")).into(),
+                ));
                 continue;
             }
-            let Some(body) = rest.get(4..4 + len) else { break }; // partial frame
-            let decoded = binproto::decode_request(body);
-            consumed += 4 + len;
-            match decoded {
-                Ok(req) => {
-                    flow = self.route(conn, idx, req, now);
+            let Some(frame) = rest.get(..4 + len) else { break }; // partial frame
+            let body = &frame[4..];
+            let parsed = match body[0] {
+                binproto::REQ_PREDICT | binproto::REQ_RANK if binproto::check_request(body) => {
+                    Ok(Payload::Frame(frame.to_vec()))
+                }
+                _ => binproto::decode_request(body).map(Payload::Request),
+            };
+            consumed += frame.len();
+            match parsed {
+                Ok(payload) => {
+                    flow = self.route(conn, idx, payload, now);
                     if flow != Flow::Go {
                         break;
                     }
                 }
                 Err(e) => {
-                    conn.push(Slot::Ready(Response::error(format!("bad frame: {e}"))));
+                    conn.push(Slot::Ready(Response::error(format!("bad frame: {e}")).into()));
                 }
             }
         }
@@ -904,12 +938,20 @@ fn read_client(conn: &mut Conn, scratch: &mut [u8]) -> bool {
     }
 }
 
-/// Encodes the finished replies at the front of the slot queue into the
-/// write buffer, in the connection's codec.
+/// Moves the finished replies at the front of the slot queue into the
+/// write buffer, in the connection's codec: a relayed frame as is,
+/// anything else encoded.
 fn write_ready(conn: &mut Conn, json: &mut String) {
     while matches!(conn.slots.front(), Some(Slot::Ready(_))) {
-        let Some(Slot::Ready(resp)) = conn.slots.pop_front() else { break };
+        let Some(Slot::Ready(answer)) = conn.slots.pop_front() else { break };
         conn.first_slot += 1;
+        let resp = match (&conn.mode, answer) {
+            (Mode::Binary, Answer::Frame(frame)) => {
+                conn.wbuf.extend_from_slice(&frame);
+                continue;
+            }
+            (_, answer) => answer.into_response(),
+        };
         match conn.mode {
             Mode::Json => {
                 json.clear();

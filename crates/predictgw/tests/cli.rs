@@ -1,6 +1,8 @@
-//! The gateway binary at the descriptor limit: it cannot accept, but it
-//! must not spin on its still-readable listener, and once clients leave
-//! it accepts and routes again.
+//! The gateway binary at its resource limits. At the descriptor limit
+//! it cannot accept, but it must not spin on its still-readable
+//! listener, and once clients leave it accepts and routes again. At the
+//! file-size limit it refuses the reports it cannot journal, keeps
+//! answering queries, and leaves a journal of whole records.
 
 mod common;
 
@@ -9,9 +11,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use common::spawn_backend;
+use common::{predict, report, spawn_backend};
 use predictd::proto::{Request, Response};
 use predictd::Client;
+use predictgw::journal::{self, Journal};
 
 /// A gateway started with `--listen 127.0.0.1:0 --workers 1` in front of
 /// one in-process backend, killed on drop so a failed assertion leaves
@@ -91,4 +94,61 @@ fn descriptor_limit_does_not_spin_the_loop() {
     let reply = client.request(&Request::Shutdown).expect("shutdown");
     assert_eq!(reply, Response::Ok);
     assert!(gw.child.wait().expect("wait").success(), "gateway must exit 0 after shutdown");
+}
+
+#[test]
+fn a_full_journal_refuses_reports_and_keeps_whole_records() {
+    let backend = spawn_backend().to_string();
+    let path = std::env::temp_dir().join(format!("predictgw-cli-efbig-{}.j", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    // A 1-block file-size limit, with SIGXFSZ ignored so the write that
+    // crosses it fails with EFBIG instead of killing the gateway.
+    let mut cmd = Command::new("sh");
+    cmd.args(["-c", "trap '' XFSZ; ulimit -f 1; exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_predictgw"))
+        .arg("--journal")
+        .arg(&path)
+        .args(["--health-interval-ms", "600000"])
+        .stderr(Stdio::null());
+    let mut gw = Gateway::start(cmd, &backend);
+    let mut client = Client::connect_binary_timeout(
+        gw.addr,
+        Duration::from_secs(1),
+        Some(Duration::from_secs(5)),
+    )
+    .expect("connect");
+
+    let mut acked = Vec::new();
+    let mut refused = 0;
+    for t in 1..200 {
+        let req = report(&format!("efbig-m{}", t % 3), f64::from(t));
+        match client.request(&req).expect("report reply") {
+            Response::Ack(_) => acked.push(req),
+            Response::Error(e) => {
+                assert_eq!(e.message, "journal append failed: File too large (os error 27)");
+                refused += 1;
+                if refused == 3 {
+                    break;
+                }
+            }
+            other => panic!("report answered {other:?}"),
+        }
+    }
+    assert_eq!(refused, 3, "the limit was never reached");
+    assert!(!acked.is_empty(), "the limit left no room for a single report");
+    let reply = client.request(&predict("efbig-m1", 200.0)).expect("predict");
+    assert!(matches!(reply, Response::Prediction(_)), "{reply:?}");
+    assert_eq!(client.request(&Request::Shutdown).expect("shutdown"), Response::Ok);
+    assert!(gw.child.wait().expect("wait").success(), "gateway must exit 0 after shutdown");
+
+    let on_disk = std::fs::metadata(&path).expect("journal").len();
+    let whole = Journal::open(&path, 1).expect("reopen").bytes();
+    assert_eq!(on_disk, whole, "the journal ends in a torn record");
+    let kept: Vec<Request> = journal::read_reports(&path)
+        .expect("read journal")
+        .into_iter()
+        .map(Request::LoadReport)
+        .collect();
+    assert_eq!(kept, acked, "the journal holds exactly the acked reports");
+    let _ = std::fs::remove_file(&path);
 }

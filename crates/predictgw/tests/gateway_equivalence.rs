@@ -4,7 +4,9 @@
 //! here by replaying random report/predict/batch/rank interleavings
 //! through 1 gateway + 2 evented predictd backends over TCP and through
 //! one in-process monolithic `Service`, and demanding bit-identical
-//! responses.
+//! responses — over the binary codec, where the gateway relays
+//! `predict`/`rank` frames as bytes, and over newline JSON, where it
+//! decodes and re-encodes every answer.
 //!
 //! The one deliberate exception is `cache_hit`: queries route to one
 //! owner (and batches fan out across backends), so per-backend profile
@@ -125,6 +127,45 @@ fn normalized(resp: Response) -> Response {
     }
 }
 
+/// Replays `ops` through a fresh monolith and, over `fed`, through the
+/// shared federation, demanding the same answer at every step.
+fn replay(ops: &[RawOp], mut fed: Client) -> Result<(), TestCaseError> {
+    let case = fresh_case();
+    let mono = Service::with_default_predictor(ServiceConfig::default());
+    let mut now = 0.0f64;
+    for (i, op) in ops.iter().enumerate() {
+        now += op.2;
+        let req = request_for(op, case, now);
+        let (want, _) = mono.handle(&req);
+        let got = fed
+            .request(&req)
+            .map_err(|e| TestCaseError::fail(format!("step {i} ({}): {e}", req.kind())))?;
+        prop_assert!(
+            !matches!(want, Response::Error(_)),
+            "monolith errored at step {}: {:?}",
+            i,
+            want
+        );
+        prop_assert_eq!(
+            normalized(want),
+            normalized(got),
+            "step {} ({}) diverged between federation and monolith",
+            i,
+            req.kind()
+        );
+    }
+    Ok(())
+}
+
+fn connect(binary: bool) -> Result<Client, TestCaseError> {
+    let client = if binary {
+        Client::connect_binary(gateway_addr())
+    } else {
+        Client::connect(gateway_addr())
+    };
+    client.map_err(|e| TestCaseError::fail(format!("gateway connect: {e}")))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -137,25 +178,18 @@ proptest! {
             1..30,
         )
     ) {
-        let case = fresh_case();
-        let mono = Service::with_default_predictor(ServiceConfig::default());
-        let mut fed = Client::connect_binary(gateway_addr())
-            .map_err(|e| TestCaseError::fail(format!("gateway connect: {e}")))?;
-        let mut now = 0.0f64;
-        for (i, op) in ops.iter().enumerate() {
-            now += op.2;
-            let req = request_for(op, case, now);
-            let (want, _) = mono.handle(&req);
-            let got = fed.request(&req)
-                .map_err(|e| TestCaseError::fail(format!("step {i} ({}): {e}", req.kind())))?;
-            prop_assert!(
-                !matches!(want, Response::Error(_)),
-                "monolith errored at step {}: {:?}", i, want
-            );
-            prop_assert_eq!(
-                normalized(want), normalized(got),
-                "step {} ({}) diverged between federation and monolith", i, req.kind()
-            );
-        }
+        replay(&ops, connect(true)?)?;
+    }
+
+    /// The same equivalence for a JSON client, whose answers the
+    /// gateway decodes and re-encodes rather than relays.
+    #[test]
+    fn federation_is_bit_identical_to_a_monolith_over_json(
+        ops in proptest::collection::vec(
+            (0..8usize, 0..5usize, 0.0..1.5f64, 0.0..6.0f64, -0.5..1.0f64, 0.0..20.0f64, 1..5usize),
+            1..30,
+        )
+    ) {
+        replay(&ops, connect(false)?)?;
     }
 }

@@ -43,6 +43,13 @@
 //! | `ok` | response | [`RESP_OK`] |
 //! | `error` | response | [`RESP_ERROR`] |
 //!
+//! **Checking without decoding.** [`check_request`] and
+//! [`check_response`] walk the same layouts as [`decode_request`] and
+//! [`decode_response`], under the same limits, but build no value and
+//! allocate nothing; each is true exactly when its decoder would
+//! succeed. A relay uses them to vouch for a frame it forwards as
+//! bytes, and [`request_machine`] to read the one field it routes by.
+//!
 //! Byte-offset layouts per kind are documented in DESIGN.md §8; this
 //! module is the machine-checked source of truth (modelcheck's
 //! protocol-drift pass cross-checks the tag table against `proto.rs`
@@ -580,6 +587,228 @@ impl<'a> Cur<'a> {
         } else {
             Err(err(format!("{} trailing bytes after payload", self.remaining())))
         }
+    }
+}
+
+/// The checkers' cursor: walks the layouts [`Cur`] decodes, in the same
+/// order and under the same limits, but builds no value and allocates
+/// nothing. Every method is `None` exactly where its [`Cur`] twin errs.
+struct Skim<'a> {
+    b: &'a [u8],
+    i: usize,
+}
+
+impl<'a> Skim<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.i.checked_add(n)?;
+        let slice = self.b.get(self.i..end)?;
+        self.i = end;
+        Some(slice)
+    }
+
+    fn word<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+
+    /// A `u32` count or size field.
+    fn len32(&mut self) -> Option<usize> {
+        usize::try_from(u32::from_le_bytes(self.word()?)).ok()
+    }
+
+    /// `n` fixed-width fields (`u64`/`f64`) read without a constraint.
+    fn words(&mut self, n: usize) -> Option<()> {
+        self.take(n.checked_mul(8)?).map(drop)
+    }
+
+    fn boolean(&mut self) -> Option<()> {
+        (self.u8()? <= 1).then_some(())
+    }
+
+    fn secs(&mut self) -> Option<()> {
+        Seconds::try_new(f64::from_le_bytes(self.word()?)).map(drop)
+    }
+
+    fn usize64(&mut self) -> Option<()> {
+        usize::try_from(u64::from_le_bytes(self.word()?)).ok().map(drop)
+    }
+
+    fn count(&mut self, min_elem: usize) -> Option<usize> {
+        let n = self.len32()?;
+        (n.checked_mul(min_elem)? <= self.b.len() - self.i).then_some(n)
+    }
+
+    fn str(&mut self) -> Option<&'a str> {
+        let n = self.count(1)?;
+        std::str::from_utf8(self.take(n)?).ok()
+    }
+
+    fn datasets(&mut self) -> Option<()> {
+        let n = self.count(16)?;
+        self.words(n.checked_mul(2)?)
+    }
+
+    fn task(&mut self) -> Option<()> {
+        self.secs()?;
+        self.secs()?;
+        self.datasets()?;
+        self.datasets()
+    }
+
+    fn matrix(&mut self) -> Option<()> {
+        let n = self.len32()?;
+        let cells = n.checked_mul(n)?;
+        (cells.checked_mul(8)? <= self.b.len() - self.i).then_some(())?;
+        self.words(cells)
+    }
+
+    fn workflow(&mut self) -> Option<()> {
+        for _ in 0..self.count(9)? {
+            self.str()?;
+            let k = self.count(8)?;
+            self.words(k)?;
+            match self.u8()? {
+                0 => {}
+                1 => self.matrix()?,
+                _ => return None,
+            }
+        }
+        Some(())
+    }
+
+    fn decision(&mut self) -> Option<()> {
+        for _ in 0..4 {
+            self.secs()?;
+        }
+        (self.u8()? <= 1).then_some(())
+    }
+
+    fn done(&self) -> Option<()> {
+        (self.i == self.b.len()).then_some(())
+    }
+}
+
+/// Whether [`decode_request`] would accept `body` — answered without
+/// building the request or allocating, so a relay can vouch for a frame
+/// it forwards as bytes. True exactly when `decode_request(body)` is
+/// `Ok`.
+pub fn check_request(body: &[u8]) -> bool {
+    skim_request(&mut Skim { b: body, i: 0 }).is_some()
+}
+
+fn skim_request(c: &mut Skim<'_>) -> Option<()> {
+    match c.u8()? {
+        REQ_LOAD_REPORT => {
+            c.str()?;
+            c.words(3)?;
+        }
+        REQ_PREDICT => {
+            c.str()?;
+            c.words(1)?;
+            c.task()?;
+            c.words(1)?;
+        }
+        REQ_DECIDE_BATCH => {
+            c.str()?;
+            c.words(1)?;
+            for _ in 0..c.count(24)? {
+                c.task()?;
+            }
+            c.words(1)?;
+        }
+        REQ_RANK => {
+            c.str()?;
+            c.words(1)?;
+            c.workflow()?;
+            c.usize64()?;
+            c.words(1)?;
+            c.usize64()?;
+        }
+        REQ_STATS | REQ_SHUTDOWN => {}
+        _ => return None,
+    }
+    c.done()
+}
+
+/// Whether [`decode_response`] would accept `body`, with the same
+/// contract as [`check_request`].
+pub fn check_response(body: &[u8]) -> bool {
+    skim_response(&mut Skim { b: body, i: 0 }).is_some()
+}
+
+fn skim_response(c: &mut Skim<'_>) -> Option<()> {
+    match c.u8()? {
+        RESP_ACK => {
+            c.str()?;
+            c.boolean()?;
+            c.words(1)?;
+        }
+        RESP_PREDICTION => {
+            c.str()?;
+            c.words(1)?;
+            c.boolean()?;
+            c.str()?;
+            c.boolean()?;
+            c.decision()?;
+        }
+        RESP_DECISIONS => {
+            c.str()?;
+            c.words(1)?;
+            c.boolean()?;
+            c.str()?;
+            c.boolean()?;
+            for _ in 0..c.count(33)? {
+                c.decision()?;
+            }
+        }
+        RESP_RANKED => {
+            c.str()?;
+            c.words(1)?;
+            c.boolean()?;
+            c.words(1)?;
+            for _ in 0..c.count(12)? {
+                for _ in 0..c.count(8)? {
+                    c.usize64()?;
+                }
+                c.words(1)?;
+            }
+        }
+        RESP_STATS => {
+            // Request counts (6), cache (3), latency (4), machines and
+            // uptime (2), then the shard table.
+            c.words(15)?;
+            let n = c.count(24)?;
+            c.words(n.checked_mul(3)?)?;
+        }
+        RESP_GW_STATS => {
+            for _ in 0..c.count(29)? {
+                c.str()?;
+                c.boolean()?;
+                c.words(3)?;
+            }
+            c.words(6)?;
+        }
+        RESP_OK => {}
+        RESP_ERROR => {
+            c.str()?;
+        }
+        _ => return None,
+    }
+    c.done()
+}
+
+/// The machine a `load_report`, `predict`, `decide_batch` or `rank`
+/// frame body names — each layout opens with it, right after the tag —
+/// read without decoding the rest. `None` for any other tag, or when
+/// the string itself is malformed.
+pub fn request_machine(body: &[u8]) -> Option<&str> {
+    let mut c = Skim { b: body, i: 0 };
+    match c.u8()? {
+        REQ_LOAD_REPORT | REQ_PREDICT | REQ_DECIDE_BATCH | REQ_RANK => c.str(),
+        _ => None,
     }
 }
 

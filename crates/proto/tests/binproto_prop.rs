@@ -12,7 +12,10 @@ use contention_model::predict::{ParagonTask, Placement, PlacementDecision};
 use contention_model::units::secs;
 use hetsched::eval::Schedule;
 use proptest::prelude::*;
-use proto::binproto::{decode_request, decode_response, encode_request, encode_response};
+use proto::binproto::{
+    self, check_request, check_response, decode_request, decode_response, encode_request,
+    encode_response,
+};
 use proto::proto::{
     Ack, BackendStats, CacheStats, DecideBatch, Decisions, ErrorReply, GwStatsReply,
     LatencySummary, LoadReport, Predict, Prediction, Rank, Ranked, Request, RequestCounts,
@@ -154,8 +157,135 @@ fn response_for(raw: &RawResp) -> Response {
     }
 }
 
+/// The checker and the decoder agree on `body`.
+fn agree(body: &[u8], check: fn(&[u8]) -> bool, decodes: fn(&[u8]) -> bool) -> bool {
+    check(body) == decodes(body)
+}
+
+fn request_decodes(body: &[u8]) -> bool {
+    decode_request(body).is_ok()
+}
+
+fn response_decodes(body: &[u8]) -> bool {
+    decode_response(body).is_ok()
+}
+
+/// The first damaged copy of the valid `body` on which the checker and
+/// the decoder disagree: every truncation, then every single-byte
+/// mutation to a value that stresses a field — a boolean or placement
+/// byte of 2, a count's high byte, an `f64` sign or exponent byte, a
+/// broken UTF-8 byte, a neighbouring value.
+fn first_disagreement(
+    body: &[u8],
+    check: fn(&[u8]) -> bool,
+    decodes: fn(&[u8]) -> bool,
+) -> Option<Vec<u8>> {
+    if !check(body) || !decodes(body) {
+        return Some(body.to_vec());
+    }
+    for cut in 0..body.len() {
+        if !agree(&body[..cut], check, decodes) {
+            return Some(body[..cut].to_vec());
+        }
+    }
+    let mut damaged = body.to_vec();
+    for i in 0..body.len() {
+        let was = body[i];
+        for v in
+            [0, 1, 2, 0x7f, 0x80, 0xc3, 0xff, was ^ 1, was.wrapping_add(1), was.wrapping_sub(1)]
+        {
+            damaged[i] = v;
+            if !agree(&damaged, check, decodes) {
+                return Some(damaged);
+            }
+        }
+        damaged[i] = was;
+    }
+    None
+}
+
+/// Every tag either codec knows, plus one neither does.
+fn tag_pool() -> Vec<u8> {
+    use binproto::*;
+    vec![
+        REQ_LOAD_REPORT,
+        REQ_PREDICT,
+        REQ_DECIDE_BATCH,
+        REQ_RANK,
+        REQ_STATS,
+        REQ_SHUTDOWN,
+        RESP_ACK,
+        RESP_PREDICTION,
+        RESP_DECISIONS,
+        RESP_RANKED,
+        RESP_STATS,
+        RESP_OK,
+        RESP_ERROR,
+        RESP_GW_STATS,
+        0x7f,
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `check_request` is true exactly when `decode_request` succeeds:
+    /// on every valid request, every truncation of it, and every
+    /// single-byte mutation of it.
+    #[test]
+    fn check_request_agrees_with_decode(
+        raw in (
+            0..6usize,
+            proptest::sample::select(name_pool()),
+            0.0..1.0e6f64,
+            0.0..64.0f64,
+            0.0..1.0f64,
+            0..4usize,
+            1..5000usize,
+        )
+    ) {
+        let req = request_for(&raw);
+        let mut frame = Vec::new();
+        prop_assert!(encode_request(&req, &mut frame));
+        let bad = first_disagreement(&frame[4..], check_request, request_decodes);
+        prop_assert!(bad.is_none(), "{} disagrees on {:02x?}", req.kind(), bad);
+    }
+
+    /// `check_response` is true exactly when `decode_response` succeeds,
+    /// on the same valid, truncated, and mutated bodies.
+    #[test]
+    fn check_response_agrees_with_decode(
+        raw in (
+            0..8usize,
+            proptest::sample::select(name_pool()),
+            0.0..1.0e4f64,
+            0.0..512.0f64,
+            0..64u64,
+            0..2usize,
+            0..4usize,
+        )
+    ) {
+        let resp = response_for(&raw);
+        let mut frame = Vec::new();
+        prop_assert!(encode_response(&resp, &mut frame));
+        let bad = first_disagreement(&frame[4..], check_response, response_decodes);
+        prop_assert!(bad.is_none(), "{} disagrees on {:02x?}", resp.kind(), bad);
+    }
+
+    /// Both checkers agree with their decoders on arbitrary bytes behind
+    /// every known tag (and an unknown one).
+    #[test]
+    fn checkers_agree_with_decode_on_arbitrary_bytes(
+        tag in proptest::sample::select(tag_pool()),
+        tail in proptest::collection::vec(0..=255u8, 0..96),
+    ) {
+        let mut body = vec![tag];
+        body.extend_from_slice(&tail);
+        prop_assert!(agree(&body, check_request, request_decodes), "request {body:02x?}");
+        prop_assert!(agree(&body, check_response, response_decodes), "response {body:02x?}");
+        prop_assert!(agree(&tail, check_request, request_decodes), "request {tail:02x?}");
+        prop_assert!(agree(&tail, check_response, response_decodes), "response {tail:02x?}");
+    }
 
     /// Every request kind survives a binary round trip bit-identically:
     /// the decoded value equals the original and serializes to the same
