@@ -119,10 +119,8 @@ impl LoadMonitor {
     /// The forecast itself was chosen by the last accepted report; `now`
     /// only decides whether it is still fresh.
     pub fn forecast(&self, now: Seconds) -> LoadForecast {
-        let age = self.window.latest().map(|s| secs((now.get() - s.at.get()).max(0.0)));
-        let fresh = age.is_some_and(|a| a <= self.cfg.horizon);
-        let prediction = if fresh { self.selector.predict() } else { None };
-        match prediction {
+        let age = self.age(now);
+        match self.fresh_prediction(age) {
             Some((raw, name)) => {
                 let load = raw.max(0.0);
                 LoadForecast {
@@ -140,6 +138,28 @@ impl LoadMonitor {
                 age,
                 forecaster: "dedicated".to_string(),
             },
+        }
+    }
+
+    /// The forecast contender count as of `now`, or `None` when the
+    /// staleness policy fires: `forecast(now).p` and `.stale`, without
+    /// building the forecaster's name — so it allocates nothing.
+    pub fn contenders_at(&self, now: Seconds) -> Option<usize> {
+        self.fresh_prediction(self.age(now)).map(|(raw, _)| contenders(raw.max(0.0)))
+    }
+
+    /// Time since the newest sample, `None` before the first.
+    fn age(&self, now: Seconds) -> Option<Seconds> {
+        self.window.latest().map(|s| secs((now.get() - s.at.get()).max(0.0)))
+    }
+
+    /// The stored winner's raw prediction and name, if a sample this
+    /// `age` old is still within the horizon.
+    fn fresh_prediction(&self, age: Option<Seconds>) -> Option<(f64, &str)> {
+        if age.is_some_and(|a| a <= self.cfg.horizon) {
+            self.selector.predict()
+        } else {
+            None
         }
     }
 

@@ -4,6 +4,9 @@
 //! that forecast yields placement decisions **bit-identical** to a
 //! direct `decide()` call with the true mix.
 //!
+//! The cheap-count property: `LoadMonitor::contenders_at` agrees with
+//! the full forecast's contender count and staleness.
+//!
 //! The cached-winner property: the winner the selector stores at report
 //! time is the one a from-scratch argmin over the bank picks, on random
 //! traces, constant traces, exact MAE ties, a single sample, and traces
@@ -223,6 +226,29 @@ proptest! {
                     prop_assert_eq!(c.frac(), monitor.frac());
                 }
             }
+        }
+    }
+
+    /// `contenders_at` is `forecast(now)` without the forecaster's
+    /// name: the same contender count when fresh, `None` exactly when
+    /// the forecast is stale — before any sample, inside the horizon,
+    /// on it, and past it.
+    fn contenders_at_is_the_forecasts_count_and_staleness(
+        loads in prop::collection::vec(-2.0f64..3000.0, 0..30),
+        ages in prop::collection::vec(0.0f64..25.0, 1..8),
+    ) {
+        let mut monitor = LoadMonitor::new(MonitorConfig::default());
+        let mut queries: Vec<f64> = ages.clone();
+        queries.push(monitor.horizon().get());
+        for (i, &load) in loads.iter().enumerate() {
+            monitor.report(secs(i as f64), load, None);
+        }
+        let newest = loads.len().saturating_sub(1) as f64;
+        for age in queries {
+            let now = secs(newest + age);
+            let f = monitor.forecast(now);
+            let want = if f.stale { None } else { Some(f.p) };
+            prop_assert_eq!(monitor.contenders_at(now), want, "age {}", age);
         }
     }
 

@@ -7,19 +7,20 @@
 //! as consecutive forecasts agree on the contender count and
 //! communication fraction, the stored [`WorkloadMix`] — and therefore
 //! its epoch — is left untouched, so the cached [`SlowdownProfile`]
-//! stays current and predictions skip the profile recompute entirely. A
-//! `load_report` that changes the shape swaps in a fresh mix, bumping
-//! the epoch and invalidating the cache by the core's own coherence
-//! rule.
+//! stays current and predictions skip the profile recompute entirely.
 //!
-//! **One resolve rule.** The monitor picks its forecast when a report
-//! arrives, so a query's forecast is a staleness check plus a copy.
-//! Every path — `load_report` on the shard and on a replica, the shard
-//! read-lock fast path, its write-lock slow path, and the lock-free
-//! replica path — keys the forecast by its shape and rebuilds the mix
-//! (three allocations, the `O(p²)` distribution, an epoch bump) only
-//! when that shape changed. The mix is a pure function of the shape,
-//! so answers are the same bits as building it afresh per query.
+//! **One resolve rule, applied lazily.** The monitor picks its forecast
+//! when a report arrives, so a query's forecast is a staleness check
+//! plus a copy. A `load_report` only updates the monitor; it never
+//! builds a mix. The mix is an input to a *prediction*, so it is
+//! rebuilt (three allocations, the `O(p²)` distribution, an epoch bump)
+//! by the first query whose forecast shape differs from the stored one
+//! — on the shard's write-lock slow path or on a core-local replica.
+//! The read-lock fast path declines a mismatched shape, so it never
+//! needs to mutate. The mix is a pure function of the shape, so answers
+//! are the same bits as building it afresh per query; a shape that
+//! moves and comes back between two queries keeps its mix, its epoch
+//! and its cached profile.
 //!
 //! **Sharding & lock discipline.** Machine state is split across N
 //! shards, each behind its own [`RwLock`]; a machine routes to a shard
@@ -88,8 +89,9 @@ impl Default for ServiceConfig {
 #[derive(Debug, Clone)]
 struct MachineState {
     monitor: LoadMonitor,
-    /// The mix the cache is keyed on; replaced only when the forecast
-    /// shape changes, so its epoch is stable across same-shape queries.
+    /// The mix the cache is keyed on; replaced only when a query finds
+    /// the forecast shape changed, so its epoch is stable across
+    /// same-shape queries and across reports.
     mix: WorkloadMix,
     /// Shape of `mix`: `(p, frac.to_bits())`.
     shape: Option<(usize, u64)>,
@@ -111,18 +113,13 @@ impl MachineState {
     }
 
     /// Applies one *validated* report the same way on every copy of the
-    /// state, keeping the epoch-keyed cache coherent. Deterministic: two
-    /// states with equal history fed the same report stay bit-identical.
-    /// Returns (accepted, forecast contender count).
+    /// state. Deterministic: two states with equal history fed the same
+    /// report stay bit-identical. The mix is left for the next query to
+    /// bring up to date. Returns (accepted, forecast contender count as
+    /// of `at`, 0 when stale); allocates nothing.
     fn apply_report(&mut self, at: Seconds, load: f64, frac: Option<Prob>) -> (bool, usize) {
         let accepted = self.monitor.report(at, load, frac);
-        // Keep the epoch-keyed cache coherent with the new forecast
-        // shape right away, not lazily at the next predict.
-        let fc = self.monitor.forecast(at);
-        if !fc.stale {
-            self.sync_shape(fc.p);
-        }
-        (accepted, fc.p)
+        (accepted, self.monitor.contenders_at(at).unwrap_or(0))
     }
 
     /// The shape of a fresh forecast of `p` contenders: `p` and the
@@ -133,10 +130,11 @@ impl MachineState {
         (p, self.monitor.frac().get().to_bits())
     }
 
-    /// Rebuilds the stored mix only when the forecast shape changed.
-    /// Keeping the mix (and its epoch) stable on same-shape forecasts is
-    /// what lets the epoch-keyed cache hit, and skips the mix's
-    /// allocations and `O(p²)` distribution on every unchanged query.
+    /// Rebuilds the stored mix only when the forecast shape changed
+    /// since it was built. Keeping the mix (and its epoch) stable on
+    /// same-shape forecasts is what lets the epoch-keyed cache hit, and
+    /// skips the mix's allocations and `O(p²)` distribution on every
+    /// unchanged query.
     fn sync_shape(&mut self, p: usize) {
         let key = self.shape_of(p);
         if self.shape != Some(key) {
@@ -458,8 +456,26 @@ impl Service {
         // and the critical section is a few map updates.
         let mut shard = write_lock(&self.shards[self.shard_of(&r.machine)]);
         shard.load_reports += 1;
+        // A known machine's report allocates no key: look it up first,
+        // and copy the name only on its first sighting.
+        if let Some(state) = shard.machines.get_mut(&r.machine) {
+            return self.apply_to_shard(state, r, at, frac, aff);
+        }
         let state =
             shard.machines.entry(r.machine.clone()).or_insert_with(|| MachineState::new(cfg));
+        self.apply_to_shard(state, r, at, frac, aff)
+    }
+
+    /// Applies a validated report to its machine's shard state (the
+    /// shard write lock held by the caller) and answers its `Ack`.
+    fn apply_to_shard(
+        &self,
+        state: &mut MachineState,
+        r: &LoadReport,
+        at: Seconds,
+        frac: Option<Prob>,
+        aff: Option<&mut Affinity>,
+    ) -> Response {
         // The shard is the ground truth: apply there first, bump the
         // shared report counter, and only then mirror into this core's
         // replica — all under the write lock, so replicas can trust
@@ -551,6 +567,9 @@ impl Service {
     /// Resolves one mutable machine state (the shard write path, or a
     /// core-local replica that needs no lock at all) to the profile a
     /// prediction should use, recording cache metrics, and applies `f`.
+    /// This is where the mix catches up with the reports since the last
+    /// query: rebuilt once if their forecast shape differs from the
+    /// stored one, untouched otherwise.
     fn resolve_state<R>(
         &self,
         state: &mut MachineState,
@@ -934,6 +953,16 @@ mod tests {
         assert_eq!(got.decisions, want.decisions);
     }
 
+    /// The mix epoch of `machine` on the shard, if it has reported.
+    fn shard_epoch(s: &Service, machine: &str) -> Option<u64> {
+        read_lock(&s.shards[s.shard_of(machine)]).machines.get(machine).map(|m| m.mix.epoch())
+    }
+
+    /// The mix epoch of this core's replica of `machine`, if it has one.
+    fn replica_epoch(aff: &Affinity, machine: &str) -> Option<u64> {
+        aff.machines.get(machine).map(|r| r.state.mix.epoch())
+    }
+
     #[test]
     fn unchanged_shape_keeps_the_mix_and_every_query_hits() {
         let s = svc();
@@ -941,15 +970,12 @@ mod tests {
         for t in 0..4 {
             s.handle_local(&report("m0", f64::from(t), 3.0), &mut aff);
         }
-        let shard_epoch = |s: &Service| {
-            read_lock(&s.shards[s.shard_of("m0")]).machines.get("m0").map(|m| m.mix.epoch())
-        };
-        let replica_epoch = |aff: &Affinity| aff.machines.get("m0").map(|r| r.state.mix.epoch());
-        let (shard_before, replica_before) = (shard_epoch(&s), replica_epoch(&aff));
-        assert!(shard_before.is_some() && replica_before.is_some(), "reports built both mixes");
-        // The first query on each path fills that path's cache.
+        // The first query on each path builds that path's mix and fills
+        // its cache; from then on the shape never changes.
         s.handle(&predict_at("m0", 3.0));
         s.handle_local(&predict_at("m0", 3.0), &mut aff);
+        let (shard_before, replica_before) = (shard_epoch(&s, "m0"), replica_epoch(&aff, "m0"));
+        assert!(shard_before.is_some() && replica_before.is_some(), "both paths hold a mix");
         for i in 0..1000 {
             let now = 3.0 + f64::from(i) * 1e-3;
             let (shard, _) = s.handle(&predict_at("m0", now));
@@ -960,13 +986,80 @@ mod tests {
                 assert_eq!(p.p, 3);
             }
         }
-        assert_eq!(shard_epoch(&s), shard_before, "shard mix rebuilt on an unchanged shape");
+        assert_eq!(shard_epoch(&s, "m0"), shard_before, "shard mix rebuilt on an unchanged shape");
         assert_eq!(
-            replica_epoch(&aff),
+            replica_epoch(&aff, "m0"),
             replica_before,
             "replica mix rebuilt on an unchanged shape"
         );
         assert_eq!(aff.replicas(), 1);
+    }
+
+    #[test]
+    fn reports_leave_the_mix_to_the_next_query() {
+        let s = svc();
+        let mut aff = Affinity::new();
+        for t in 0..3 {
+            s.handle_local(&report("m0", f64::from(t), 2.0), &mut aff);
+        }
+        s.handle(&predict_at("m0", 2.0));
+        s.handle_local(&predict_at("m0", 2.0), &mut aff);
+        let (shard_before, replica_before) = (shard_epoch(&s, "m0"), replica_epoch(&aff, "m0"));
+        // Shape-changing reports, on both paths: no mix is built.
+        let loads = [5.0, 5.0, 5.0, 7.0, 7.0, 7.0];
+        for (t, &load) in (3..).zip(&loads) {
+            let (resp, _) = s.handle_local(&report("m0", f64::from(t), load), &mut aff);
+            let Response::Ack(a) = resp else { panic!("want ack") };
+            assert!(a.accepted);
+        }
+        assert_eq!(shard_epoch(&s, "m0"), shard_before, "a report rebuilt the shard mix");
+        assert_eq!(replica_epoch(&aff, "m0"), replica_before, "a report rebuilt the replica mix");
+
+        // The next query on each path rebuilds its mix exactly once, and
+        // answers like a fresh service fed the same reports.
+        let fresh = svc();
+        for (t, load) in (0..3).map(|t| (t, 2.0)).chain((3..).zip(loads)) {
+            fresh.handle(&report("m0", f64::from(t), load));
+        }
+        let (want, _) = fresh.handle(&predict_at("m0", 8.5));
+        let Response::Prediction(want) = want else { panic!("want prediction") };
+        assert_eq!(want.p, 7);
+        let (shard, _) = s.handle(&predict_at("m0", 8.5));
+        let (local, _) = s.handle_local(&predict_at("m0", 8.5), &mut aff);
+        let (shard_after, replica_after) = (shard_epoch(&s, "m0"), replica_epoch(&aff, "m0"));
+        assert_ne!(shard_after, shard_before, "the query must rebuild the shard mix");
+        assert_ne!(replica_after, replica_before, "the query must rebuild the replica mix");
+        for (path, resp) in [("shard", shard), ("replica", local)] {
+            let Response::Prediction(got) = resp else { panic!("want prediction") };
+            assert_eq!(got.decision, want.decision, "{path} answer differs from a fresh service");
+            assert_eq!((got.p, got.stale, &got.forecaster), (want.p, want.stale, &want.forecaster));
+            assert!(!got.cache_hit, "{path}: a rebuilt mix starts with a cold cache");
+        }
+        for i in 0..10 {
+            let now = 8.5 + f64::from(i) * 1e-2;
+            s.handle(&predict_at("m0", now));
+            s.handle_local(&predict_at("m0", now), &mut aff);
+        }
+        assert_eq!(shard_epoch(&s, "m0"), shard_after, "rebuilt more than once");
+        assert_eq!(replica_epoch(&aff, "m0"), replica_after, "rebuilt more than once");
+    }
+
+    #[test]
+    fn a_shape_that_returns_between_queries_still_hits() {
+        let s = svc();
+        for t in 0..3 {
+            s.handle(&report("m0", f64::from(t), 3.0));
+        }
+        s.handle(&predict_at("m0", 2.0));
+        let before = shard_epoch(&s, "m0");
+        // p goes 3 -> 9 -> 3 with no query in between.
+        s.handle(&report("m0", 3.0, 9.0));
+        s.handle(&report("m0", 4.0, 3.0));
+        let (resp, _) = s.handle(&predict_at("m0", 4.0));
+        let Response::Prediction(p) = resp else { panic!("want prediction") };
+        assert_eq!(p.p, 3);
+        assert!(p.cache_hit, "the stored mix still answers the returned shape");
+        assert_eq!(shard_epoch(&s, "m0"), before);
     }
 
     #[test]

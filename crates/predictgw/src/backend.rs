@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use predictd::server::IDLE_TIMEOUT;
 use predictd::{Client, ClientError};
-use proto::{Request, Response};
+use proto::{binproto, Request, Response};
 
 /// Fleet-wide facts about one backend, shared by every thread.
 #[derive(Debug)]
@@ -167,6 +167,27 @@ impl BackendConn {
     /// A connection idle past the backend's idle close (a health probe
     /// spaced wider than it) is reopened rather than found closed.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
+        self.exchange(|client| client.request(req))
+    }
+
+    /// [`BackendConn::request`] for a request already encoded as a
+    /// binary frame (length prefix included): the frame is sent as is.
+    pub fn request_frame(&mut self, frame: &[u8]) -> Result<Response, ClientError> {
+        self.exchange(|client| {
+            client.send_frame(frame)?;
+            client.flush()?;
+            let mut body = Vec::with_capacity(64);
+            client.recv_frame_into(&mut body)?;
+            binproto::decode_response(&body).map_err(|e| ClientError::Protocol(e.to_string()))
+        })
+    }
+
+    /// Runs one request/reply exchange on the cached connection (see
+    /// [`BackendConn::request`] for the connection's lifecycle).
+    fn exchange(
+        &mut self,
+        f: impl FnOnce(&mut Client) -> Result<Response, ClientError>,
+    ) -> Result<Response, ClientError> {
         let now = Instant::now();
         if now.duration_since(self.last_used) >= self.idle_limit {
             self.client = None;
@@ -184,7 +205,7 @@ impl BackendConn {
         let Some(client) = self.client.as_mut() else {
             return Err(ClientError::Protocol("no connection".to_string()));
         };
-        match client.request(req) {
+        match f(client) {
             Ok(resp) => Ok(resp),
             Err(e) => {
                 self.client = None;

@@ -16,26 +16,34 @@
 //! counters.
 //!
 //! What an op sends is a [`Payload`]: a decoded request, or a binary
-//! `predict`/`rank` frame the event loop has checked and relays as
-//! bytes — the step reads only its machine, to route it. What comes
-//! back is an [`Answer`]: a decoded reply, or a single backend's reply
-//! frame relayed to a binary client. Only the event loop relays;
-//! [`Gateway::handle`] takes and returns values. A query op keeps the
-//! index of its machine's preference row in the [`Ring`], not a list of
-//! its own, so planning a query allocates nothing.
+//! `load_report`/`predict`/`rank` frame the event loop has checked and
+//! relays as bytes — the step reads only its machine, to route it, and
+//! a report's `at` when the journal has a horizon. A report always
+//! travels as a frame: a decoded one is encoded once, when it is
+//! planned, and the journal and every backend get copies of those
+//! bytes. What comes back is an [`Answer`]: a decoded reply, or one
+//! backend's reply frame relayed to a binary client. Only the event
+//! loop relays replies; [`Gateway::handle`] returns values. A query op
+//! keeps the index of its machine's preference row in the [`Ring`],
+//! not a list of its own, so planning a query allocates nothing.
 //!
 //! ## Replication by broadcast
 //!
-//! Every accepted `load_report` is (1) appended to the journal and
-//! (2) sent to every *healthy* backend; the journal append and the
-//! choice of recipients happen under one sequencing lock, and only one
-//! broadcaster at a time may have reports in flight (the *broadcast
-//! turn*: an owner id plus its count of unsettled sends). Each
-//! executor sends its broadcasts in journal order down per-backend FIFO
-//! connections, so every backend receives reports in journal order even
-//! with several workers: a worker that finds the turn taken defers its
-//! report — without journaling it — until the owner's last send settles
-//! and wakes it. Because the forecaster state is a pure function of the
+//! Every accepted `load_report` is (1) journaled and (2) sent to every
+//! *healthy* backend. Planning a report *stages* its record in the
+//! journal and chooses its recipients, both under one sequencing lock;
+//! the executor then *commits* what it staged ([`Gateway::commit`], one
+//! `write` for all of an event batch's reports) and only after that
+//! sends any of them, so a report's record reaches the OS before any
+//! backend's copy. A commit that fails refuses every report it held
+//! ([`Gateway::refuse`]): none of them is sent, and each is answered
+//! `journal append failed: …`. Only one broadcaster at a time may have
+//! reports staged or in flight (the *broadcast turn*: an owner id plus
+//! its count of unsettled sends). Each executor sends its broadcasts in
+//! journal order down per-backend FIFO connections, so every backend
+//! receives reports in journal order even with several workers: a
+//! worker that finds the turn taken defers its report — without
+//! journaling it — until the owner's last send settles and wakes it. Because the forecaster state is a pure function of the
 //! per-machine report sequence, all caught-up backends hold
 //! bit-identical state and any of them can answer any placement
 //! question exactly as a monolithic predictd would — that equivalence
@@ -67,7 +75,9 @@
 //! is taken out and the cursor is rewound. Any gap up to the journal's
 //! report count — not counting broadcasts still in flight — is then
 //! replayed, and the backend is marked up under the sequencing lock, so
-//! it only ever takes traffic against caught-up state.
+//! it only ever takes traffic against caught-up state. Records staged
+//! but not committed count as a gap that cannot be replayed yet: the
+//! backend waits for a later probe.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -100,11 +110,12 @@ pub struct GatewayConfig {
     /// still works, but recovered backends come back empty and answer
     /// stale until fresh reports arrive — the checker prints a marker).
     pub journal_path: Option<std::path::PathBuf>,
-    /// Appends per fsync batch (at most two batches wait for their
-    /// sync; see the journal's durability notes).
+    /// Journal records per fsync batch (at most two batches wait for
+    /// their sync; see the journal's durability notes).
     pub fsync_every: usize,
     /// Journal horizon: reports older than `newest - horizon` seconds
-    /// are compacted away after appends. `None` keeps everything.
+    /// are compacted away after each journal commit. `None` keeps
+    /// everything.
     pub journal_horizon_secs: Option<f64>,
     /// Backend connect timeout.
     pub connect_timeout: Duration,
@@ -180,8 +191,9 @@ pub(crate) struct Part {
 pub(crate) enum Payload {
     /// A decoded request, encoded again for the backend.
     Request(Request),
-    /// A binary `predict`/`rank` frame, length prefix included, that
-    /// passed [`binproto::check_request`]: relayed as is.
+    /// A binary `load_report`, `predict` or `rank` frame, length prefix
+    /// included, that passed [`binproto::check_request`] (or that the
+    /// gateway encoded itself): relayed as is.
     Frame(Vec<u8>),
 }
 
@@ -191,6 +203,7 @@ impl Payload {
         match self {
             Payload::Request(req) => req.kind(),
             Payload::Frame(frame) => match frame.get(4) {
+                Some(&binproto::REQ_LOAD_REPORT) => "load_report",
                 Some(&binproto::REQ_PREDICT) => "predict",
                 Some(&binproto::REQ_RANK) => "rank",
                 _ => "frame",
@@ -259,9 +272,9 @@ enum OpState {
     Query { row: usize, next: usize },
     /// `decide_batch` chunks, all in flight at once.
     Fanout { chunks: Vec<Payload>, answers: Vec<Option<Decisions>>, pending: usize, failed: bool },
-    /// A journaled `load_report` sent to every healthy backend; `acks`
-    /// is indexed by backend.
-    Broadcast { acks: Vec<Option<Answer>>, pending: usize },
+    /// A journaled `load_report` sent to every healthy backend; `first`
+    /// is the ack of the lowest-numbered backend so far.
+    Broadcast { first: Option<(usize, Answer)>, pending: usize },
 }
 
 impl Op {
@@ -274,23 +287,36 @@ impl Op {
     }
 
     /// Whether the op's answer is one backend's reply, unchanged — so
-    /// a binary client may be sent its frame as is. Fan-out chunks are
-    /// merged and broadcast acks chosen among, so they are decoded.
+    /// a binary client may be sent its frame as is: a query's, or the
+    /// broadcast ack chosen. Fan-out chunks are merged, so they are
+    /// decoded.
     pub(crate) fn relays(&self) -> bool {
-        matches!(self.state, OpState::Query { .. })
+        matches!(self.state, OpState::Query { .. } | OpState::Broadcast { .. })
+    }
+
+    /// Whether the op is a report broadcast, whose sends must wait for
+    /// the journal commit.
+    pub(crate) fn broadcasts(&self) -> bool {
+        matches!(self.state, OpState::Broadcast { .. })
     }
 }
+
+/// The reply to a report journaled while no backend was healthy: the
+/// health checker's replay delivers it later.
+pub(crate) const NO_RECIPIENT: &str = "no healthy backend accepted the report";
 
 /// What [`Gateway::plan`] made of a request.
 #[derive(Debug)]
 pub(crate) enum Planned {
     /// Answered without a backend; the flag asks the caller to stop.
     Reply(Response, bool),
-    /// Routed: send the parts appended to `sends`, settle each.
+    /// Routed: send the parts appended to `sends`, settle each. A
+    /// broadcast's parts wait for [`Gateway::commit`]; one with no part
+    /// is answered [`NO_RECIPIENT`] once committed.
     Routed(Op),
     /// A `load_report` that must wait for another broadcaster's turn to
     /// end; it was not journaled. Plan it again once woken.
-    Deferred(Request),
+    Deferred(Payload),
 }
 
 /// State behind the sequencing lock.
@@ -299,7 +325,10 @@ struct Seq {
     /// `None` means journaling is disabled; the lock still orders
     /// broadcasts.
     journal: Option<Journal>,
-    /// The broadcaster whose reports are in flight, if any.
+    /// The newest `at` among the staged reports, tracked only when the
+    /// journal has a horizon: the commit truncates against it.
+    newest_at: Option<f64>,
+    /// The broadcaster whose reports are staged or in flight, if any.
     owner: Option<u64>,
     /// The owner's sends not yet settled; the turn ends at zero.
     outstanding: usize,
@@ -314,8 +343,9 @@ pub struct Gateway {
     ring: Ring,
     backends: Vec<BackendState>,
     metrics: GwMetrics,
-    /// The sequencing lock: journal append and the broadcast turn (see
-    /// module docs). No backend I/O happens under it.
+    /// The sequencing lock: journal staging and commit, and the
+    /// broadcast turn (see module docs). No backend I/O happens under
+    /// it.
     seq: Mutex<Seq>,
     /// Signalled when the broadcast turn ends, for blocking callers.
     turn_free: Condvar,
@@ -345,7 +375,13 @@ impl Gateway {
             ring,
             backends,
             metrics,
-            seq: Mutex::new(Seq { journal, owner: None, outstanding: 0, waiting: Vec::new() }),
+            seq: Mutex::new(Seq {
+                journal,
+                newest_at: None,
+                owner: None,
+                outstanding: 0,
+                waiting: Vec::new(),
+            }),
             turn_free: Condvar::new(),
             next_broadcaster: AtomicU64::new(0),
             started: Instant::now(),
@@ -404,7 +440,8 @@ impl Gateway {
     /// Handles one request through blocking connections, sending its
     /// parts one at a time; the flag is true when the gateway should
     /// stop (after sending the response). `shutdown` stops only the
-    /// gateway — the backends it fronts keep running.
+    /// gateway — the backends it fronts keep running. A report's record
+    /// is committed right after it is planned.
     pub fn handle(&self, req: &Request, lanes: &mut Lanes) -> (Response, bool) {
         let mut sends = Vec::new();
         let mut op = loop {
@@ -414,17 +451,22 @@ impl Gateway {
                 Planned::Deferred(_) => self.await_turn(),
             }
         };
+        if op.broadcasts() {
+            if let Err(why) = self.commit() {
+                return (self.refuse(&sends, &why), false);
+            }
+            if sends.is_empty() {
+                return (Response::error(NO_RECIPIENT), false);
+            }
+        }
         let mut queue: VecDeque<Part> = sends.drain(..).collect();
         while let Some(sent) = queue.pop_front() {
             let result = match (lanes.conn(sent.backend), op.payload(sent.part)) {
-                (Some(conn), Payload::Request(req)) => {
-                    conn.request(req).map(Answer::Response).map_err(|e| e.to_string())
-                }
-                (Some(_), Payload::Frame(_)) => {
-                    Err("relayed frames travel on event-loop lanes only".to_string())
-                }
-                (None, _) => Err("no connection to that backend".to_string()),
+                (Some(conn), Payload::Request(req)) => conn.request(req),
+                (Some(conn), Payload::Frame(frame)) => conn.request_frame(frame),
+                (None, _) => Err(ClientError::Protocol("no connection to that backend".into())),
             };
+            let result = result.map(Answer::Response).map_err(|e| e.to_string());
             if let Some(answer) = self.settle(&mut op, sent, result, &mut sends) {
                 return (answer.into_response(), false);
             }
@@ -447,8 +489,8 @@ impl Gateway {
 
     /// Plans one request: answers it locally, routes it (appending the
     /// parts to send to `sends`), or defers a `load_report` that must
-    /// wait for the broadcast turn. A relayed frame is always a
-    /// `predict` or `rank`, so it is routed as a query.
+    /// wait for the broadcast turn. A relayed frame is a `load_report`,
+    /// broadcast, or a `predict` or `rank`, routed as a query.
     pub(crate) fn plan(
         &self,
         payload: Payload,
@@ -456,11 +498,14 @@ impl Gateway {
         sends: &mut Vec<Part>,
     ) -> Planned {
         let req = match payload {
+            Payload::Frame(ref frame) if frame.get(4) == Some(&binproto::REQ_LOAD_REPORT) => {
+                return self.plan_broadcast(payload, who, sends)
+            }
             Payload::Frame(_) => return self.plan_query(payload, sends),
             Payload::Request(req) => req,
         };
         match &req {
-            Request::LoadReport(_) => self.plan_broadcast(req, who, sends),
+            Request::LoadReport(_) => self.plan_broadcast(Payload::Request(req), who, sends),
             Request::Predict(_) | Request::Rank(_) => self.plan_query(Payload::Request(req), sends),
             Request::DecideBatch(_) => self.plan_decide_batch(req, sends),
             Request::Stats => Planned::Reply(Response::GwStats(self.gw_stats()), false),
@@ -468,18 +513,38 @@ impl Gateway {
         }
     }
 
-    /// Journal, then pick every healthy backend as a recipient, under
-    /// the sequencing lock and only while `who` may hold the broadcast
-    /// turn. A backend that fails the broadcast simply does not get its
-    /// cursor advanced — the health checker replays the gap from the
-    /// journal.
-    fn plan_broadcast(&self, req: Request, who: &Broadcaster, sends: &mut Vec<Part>) -> Planned {
-        let Request::LoadReport(report) = &req else {
-            return Planned::Reply(Response::error("not a load_report"), false);
+    /// Stage the report's journal record, then pick every healthy
+    /// backend as a recipient, under the sequencing lock and only while
+    /// `who` may hold the broadcast turn. The record reaches the file at
+    /// the executor's [`Gateway::commit`], and the parts may be sent
+    /// only after it succeeds. A backend that fails the broadcast simply
+    /// does not get its cursor advanced — the health checker replays
+    /// the gap from the journal.
+    fn plan_broadcast(
+        &self,
+        payload: Payload,
+        who: &Broadcaster,
+        sends: &mut Vec<Part>,
+    ) -> Planned {
+        // A decoded report is encoded once, here: the journal and every
+        // backend get copies of the same bytes.
+        let frame = match payload {
+            Payload::Frame(frame) => frame,
+            Payload::Request(req) => {
+                let mut frame = Vec::new();
+                if !binproto::encode_request(&req, &mut frame) {
+                    return Planned::Reply(
+                        Response::error("load report exceeds binary frame limits"),
+                        false,
+                    );
+                }
+                frame
+            }
         };
         let mut seq = self.seq_lock();
-        // Another broadcaster's reports are in flight — or this one's
-        // are while others wait, so a busy worker cannot starve them.
+        // Another broadcaster's reports are staged or in flight — or
+        // this one's are while others wait, so a busy worker cannot
+        // starve them.
         let contended = seq.owner.is_some_and(|o| o != who.id || !seq.waiting.is_empty());
         if contended {
             if let Some(w) = &who.waker {
@@ -487,12 +552,13 @@ impl Gateway {
                     seq.waiting.push(Arc::clone(w));
                 }
             }
-            return Planned::Deferred(req);
+            return Planned::Deferred(Payload::Frame(frame));
         }
+        let body = frame.get(4..).unwrap_or_default();
         if let Some(j) = seq.journal.as_mut() {
-            // modelcheck-allow: lock-order — the append must happen under
-            // the sequencing lock: journal order is the broadcast order.
-            if let Err(e) = j.append_report(report) {
+            // Staged under the sequencing lock: journal order is the
+            // broadcast order.
+            if let Err(e) = j.stage_report(body) {
                 // Refuse what we cannot journal: accepting it would let
                 // the fleet and the journal disagree.
                 return Planned::Reply(
@@ -500,11 +566,10 @@ impl Gateway {
                     false,
                 );
             }
-            if let Some(horizon) = self.cfg.journal_horizon_secs {
-                // modelcheck-allow: lock-order — truncation must see a
-                // quiescent journal; it runs at the size horizon, not
-                // per report.
-                maybe_truncate(j, report.at, horizon, &self.backends);
+            if self.cfg.journal_horizon_secs.is_some() {
+                if let Some(at) = report_at(body) {
+                    seq.newest_at = Some(seq.newest_at.map_or(at, |n| n.max(at)));
+                }
             }
         }
         let mut pending = 0;
@@ -515,40 +580,79 @@ impl Gateway {
                 pending += 1;
             }
         }
-        if pending == 0 {
-            return Planned::Reply(
-                Response::error("no healthy backend accepted the report"),
-                false,
-            );
-        }
         seq.owner = Some(who.id);
         seq.outstanding += pending;
         drop(seq);
-        let acks = self.backends.iter().map(|_| None).collect();
         Planned::Routed(Op {
-            payload: Payload::Request(req),
-            state: OpState::Broadcast { acks, pending },
+            payload: Payload::Frame(frame),
+            state: OpState::Broadcast { first: None, pending },
         })
     }
 
-    /// Settles one broadcast send; the owner's last one ends its turn
-    /// and wakes whoever waited for it.
-    fn broadcast_settled(&self, backend: usize, acked: bool) {
+    /// Commits the journal records staged since the last commit — the
+    /// caller's own, since only the turn's owner stages — with one
+    /// `write`, then compacts past the horizon if one is set. The staged
+    /// broadcasts may be sent once this returns `Ok`; on `Err` (the
+    /// refusal message) each must go to [`Gateway::refuse`] instead.
+    pub(crate) fn commit(&self) -> Result<(), String> {
+        let (committed, waiting) = {
+            let mut seq = self.seq_lock();
+            let newest_at = seq.newest_at.take();
+            let committed = match seq.journal.as_mut() {
+                // Committed under the sequencing lock: no other
+                // broadcaster may stage behind it, and the catch-up
+                // reads its counters.
+                Some(j) => match j.commit() {
+                    Ok(()) => {
+                        if let (Some(at), Some(h)) = (newest_at, self.cfg.journal_horizon_secs) {
+                            // Truncation must see a quiescent
+                            // journal: nothing staged, under the lock.
+                            maybe_truncate(j, at, h, &self.backends);
+                        }
+                        Ok(())
+                    }
+                    Err(e) => Err(format!("journal append failed: {e}")),
+                },
+                None => Ok(()),
+            };
+            (committed, end_turn(&mut seq))
+        };
+        self.wake(waiting);
+        committed
+    }
+
+    /// Refuses a staged broadcast whose commit failed: releases the
+    /// in-flight count and the turn share of each of its `parts`, which
+    /// are never sent, and yields its reply.
+    pub(crate) fn refuse(&self, parts: &[Part], why: &str) -> Response {
+        for part in parts {
+            self.release_send(part.backend, false);
+        }
+        Response::error(why)
+    }
+
+    /// Settles one broadcast send — acked, failed, or refused unsent;
+    /// the owner's last one ends its turn and wakes whoever waited for
+    /// it.
+    fn release_send(&self, backend: usize, acked: bool) {
         let waiting = {
             let mut seq = self.seq_lock();
             if let Some(b) = self.backends.get(backend) {
                 b.broadcast_settled(acked);
             }
             seq.outstanding = seq.outstanding.saturating_sub(1);
-            if seq.outstanding > 0 {
-                return;
-            }
-            seq.owner = None;
-            std::mem::take(&mut seq.waiting)
+            end_turn(&mut seq)
         };
-        self.turn_free.notify_all();
-        for w in waiting {
-            w.wake();
+        self.wake(waiting);
+    }
+
+    /// Tells whoever waited for the broadcast turn that it ended.
+    fn wake(&self, waiting: Option<Vec<Arc<Waker>>>) {
+        if let Some(waiting) = waiting {
+            self.turn_free.notify_all();
+            for w in waiting {
+                w.wake();
+            }
         }
     }
 
@@ -723,13 +827,13 @@ impl Gateway {
                     Response::Decisions,
                 )))
             }
-            OpState::Broadcast { acks, pending } => {
-                self.broadcast_settled(backend, result.is_ok());
+            OpState::Broadcast { first, pending } => {
+                self.release_send(backend, result.is_ok());
                 match result {
                     Ok(answer) => {
                         self.metrics.backend_request(backend);
-                        if let Some(slot) = acks.get_mut(backend) {
-                            *slot = Some(answer);
+                        if first.as_ref().is_none_or(|&(b, _)| backend < b) {
+                            *first = Some((backend, answer));
                         }
                     }
                     Err(e) => {
@@ -746,9 +850,12 @@ impl Gateway {
                 if *pending > 0 {
                     return None;
                 }
-                Some(acks.iter_mut().find_map(Option::take).unwrap_or_else(|| {
-                    Answer::Response(Response::error("no healthy backend accepted the report"))
-                }))
+                Some(
+                    first.take().map_or_else(
+                        || Answer::Response(Response::error(NO_RECIPIENT)),
+                        |(_, a)| a,
+                    ),
+                )
             }
         }
     }
@@ -885,22 +992,26 @@ impl Gateway {
     /// Replays the backend's journal gap (`cursor .. journal.reports`)
     /// through the checker's own lane, looping until the backend is
     /// caught up *at sequencing-lock time*, and marks it up under that
-    /// lock — so no append can slip between "caught up" and "up", and
-    /// broadcasts resume in journal order. Broadcasts still in flight
-    /// count as caught up; a gap behind them waits for a later probe.
+    /// lock — so no report can be staged between "caught up" and "up",
+    /// and broadcasts resume in journal order. Broadcasts still in
+    /// flight count as caught up; a gap behind them, or behind staged
+    /// records, waits for a later probe.
     fn catch_up(&self, i: usize, b: &BackendState, lanes: &mut Lanes) -> Result<(), ClientError> {
         loop {
             let (from, path) = {
                 let seq = self.seq_lock();
                 let gap = match seq.journal.as_ref() {
                     Some(j) => {
+                        // Staged records are the journal's too, but not
+                        // in the file yet: a gap they open waits.
                         let held = b.cursor().saturating_add(b.in_flight());
-                        (held < j.reports()).then(|| (b.cursor(), j.path().to_path_buf()))
+                        (held < j.reports() + j.staged())
+                            .then(|| (b.cursor(), j.reports(), j.path().to_path_buf()))
                     }
                     None => None,
                 };
                 match gap {
-                    Some(gap) if b.in_flight() == 0 => gap,
+                    Some((from, upto, path)) if b.in_flight() == 0 && from < upto => (from, path),
                     Some(_) => return Ok(()),
                     None => {
                         let stale = seq.journal.is_none() && !b.is_healthy();
@@ -952,10 +1063,29 @@ impl Gateway {
     }
 }
 
+/// Ends the broadcast turn if nothing of it is left — no send
+/// unsettled, no record staged — returning whom to wake once the
+/// sequencing lock is dropped.
+fn end_turn(seq: &mut Seq) -> Option<Vec<Arc<Waker>>> {
+    let staged = seq.journal.as_ref().is_some_and(|j| j.staged() > 0);
+    if seq.outstanding > 0 || staged || seq.owner.is_none() {
+        return None;
+    }
+    seq.owner = None;
+    Some(std::mem::take(&mut seq.waiting))
+}
+
+/// The `at` of a checked `load_report` frame body: the word right after
+/// its machine name.
+fn report_at(body: &[u8]) -> Option<f64> {
+    let at = 1 + 4 + binproto::request_machine(body)?.len();
+    Some(f64::from_le_bytes(*body.get(at..)?.first_chunk::<8>()?))
+}
+
 /// Horizon-keyed truncation: once the newest report is `horizon`
 /// seconds past the oldest retained report, compact the journal and
-/// clamp every backend cursor to the new report count. Cheap to call
-/// per append (the scan only runs when the journal actually shrinks).
+/// clamp every backend cursor to the new report count. Runs after each
+/// commit, against the newest `at` the commit wrote.
 fn maybe_truncate(j: &mut Journal, newest_at: f64, horizon: f64, backends: &[BackendState]) {
     if !horizon.is_finite() || horizon < 0.0 {
         return;

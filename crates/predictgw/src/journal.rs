@@ -24,30 +24,44 @@
 //! | `0x03` | `REC_TRUNCATE` | `f64` LE cutoff: older reports were compacted away |
 //!
 //! A `REC_REPORT` payload is exactly what [`binproto::encode_request`]
-//! produces for the report minus the outer length word, so replay is
-//! one [`binproto::decode_request`] per record and the journal format
-//! can never drift from the wire format — they are the same bytes.
+//! produces for the report minus the outer length word — the body of
+//! the client's own `load_report` frame — so the gateway journals a
+//! binary report by copying its bytes, replay is one
+//! [`binproto::decode_request`] per record, and the journal format can
+//! never drift from the wire format: they are the same bytes.
+//!
+//! ## Staging and commit
+//!
+//! Records are *staged* into an in-memory buffer and reach the OS when
+//! the buffer is *committed*: one `write` for every record staged since
+//! the last commit. The gateway stages each report of an event batch
+//! and commits once, before any of them leaves for a backend;
+//! [`Journal::append_report`] is the write-through form, a stage and a
+//! commit. The counters ([`Journal::reports`], [`Journal::frames`],
+//! [`Journal::bytes`]) describe committed records only. A commit that
+//! fails part-way (`EFBIG`, `ENOSPC`) cuts the file back to where the
+//! commit started, so no record of it survives and the next commit
+//! lands on a record boundary; if even that cut fails, the handle
+//! refuses every later record.
 //!
 //! ## Durability
 //!
-//! Appends go to the OS immediately (`write_all`) but `fsync` is
-//! batched: one `sync_data` per `fsync_every` appends, plus one on
-//! [`Journal::sync`] (called at snapshot and shutdown) — an explicit
-//! trade: reports arrive at fleet rates, and per-record fsync would put
-//! a disk round-trip on every request. A torn trailing record (crash
-//! mid-append) is detected on open and truncated away. An append that
-//! fails part-way (`EFBIG`, `ENOSPC`) cuts its torn bytes off at once,
-//! so the next append still lands on a record boundary; if even that
-//! cut fails, the handle refuses every later append.
+//! `fsync` is batched: one `sync_data` per `fsync_every` committed
+//! records, plus one on [`Journal::sync`] (called at snapshot and
+//! shutdown) — an explicit trade: reports arrive at fleet rates, and
+//! per-record fsync would put a disk round-trip on every request. A
+//! torn trailing record (crash mid-write) is detected on open and
+//! truncated away.
 //!
 //! The batched syncs run on the journal's own thread, started by the
-//! first full batch: the append that completes a batch only asks for
-//! its sync, and an append waits only when the last *finished* sync is
-//! two batches behind. A crash can therefore lose at most the last two
-//! batches, and the appender — the gateway's event loop — does not
-//! stall on the disk's latency. The thread runs under `SCHED_BATCH`, so
-//! its wake-ups on I/O completion do not preempt the event loop (or the
-//! backends sharing its CPU) in the middle of a batch.
+//! first full batch: the commit that completes a batch only asks for
+//! its sync, and a commit waits only when the last *finished* sync is
+//! two batches behind its first record. A crash can therefore lose at
+//! most the last two batches plus the commit in progress, and the
+//! committer — the gateway's event loop — does not stall on the disk's
+//! latency. The thread runs under `SCHED_BATCH`, so its wake-ups on I/O
+//! completion do not preempt the event loop (or the backends sharing
+//! its CPU) in the middle of a batch.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -76,7 +90,7 @@ pub const META_VERSION: u8 = 0x01;
 /// corrupt length word from driving a huge allocation.
 const MAX_RECORD_BYTES: usize = 1 << 20;
 
-/// How many appends may ride on one `fsync` by default.
+/// How many records may ride on one `fsync` by default.
 pub const DEFAULT_FSYNC_EVERY: usize = 64;
 
 /// The gateway's append handle on the journal file.
@@ -91,8 +105,15 @@ pub struct Journal {
     /// `REC_REPORT` records in the file.
     reports: u64,
     fsync_every: usize,
+    /// Encoding scratch for [`Journal::append_report`].
     scratch: Vec<u8>,
-    /// Records appended through this handle, all tags — the position
+    /// Records staged for the next commit, framed, in order.
+    staged: Vec<u8>,
+    /// Records in `staged` (all tags).
+    staged_frames: u64,
+    /// `REC_REPORT` records in `staged`.
+    staged_reports: u64,
+    /// Records committed through this handle, all tags — the position
     /// sync progress is measured in.
     appended: u64,
     /// Position covered by the last [`Journal::sync`] (or the open).
@@ -127,6 +148,9 @@ impl Journal {
             reports: 0,
             fsync_every: fsync_every.max(1),
             scratch: Vec::with_capacity(256),
+            staged: Vec::new(),
+            staged_frames: 0,
+            staged_reports: 0,
             appended: 0,
             synced: 0,
             syncer: None,
@@ -136,7 +160,8 @@ impl Journal {
             let mut meta = Vec::with_capacity(META_MAGIC.len() + 1);
             meta.extend_from_slice(&META_MAGIC);
             meta.push(META_VERSION);
-            journal.append(REC_META, &meta)?;
+            journal.stage(REC_META, &meta)?;
+            journal.commit()?;
             journal.sync()?;
             return Ok(journal);
         }
@@ -157,47 +182,123 @@ impl Journal {
         &self.path
     }
 
-    /// Records in the file (every tag, the `REC_META` header included).
+    /// Committed records in the file (every tag, the `REC_META` header
+    /// included).
     pub fn frames(&self) -> u64 {
         self.frames
     }
 
-    /// File length in bytes.
+    /// File length in bytes: committed records only.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
 
-    /// `REC_REPORT` records in the file — the replication sequence
-    /// number the per-backend cursors are measured against.
+    /// Committed `REC_REPORT` records — the replication sequence number
+    /// the per-backend cursors are measured against.
     pub fn reports(&self) -> u64 {
         self.reports
     }
 
-    /// Appends one load report. The record reaches the OS before this
-    /// returns; it reaches the platter on the next batched fsync.
+    /// `REC_REPORT` records staged and not yet committed.
+    pub fn staged(&self) -> u64 {
+        self.staged_reports
+    }
+
+    /// Appends one load report, write-through: the record is staged and
+    /// committed, so it reaches the OS before this returns (with any
+    /// record staged before it); it reaches the platter on the next
+    /// batched fsync.
     pub fn append_report(&mut self, report: &LoadReport) -> io::Result<()> {
-        self.scratch.clear();
-        let req = Request::LoadReport(report.clone());
-        if !binproto::encode_request(&req, &mut self.scratch) {
+        self.stage_value(report)?;
+        self.commit()
+    }
+
+    /// Stages one load report given as the body (tag onward) of its
+    /// binproto `load_report` frame — the record's payload, copied as
+    /// is. Nothing reaches the OS, and no counter but
+    /// [`Journal::staged`] moves, until [`Journal::commit`]. A body
+    /// [`binproto::check_request`] does not vouch for as a
+    /// `load_report` is refused: replay would reject it.
+    pub fn stage_report(&mut self, body: &[u8]) -> io::Result<()> {
+        if body.first() != Some(&binproto::REQ_LOAD_REPORT) || !binproto::check_request(body) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "load report exceeds binproto frame limits",
+                "not a binproto load_report frame body",
             ));
         }
-        // encode_request framed it as [u32 len][tag][fields]; the
-        // journal record's payload is the body (tag onward).
-        let body = self.scratch.split_off(4);
-        self.append(REC_REPORT, &body)?;
-        self.reports += 1;
+        self.stage(REC_REPORT, body)?;
+        self.staged_reports += 1;
+        Ok(())
+    }
+
+    /// Writes every staged record to the file with one `write` (a no-op
+    /// with nothing staged), then counts them and does the fsync
+    /// bookkeeping. A commit that fails — part-way through the write,
+    /// or in the bookkeeping after it — is cut back to where it started
+    /// and the staged records are dropped: either all of them stay in
+    /// the file or none does.
+    pub fn commit(&mut self) -> io::Result<()> {
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let frames = std::mem::take(&mut self.staged_frames);
+        let reports = std::mem::take(&mut self.staged_reports);
+        let start = self.bytes;
+        let len = u64::try_from(self.staged.len()).unwrap_or(u64::MAX);
+        // modelcheck-allow: event-loop — the durable write IS the
+        // journal's job: one write per event batch, its records capped,
+        // and fsync batched, so the stall is bounded and by design.
+        let written = self.file.write_all(&self.staged);
+        self.staged.clear();
+        if let Err(e) = written {
+            self.torn = self.file.set_len(start).is_err();
+            return Err(e);
+        }
+        let first = self.appended;
+        self.appended += frames;
+        if let Err(e) = self.request_sync(first) {
+            self.appended = first;
+            self.torn = self.file.set_len(start).is_err();
+            return Err(e);
+        }
+        self.frames += frames;
+        self.reports += reports;
+        self.bytes += len;
+        Ok(())
+    }
+
+    /// The fsync bookkeeping of a commit that moved the journal from
+    /// position `first` to `self.appended`: starts the sync thread at
+    /// the first full batch, then has it sync (see [`Syncer::committed`]).
+    fn request_sync(&mut self, first: u64) -> io::Result<()> {
         let every = u64::try_from(self.fsync_every).unwrap_or(u64::MAX);
         if self.syncer.is_none() && self.appended.saturating_sub(self.synced) >= every {
             let file = self.file.try_clone()?;
             self.syncer = Some(Syncer::spawn(file, self.synced)?);
         }
         match &self.syncer {
-            Some(syncer) => syncer.appended(self.appended, every),
+            Some(syncer) => syncer.committed(first, self.appended, every),
             None => Ok(()),
         }
+    }
+
+    /// Stages one load report given as a value: encoded here, then
+    /// staged like a client's frame body.
+    fn stage_value(&mut self, report: &LoadReport) -> io::Result<()> {
+        let mut frame = std::mem::take(&mut self.scratch);
+        frame.clear();
+        let staged = if binproto::encode_request(&Request::LoadReport(report.clone()), &mut frame) {
+            // encode_request framed it as [u32 len][tag][fields]; the
+            // record's payload is the body (tag onward).
+            self.stage_report(frame.get(4..).unwrap_or_default())
+        } else {
+            Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "load report exceeds binproto frame limits",
+            ))
+        };
+        self.scratch = frame;
+        staged
     }
 
     /// Forces the file to stable storage now (resets the fsync batch).
@@ -229,6 +330,7 @@ impl Journal {
     /// truncated journal can no longer warm-start a backend from
     /// before the cutoff.
     pub fn truncate_before(&mut self, cutoff_at: f64) -> io::Result<u64> {
+        self.commit()?;
         let kept: Vec<LoadReport> =
             read_reports(&self.path)?.into_iter().filter(|r| r.at >= cutoff_at).collect();
         let kept_n = u64::try_from(kept.len()).unwrap_or(u64::MAX);
@@ -239,10 +341,11 @@ impl Journal {
         let tmp = self.path.with_extension("compact.tmp");
         {
             let mut next = Journal::open(&tmp, usize::MAX)?;
-            next.append(REC_TRUNCATE, &cutoff_at.to_le_bytes())?;
+            next.stage(REC_TRUNCATE, &cutoff_at.to_le_bytes())?;
             for r in &kept {
-                next.append_report(r)?;
+                next.stage_value(r)?;
             }
+            next.commit()?;
             next.sync()?;
         }
         std::fs::rename(&tmp, &self.path)?;
@@ -253,9 +356,8 @@ impl Journal {
         Ok(dropped)
     }
 
-    /// Low-level append of one framed record (no fsync bookkeeping). A
-    /// write that fails part-way is cut back to the last whole record.
-    fn append(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
+    /// Stages one framed record of any tag.
+    fn stage(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
         if self.torn {
             return Err(io::Error::other(
                 "journal ends in a torn record that could not be cut off",
@@ -264,20 +366,10 @@ impl Journal {
         let len = u32::try_from(1 + payload.len()).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidInput, "journal record exceeds u32 length")
         })?;
-        let mut frame = Vec::with_capacity(5 + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.push(tag);
-        frame.extend_from_slice(payload);
-        // modelcheck-allow: event-loop — the durable append IS the
-        // journal's job; frames are capped and fsync is batched, so the
-        // stall is bounded and by design.
-        if let Err(e) = self.file.write_all(&frame) {
-            self.torn = self.file.set_len(self.bytes).is_err();
-            return Err(e);
-        }
-        self.frames += 1;
-        self.appended += 1;
-        self.bytes += u64::try_from(frame.len()).unwrap_or(0);
+        self.staged.extend_from_slice(&len.to_le_bytes());
+        self.staged.push(tag);
+        self.staged.extend_from_slice(payload);
+        self.staged_frames += 1;
         Ok(())
     }
 }
@@ -338,11 +430,13 @@ impl Syncer {
         Ok(Syncer { shared, thread: Some(thread) })
     }
 
-    /// Bookkeeping after an append brought the journal to position
-    /// `at`: request a sync every batch of `every`, and wait while the
-    /// last finished sync is more than two batches behind. A failed
-    /// sync is reported here, to the next appender.
-    fn appended(&self, at: u64, every: u64) -> io::Result<()> {
+    /// Bookkeeping after a commit moved the journal from position
+    /// `first` to `at`: request a sync every batch of `every`, and wait
+    /// while the last finished sync is two batches or more behind the
+    /// commit's first record (for a one-record commit: more than two
+    /// batches behind `at`). A failed sync is reported here, to the
+    /// next committer.
+    fn committed(&self, first: u64, at: u64, every: u64) -> io::Result<()> {
         let mut st = self.shared.state();
         if at.saturating_sub(st.wanted) >= every {
             st.wanted = at;
@@ -352,7 +446,7 @@ impl Syncer {
             if let Some(e) = st.failed.take() {
                 return Err(e);
             }
-            if at.saturating_sub(st.done) <= every.saturating_mul(2) {
+            if first.saturating_sub(st.done) < every.saturating_mul(2) {
                 return Ok(());
             }
             if st.wanted < at {
@@ -627,6 +721,51 @@ mod tests {
         assert_eq!(replayed.len(), 101);
         assert!(replayed.iter().take(100).all(|r| r.at >= 100.0));
         assert_eq!(replayed.last().map(|r| r.machine.as_str()), Some("late"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn body(report: &LoadReport) -> Vec<u8> {
+        let mut frame = Vec::new();
+        assert!(binproto::encode_request(&Request::LoadReport(report.clone()), &mut frame));
+        frame.split_off(4)
+    }
+
+    #[test]
+    fn staged_records_reach_the_file_and_the_counters_only_on_commit() {
+        let path = tmp("staged.j");
+        let mut j = Journal::open(&path, 1).expect("open");
+        let (frames, bytes) = (j.frames(), j.bytes());
+        let reports: Vec<LoadReport> = (0..3).map(|i| report(&format!("m{i}"), 1.0)).collect();
+        for r in &reports {
+            j.stage_report(&body(r)).expect("stage");
+        }
+        assert_eq!((j.reports(), j.staged(), j.frames(), j.bytes()), (0, 3, frames, bytes));
+        let on_disk = std::fs::metadata(&path).expect("metadata").len();
+        assert_eq!(on_disk, bytes, "staging wrote to the file");
+        j.commit().expect("commit");
+        assert_eq!((j.reports(), j.staged(), j.frames()), (3, 0, frames + 3));
+        assert_eq!(std::fs::metadata(&path).expect("metadata").len(), j.bytes());
+        assert_eq!(read_reports(&path).expect("read"), reports);
+        // A staged body is the record's payload byte for byte.
+        let raw = std::fs::read(&path).expect("raw");
+        let first = &raw[usize::try_from(bytes).expect("small") + 5..];
+        assert!(first.starts_with(&body(&reports[0])));
+        j.commit().expect("an empty commit is a no-op");
+        assert_eq!(j.frames(), frames + 3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn only_load_report_bodies_can_be_staged() {
+        let path = tmp("stage-refuse.j");
+        let mut j = Journal::open(&path, 1).expect("open");
+        let mut stats = Vec::new();
+        assert!(binproto::encode_request(&Request::Stats, &mut stats));
+        let good = body(&report("m", 1.0));
+        for bad in [&stats[4..], &good[..good.len() - 1], &[][..]] {
+            assert!(j.stage_report(bad).is_err(), "{bad:?} was staged");
+        }
+        assert_eq!(j.staged(), 0);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -8,8 +8,10 @@
 //! requests in order, so the oldest in-flight entry owns the next reply
 //! frame — no correlation id on the wire.
 //!
-//! **Relay.** A relayed request frame is copied into the outbox as is;
-//! any other request is encoded there. Each in-flight entry's [`Tag`]
+//! **Relay.** A relayed request frame — a client's `predict`, `rank` or
+//! `load_report`, or a report the gateway encoded once for the journal
+//! and every lane — is copied into the outbox as is; any other request
+//! is encoded there. Each in-flight entry's [`Tag`]
 //! says whether its reply is relayed: such a reply is vouched for with
 //! [`binproto::check_response`] and handed back as its frame bytes,
 //! never decoded. Every other reply is decoded here, once.
@@ -48,8 +50,9 @@ pub(crate) struct Tag {
     pub(crate) conn_id: u64,
     pub(crate) slot: u64,
     pub(crate) part: Part,
-    /// Relay the reply frame instead of decoding it: a single-backend
-    /// query from a binary client.
+    /// Relay the reply frame instead of decoding it: a query or a
+    /// report broadcast from a binary client, whose answer is one
+    /// backend's reply unchanged.
     pub(crate) relay: bool,
 }
 

@@ -16,13 +16,23 @@
 //! knob. Replies are matched to requests in FIFO order per lane and
 //! folded back with [`Gateway::settle`].
 //!
-//! A binary client's `predict` and `rank` frames are relayed, not
-//! decoded: the loop reads the frame's tag, vouches for the rest with
-//! [`binproto::check_request`], and hands the routing step the frame
-//! itself, which the lane copies out as is. The reply to such a query
-//! comes back as the backend's frame and is copied into the client's
-//! write buffer. A frame that fails the check is decoded instead, and
-//! answered `bad frame: …` here without reaching a backend.
+//! The journal is written the same way: planning a `load_report` only
+//! stages its record, and the batch's reports are committed with one
+//! `write` at the end of the batch ([`Gateway::commit`]), just before
+//! the lanes flush. Until then the batch's sends are *held*: the
+//! reports' sends, and every send planned after the first of them, so
+//! each lane still gets its requests in the order they were planned.
+//! A failed commit refuses the batch's reports — answered `journal
+//! append failed: …`, sent nowhere — and lets the rest go.
+//!
+//! A binary client's `load_report`, `predict` and `rank` frames are
+//! relayed, not decoded: the loop reads the frame's tag, vouches for
+//! the rest with [`binproto::check_request`], and hands the routing
+//! step the frame itself, which the journal and the lanes copy out as
+//! is. The reply — a query's, or the ack a broadcast picks — comes back
+//! as the backend's frame and is copied into the client's write buffer.
+//! A frame that fails the check is decoded instead, and answered `bad
+//! frame: …` here without reaching the journal or a backend.
 //!
 //! ## Reply slots
 //!
@@ -60,6 +70,7 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -72,7 +83,7 @@ use predictd::server::{ACCEPT_BACKOFF, IDLE_TIMEOUT, SWEEP_EVERY};
 use predictd::ServerConfig;
 use proto::{binproto, Request, Response};
 
-use crate::gateway::{Answer, Broadcaster, Gateway, Op, Part, Payload, Planned};
+use crate::gateway::{Answer, Broadcaster, Gateway, Op, Part, Payload, Planned, NO_RECIPIENT};
 use crate::lane::{Lane, Reply, Tag};
 
 /// Reads per readiness wakeup go through this per-loop scratch buffer.
@@ -137,7 +148,7 @@ struct Conn {
     first_slot: u64,
     /// A `load_report` waiting for the broadcast turn; routing and
     /// reading pause behind it.
-    deferred: Option<Request>,
+    deferred: Option<Payload>,
     /// The socket failed: no more I/O. Kept only until its in-flight
     /// routing settles, so backend replies always find their slot.
     dead: bool,
@@ -178,6 +189,12 @@ impl Conn {
         let seq = self.first_slot + u64::try_from(self.slots.len()).unwrap_or(u64::MAX);
         self.slots.push_back(slot);
         seq
+    }
+
+    /// The reply slot with sequence number `seq`, if still queued.
+    fn slot_mut(&mut self, seq: u64) -> Option<&mut Slot> {
+        let i = usize::try_from(seq.checked_sub(self.first_slot)?).ok()?;
+        self.slots.get_mut(i)
     }
 
     /// May this connection route more requests now?
@@ -300,6 +317,18 @@ enum Flow {
     Stop,
 }
 
+/// One op's sends held back until the batch's journal commit.
+struct Held {
+    conn: usize,
+    conn_id: u64,
+    slot: u64,
+    relay: bool,
+    /// A report broadcast: refused if the commit fails.
+    broadcast: bool,
+    /// Its parts, in [`Io::held_parts`].
+    parts: Range<usize>,
+}
+
 /// Everything a worker routes with besides its client connections.
 struct Io<'a> {
     gateway: &'a Gateway,
@@ -314,6 +343,11 @@ struct Io<'a> {
     /// Requests that failed before reaching a lane, or on a lane that
     /// failed; settled at the end of the batch.
     failed: Vec<Reply>,
+    /// Ops whose sends wait for the journal commit, in planning order;
+    /// empty unless this batch planned a report.
+    held: Vec<Held>,
+    /// The parts of the `held` ops.
+    held_parts: Vec<Part>,
     /// Connections paused on a deferred `load_report`, in order.
     deferred: VecDeque<(usize, u64)>,
     /// Scratch for JSON encoding.
@@ -365,6 +399,8 @@ fn event_loop(
             who: gateway.broadcaster(Some(Arc::clone(waker))),
             sends: Vec::new(),
             failed: Vec::new(),
+            held: Vec::new(),
+            held_parts: Vec::new(),
             deferred: VecDeque::new(),
             json: String::new(),
         },
@@ -512,8 +548,8 @@ impl Worker<'_> {
             if conn.id != id {
                 continue;
             }
-            let Some(req) = conn.deferred.take() else { continue };
-            let flow = self.io.route(conn, idx, Payload::Request(req), now);
+            let Some(payload) = conn.deferred.take() else { continue };
+            let flow = self.io.route(conn, idx, payload, now);
             match flow {
                 Flow::Go => self.io.route_all(conn, idx, now),
                 Flow::Stop => conn.rbuf.clear(),
@@ -529,8 +565,9 @@ impl Worker<'_> {
     }
 
     /// Settles failed requests and failed lanes, flushes every touched
-    /// connection, then every lane's outbox — repeating while any of
-    /// that produced more to do.
+    /// connection, commits the journal and sends what waited for it,
+    /// then flushes every lane's outbox — repeating while any of that
+    /// produced more to do.
     fn end_batch(&mut self, now: Instant) {
         loop {
             self.io.fail_lanes(now);
@@ -544,6 +581,7 @@ impl Worker<'_> {
             // `finish` marks nothing dirty: hand the list back with its
             // capacity rather than allocating it again next batch.
             self.dirty = dirty;
+            self.release_held(now);
             for lane in &mut self.io.lanes {
                 lane.flush(&self.io.epoll);
             }
@@ -558,6 +596,50 @@ impl Worker<'_> {
         }
     }
 
+    /// Commits the batch's journal records, then sends every held op's
+    /// parts in planning order — except a report's when the commit
+    /// failed: that one is refused, its parts never sent. A report that
+    /// had no healthy recipient is answered once its record is in.
+    fn release_held(&mut self, now: Instant) {
+        if self.io.held.is_empty() {
+            return;
+        }
+        let committed = self.io.gateway.commit();
+        let mut held = std::mem::take(&mut self.io.held);
+        let parts = std::mem::take(&mut self.io.held_parts);
+        for h in held.drain(..) {
+            let parts = parts.get(h.parts).unwrap_or_default();
+            let answer = match &committed {
+                Err(why) if h.broadcast => Some(self.io.gateway.refuse(parts, why)),
+                _ if parts.is_empty() => Some(Response::error(NO_RECIPIENT)),
+                _ => None,
+            };
+            // A waiting slot keeps its connection, so both are found.
+            let Some(Some(conn)) = self.conns.get_mut(h.conn) else { continue };
+            if conn.id != h.conn_id {
+                continue;
+            }
+            let Some(slot) = conn.slot_mut(h.slot) else { continue };
+            match answer {
+                Some(resp) => {
+                    *slot = Slot::Ready(resp.into());
+                    mark_dirty(&mut self.dirty, conn, h.conn);
+                }
+                None => {
+                    if let Slot::Waiting(op) = slot {
+                        for &part in parts {
+                            let (conn, conn_id, slot, relay) = (h.conn, h.conn_id, h.slot, h.relay);
+                            self.io.send(op, Tag { conn, conn_id, slot, part, relay }, now);
+                        }
+                    }
+                }
+            }
+        }
+        self.io.held = held;
+        self.io.held_parts = parts;
+        self.io.held_parts.clear();
+    }
+
     /// End-of-batch work for one connection: resume routing it, move
     /// its finished front replies into the write buffer, write, and
     /// close or re-arm it.
@@ -566,6 +648,10 @@ impl Worker<'_> {
         conn.dirty = false;
         if !conn.dead {
             conn.last_active = now;
+            // Free the finished replies' slots before routing into them:
+            // a client whose backlog already sits whole in `rbuf` gets no
+            // read event to resume its routing later.
+            write_ready(conn, &mut self.io.json);
             self.io.route_all(conn, idx, now);
             write_ready(conn, &mut self.io.json);
             if !on_writable(conn) {
@@ -684,9 +770,11 @@ impl Io<'_> {
     }
 
     /// Queues the parts in `self.sends` of the op in `slot` on their
-    /// lanes; a part that cannot be queued fails at the end of the batch.
-    /// A binary client's single-backend query is relayed: its reply
-    /// comes back as the backend's frame.
+    /// lanes, or holds them for the journal commit: a report's always,
+    /// anything else while a report of this batch waits. A part that
+    /// cannot be queued fails at the end of the batch. A binary
+    /// client's single-answer op is relayed: its reply comes back as
+    /// the backend's frame.
     fn dispatch(
         &mut self,
         op: &Op,
@@ -697,31 +785,43 @@ impl Io<'_> {
         now: Instant,
     ) {
         let relay = binary && op.relays();
-        for &part in &self.sends {
-            let tag = Tag { conn, conn_id, slot, part, relay };
-            let queued = match self.lanes.get_mut(part.backend) {
-                Some(lane) => lane.send(&self.epoll, op.payload(part.part), tag, now),
-                None => Err("no lane to that backend".to_string()),
-            };
-            if let Err(why) = queued {
-                self.failed.push((tag, Err(why)));
-            }
+        if op.broadcasts() || !self.held.is_empty() {
+            let start = self.held_parts.len();
+            self.held_parts.extend_from_slice(&self.sends);
+            let parts = start..self.held_parts.len();
+            let broadcast = op.broadcasts();
+            self.held.push(Held { conn, conn_id, slot, relay, broadcast, parts });
+            return;
+        }
+        for i in 0..self.sends.len() {
+            let part = self.sends[i];
+            self.send(op, Tag { conn, conn_id, slot, part, relay }, now);
+        }
+    }
+
+    /// Queues one part of `op` on its lane; a part that cannot be
+    /// queued fails at the end of the batch.
+    fn send(&mut self, op: &Op, tag: Tag, now: Instant) {
+        let queued = match self.lanes.get_mut(tag.part.backend) {
+            Some(lane) => lane.send(&self.epoll, op.payload(tag.part.part), tag, now),
+            None => Err("no lane to that backend".to_string()),
+        };
+        if let Err(why) = queued {
+            self.failed.push((tag, Err(why)));
         }
     }
 
     /// Folds one backend outcome into its op: a reply fills the slot,
     /// anything else goes out on the lanes.
     fn settle(&mut self, conn: &mut Conn, tag: Tag, result: Result<Answer, String>, now: Instant) {
-        let Some(i) = tag.slot.checked_sub(conn.first_slot).and_then(|d| usize::try_from(d).ok())
-        else {
-            return;
-        };
         let binary = matches!(conn.mode, Mode::Binary);
-        let Some(slot) = conn.slots.get_mut(i) else { return };
+        let Some(slot) = conn.slot_mut(tag.slot) else { return };
         let Slot::Waiting(op) = slot else { return };
         self.sends.clear();
         match self.gateway.settle(op, tag.part, result, &mut self.sends) {
             Some(answer) => *slot = Slot::Ready(answer),
+            // Still waiting on other parts, with nothing new to send.
+            None if self.sends.is_empty() => {}
             None => self.dispatch(op, binary, tag.conn, tag.conn_id, tag.slot, now),
         }
     }
@@ -750,8 +850,8 @@ impl Io<'_> {
                 }
                 Flow::Go
             }
-            Planned::Deferred(req) => {
-                conn.deferred = Some(req);
+            Planned::Deferred(payload) => {
+                conn.deferred = Some(payload);
                 self.deferred.push_back((idx, conn.id));
                 Flow::Pause
             }
@@ -838,10 +938,11 @@ impl Io<'_> {
         }
     }
 
-    /// Binary mode: route every complete frame in `rbuf`. A `predict`
-    /// or `rank` frame that passes [`binproto::check_request`] is
-    /// routed by its machine and relayed as is; every other frame is
-    /// decoded, and one that fails is answered `bad frame` here.
+    /// Binary mode: route every complete frame in `rbuf`. A
+    /// `load_report`, `predict` or `rank` frame that passes
+    /// [`binproto::check_request`] is routed by its machine and relayed
+    /// as is; every other frame is decoded, and one that fails is
+    /// answered `bad frame` here.
     fn route_binary(&mut self, conn: &mut Conn, idx: usize, now: Instant) {
         let max = self.cfg.max_frame_bytes;
         let mut consumed = 0;
@@ -875,7 +976,9 @@ impl Io<'_> {
             let Some(frame) = rest.get(..4 + len) else { break }; // partial frame
             let body = &frame[4..];
             let parsed = match body[0] {
-                binproto::REQ_PREDICT | binproto::REQ_RANK if binproto::check_request(body) => {
+                binproto::REQ_LOAD_REPORT | binproto::REQ_PREDICT | binproto::REQ_RANK
+                    if binproto::check_request(body) =>
+                {
                     Ok(Payload::Frame(frame.to_vec()))
                 }
                 _ => binproto::decode_request(body).map(Payload::Request),

@@ -1,8 +1,10 @@
 //! The gateway binary at its resource limits. At the descriptor limit
 //! it cannot accept, but it must not spin on its still-readable
 //! listener, and once clients leave it accepts and routes again. At the
-//! file-size limit it refuses the reports it cannot journal, keeps
-//! answering queries, and leaves a journal of whole records.
+//! file-size limit it refuses the reports it cannot journal — a whole
+//! event batch of them at once when they arrive pipelined — keeps
+//! answering queries, and leaves a journal of whole records. Its
+//! journal takes one `write` per event batch, not one per report.
 
 mod common;
 
@@ -11,7 +13,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use common::{predict, report, spawn_backend};
+use common::{predict, recv_all, report, send_all, spawn_backend};
 use predictd::proto::{Request, Response};
 use predictd::Client;
 use predictgw::journal::{self, Journal};
@@ -150,5 +152,119 @@ fn a_full_journal_refuses_reports_and_keeps_whole_records() {
         .map(Request::LoadReport)
         .collect();
     assert_eq!(kept, acked, "the journal holds exactly the acked reports");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Starts a journaling gateway on `path` in front of one in-process
+/// backend under a one-block file-size limit, with `SIGXFSZ` ignored so
+/// the write that crosses it fails with `EFBIG` instead of killing it.
+fn start_size_limited(path: &std::path::Path) -> Gateway {
+    let backend = spawn_backend().to_string();
+    let mut cmd = Command::new("sh");
+    cmd.args(["-c", "trap '' XFSZ; ulimit -f 1; exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_predictgw"))
+        .arg("--journal")
+        .arg(path)
+        .args(["--health-interval-ms", "600000"])
+        .stderr(Stdio::null());
+    Gateway::start(cmd, &backend)
+}
+
+#[test]
+fn a_full_journal_refuses_pipelined_reports_by_the_batch() {
+    let path =
+        std::env::temp_dir().join(format!("predictgw-cli-efbig-burst-{}.j", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut gw = start_size_limited(&path);
+    let mut client = Client::connect_binary_timeout(
+        gw.addr,
+        Duration::from_secs(1),
+        Some(Duration::from_secs(5)),
+    )
+    .expect("connect");
+
+    // Bursts of four reports, each sent with one write and answered
+    // before the next: the limit is crossed inside some burst.
+    let mut acked = Vec::new();
+    let mut refused = 0;
+    for burst in 0..40 {
+        let reqs: Vec<Request> =
+            (0..4).map(|i| report(&format!("burst-m{i}"), f64::from(burst * 4 + i + 1))).collect();
+        send_all(&mut client, &reqs);
+        for (req, reply) in reqs.into_iter().zip(recv_all(&mut client, 4)) {
+            match reply {
+                Response::Ack(_) => acked.push(req),
+                Response::Error(e) => {
+                    assert_eq!(e.message, "journal append failed: File too large (os error 27)");
+                    refused += 1;
+                }
+                other => panic!("report answered {other:?}"),
+            }
+        }
+    }
+    assert!(refused > 0, "the limit was never reached");
+    assert!(!acked.is_empty(), "the limit left no room for a single burst");
+    let reply = client.request(&predict("burst-m1", 200.0)).expect("predict");
+    assert!(matches!(reply, Response::Prediction(_)), "{reply:?}");
+    assert_eq!(client.request(&Request::Shutdown).expect("shutdown"), Response::Ok);
+    assert!(gw.child.wait().expect("wait").success(), "gateway must exit 0 after shutdown");
+
+    let on_disk = std::fs::metadata(&path).expect("journal").len();
+    let whole = Journal::open(&path, 1).expect("reopen").bytes();
+    assert_eq!(on_disk, whole, "the journal ends in a torn record");
+    let kept: Vec<Request> = journal::read_reports(&path)
+        .expect("read journal")
+        .into_iter()
+        .map(Request::LoadReport)
+        .collect();
+    // The reports are distinct, so this also proves no refused report
+    // reached the file.
+    assert_eq!(kept, acked, "the journal holds exactly the acked reports, in order");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `write`-family syscalls the process has made so far (`syscw` in its
+/// `/proc/<pid>/io`).
+fn write_calls(pid: u32) -> u64 {
+    let io = std::fs::read_to_string(format!("/proc/{pid}/io")).expect("read /proc io");
+    io.lines()
+        .find_map(|l| l.strip_prefix("syscw: "))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("syscw field")
+}
+
+#[test]
+fn a_pipelined_burst_of_reports_costs_the_journal_a_few_writes() {
+    let backend = spawn_backend().to_string();
+    let path = std::env::temp_dir().join(format!("predictgw-cli-writes-{}.j", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_predictgw"));
+    cmd.arg("--journal").arg(&path).args(["--health-interval-ms", "600000"]);
+    let mut gw = Gateway::start(cmd, &backend);
+    let mut client = Client::connect_binary(gw.addr).expect("connect");
+    // Warm the connections so no connect or preamble lands in the count.
+    assert!(matches!(client.request(&report("writes-warm", 0.5)), Ok(Response::Ack(_))));
+
+    const BURST: usize = 512;
+    let reqs: Vec<Request> =
+        (0..BURST).map(|i| report(&format!("writes-m{}", i % 64), 1.0 + i as f64)).collect();
+    let mut burst = Vec::new();
+    for r in &reqs {
+        assert!(predictd::binproto::encode_request(r, &mut burst), "a report fits a frame");
+    }
+    let before = write_calls(gw.child.id());
+    // One write: larger than the client's buffer, so it goes out whole.
+    client.send_frame(&burst).expect("send the burst");
+    client.flush().expect("flush");
+    let replies = recv_all(&mut client, BURST);
+    let writes = write_calls(gw.child.id()) - before;
+    assert!(replies.iter().all(|r| matches!(r, Response::Ack(_))), "every report is acked");
+    // `syscw` counts the write(2) family — the journal's file writes;
+    // the sockets go through send(2). Writing each report on its own
+    // cost one per report.
+    assert!(writes <= 32, "{writes} writes for a burst of {BURST} reports");
+    assert_eq!(client.request(&Request::Shutdown).expect("shutdown"), Response::Ok);
+    assert!(gw.child.wait().expect("wait").success());
+    assert_eq!(journal::read_reports(&path).expect("read journal").len(), BURST + 1);
     let _ = std::fs::remove_file(&path);
 }

@@ -1,6 +1,8 @@
 //! The binary relay's edges. A `predict`/`rank` frame the gateway cannot
 //! vouch for is answered `bad frame` locally, exactly as a decoded one
-//! would be, and never reaches a backend. A relayed reply the gateway
+//! would be, and never reaches a backend; a `load_report` frame it
+//! cannot vouch for reaches neither a backend nor the journal, and one
+//! it can is journaled byte for byte. A relayed reply the gateway
 //! cannot vouch for breaks its lane, and the query fails over. A reply
 //! it can vouch for reaches the client byte for byte.
 
@@ -202,4 +204,54 @@ fn a_reply_that_fails_the_check_breaks_the_lane_and_fails_over() {
     assert_eq!(after.failovers - before.failovers, 1, "{after:?}");
     assert_eq!(after.backends[0].failovers - before.backends[0].failovers, 1, "{after:?}");
     assert_eq!(after.backends[1].requests - before.backends[1].requests, 1, "{after:?}");
+}
+
+#[test]
+fn a_report_with_a_corrupt_body_is_answered_locally_and_journals_nothing() {
+    let journal =
+        std::env::temp_dir().join(format!("predictgw-relay-corrupt-{}.j", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let (gateway, gw) = spawn_gateway(
+        GatewayConfig {
+            backends: vec![spawn_backend().to_string(), spawn_backend().to_string()],
+            journal_path: Some(journal.clone()),
+            ..GatewayConfig::default()
+        },
+        1,
+    );
+    let mut client = Client::connect_binary(gw).expect("gateway connect");
+    let mut good = Vec::new();
+    assert!(binproto::encode_request(&report("corrupt-r0", 1.0), &mut good));
+    let good = good.split_off(4);
+    let mut trailing = good.clone();
+    trailing.push(0);
+    let truncated = good[..good.len() - 1].to_vec();
+    let mut long_name = good.clone();
+    long_name[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut not_utf8 = good.clone();
+    not_utf8[5] = 0xff;
+
+    let stats = || {
+        let s = gateway.gw_stats();
+        (total_backend_requests(gateway), s.journal_frames, s.journal_bytes)
+    };
+    let before = stats();
+    for body in [trailing, truncated, long_name, not_utf8] {
+        let e = binproto::decode_request(&body).expect_err("the body is corrupt");
+        let reply = raw_exchange(&mut client, &body);
+        assert_eq!(
+            binproto::decode_response(&reply).expect("decodable reply"),
+            Response::error(format!("bad frame: {e}"))
+        );
+    }
+    assert_eq!(stats(), before, "a corrupt report must reach no backend and no journal");
+
+    // The good body is journaled as it came, and acked by a backend.
+    let reply = raw_exchange(&mut client, &good);
+    assert!(matches!(binproto::decode_response(&reply), Ok(Response::Ack(_))), "{reply:?}");
+    let raw = std::fs::read(&journal).expect("journal");
+    let record = &raw[usize::try_from(before.2).expect("small journal")..];
+    assert_eq!(record[4], predictgw::journal::REC_REPORT);
+    assert_eq!(&record[5..], &good[..], "the record is the client's frame body");
+    let _ = std::fs::remove_file(&journal);
 }
