@@ -171,23 +171,59 @@ impl BackendConn {
     }
 
     /// [`BackendConn::request`] for a request already encoded as a
-    /// binary frame (length prefix included): the frame is sent as is.
-    pub fn request_frame(&mut self, frame: &[u8]) -> Result<Response, ClientError> {
+    /// binary frame (length prefix included): the frame is sent as is,
+    /// and the reply comes back as its frame, length prefix included,
+    /// once [`binproto::check_response`] vouches for it. A reply that
+    /// fails the check is a protocol error.
+    pub(crate) fn request_frame(&mut self, frame: &[u8]) -> Result<Vec<u8>, ClientError> {
         self.exchange(|client| {
             client.send_frame(frame)?;
             client.flush()?;
             let mut body = Vec::with_capacity(64);
             client.recv_frame_into(&mut body)?;
-            binproto::decode_response(&body).map_err(|e| ClientError::Protocol(e.to_string()))
+            if !binproto::check_response(&body) {
+                let why = binproto::decode_response(&body).err().map(|e| e.message);
+                return Err(ClientError::Protocol(format!(
+                    "bad reply: {}",
+                    why.unwrap_or_default()
+                )));
+            }
+            let mut reply = Vec::with_capacity(4 + body.len());
+            reply.extend_from_slice(&u32::try_from(body.len()).unwrap_or(0).to_le_bytes());
+            reply.extend_from_slice(&body);
+            Ok(reply)
         })
     }
 
-    /// Runs one request/reply exchange on the cached connection (see
-    /// [`BackendConn::request`] for the connection's lifecycle).
-    fn exchange(
+    /// Sends every frame of `frames` (length prefixes included) back to
+    /// back with one flush, then reads their replies in order, handing
+    /// each reply body to `on_reply`. The first error — the transport's
+    /// or `on_reply`'s — ends the exchange and the connection.
+    pub(crate) fn request_frames(
         &mut self,
-        f: impl FnOnce(&mut Client) -> Result<Response, ClientError>,
-    ) -> Result<Response, ClientError> {
+        frames: &[Vec<u8>],
+        mut on_reply: impl FnMut(&[u8]) -> Result<(), ClientError>,
+    ) -> Result<(), ClientError> {
+        self.exchange(|client| {
+            for frame in frames {
+                client.send_frame(frame)?;
+            }
+            client.flush()?;
+            let mut body = Vec::with_capacity(64);
+            for _ in frames {
+                client.recv_frame_into(&mut body)?;
+                on_reply(&body)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Runs one exchange on the cached connection (see
+    /// [`BackendConn::request`] for the connection's lifecycle).
+    fn exchange<T>(
+        &mut self,
+        f: impl FnOnce(&mut Client) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
         let now = Instant::now();
         if now.duration_since(self.last_used) >= self.idle_limit {
             self.client = None;

@@ -15,16 +15,18 @@
 //! [`BackendConn`]s. Both share one routing and one set of `gw_stats`
 //! counters.
 //!
-//! What an op sends is a [`Payload`]: a decoded request, or a binary
-//! `load_report`/`predict`/`rank` frame the event loop has checked and
-//! relays as bytes — the step reads only its machine, to route it, and
-//! a report's `at` when the journal has a horizon. A report always
-//! travels as a frame: a decoded one is encoded once, when it is
-//! planned, and the journal and every backend get copies of those
-//! bytes. What comes back is an [`Answer`]: a decoded reply, or one
-//! backend's reply frame relayed to a binary client. Only the event
-//! loop relays replies; [`Gateway::handle`] returns values. A query op
-//! keeps the index of its machine's preference row in the [`Ring`],
+//! What an op sends is a [`Payload`]: a decoded `predict` or `rank`, or
+//! a binary frame the event loop has checked and relays as bytes — the
+//! step reads only its machine, to route it, a report's `at` when the
+//! journal has a horizon, and a batch's task boundaries to split it. A
+//! report and a `decide_batch` always travel as frames: a decoded one
+//! is encoded once, when it is planned, and the journal, the lanes and
+//! the fan-out's chunks copy those bytes. What comes back is an
+//! [`Answer`]: a decoded reply, or a checked reply frame — one
+//! backend's, relayed to a binary client, or the fan-out's chunk
+//! replies merged as bytes. [`Gateway::handle`] decodes the answer it
+//! returns; the event loop decodes one only for a JSON client. A query
+//! op keeps the index of its machine's preference row in the [`Ring`],
 //! not a list of its own, so planning a query allocates nothing.
 //!
 //! ## Replication by broadcast
@@ -58,11 +60,17 @@
 //! ring successor when it is not (a **miss**), re-sent down the
 //! preference list on a mid-flight transport failure (a **failover** —
 //! safe because `predict`/`rank`/`decide_batch` are read-only and thus
-//! idempotent). `decide_batch` additionally fans out: its tasks are
-//! chunked across the healthy backends in preference order, all chunks
-//! are in flight at once, and the chunk answers are concatenated back
-//! into task order, bit-identical to a single backend's answer because
-//! every chunk is judged against the same replicated state.
+//! idempotent). `decide_batch` additionally fans out, on its frame's
+//! bytes: its tasks are chunked across the healthy backends in
+//! preference order (chunk `k` to the `k`-th, cycling), each chunk
+//! frame copying the batch's header, a run of task bytes and its
+//! `j_words`; all chunks are in flight at once, and the chunks'
+//! `decisions` reply frames are merged back into task order — the first
+//! reply's header, the counts summed, the decisions appended, the
+//! `cache_hit` bytes ANDed. The result is bit-identical to a single
+//! backend's answer because every chunk is judged against the same
+//! replicated state. A batch of fewer than two tasks, or with fewer
+//! than two healthy backends, routes whole as a query.
 //!
 //! ## Recovery
 //!
@@ -74,7 +82,10 @@
 //! the probe: a lower counter means the backend restarted empty, so it
 //! is taken out and the cursor is rewound. Any gap up to the journal's
 //! report count — not counting broadcasts still in flight — is then
-//! replayed, and the backend is marked up under the sequencing lock, so
+//! replayed: the journal is read from the backend's cursor on, earlier
+//! records skipped unread, and the gap's records are sent as the frames
+//! they hold, [`REPLAY_WINDOW`] at a time before their acks are read.
+//! The backend is then marked up under the sequencing lock, so
 //! it only ever takes traffic against caught-up state. Records staged
 //! but not committed count as a gap that cannot be replayed yet: the
 //! backend waits for a later probe.
@@ -86,7 +97,7 @@ use std::time::{Duration, Instant};
 
 use predictd::poll::Waker;
 use predictd::ClientError;
-use proto::proto::{DecideBatch, Decisions, GwStatsReply};
+use proto::proto::GwStatsReply;
 use proto::{binproto, Request, Response};
 
 use crate::backend::{BackendConn, BackendState};
@@ -189,11 +200,11 @@ pub(crate) struct Part {
 /// What a request or sub-request carries to a backend.
 #[derive(Debug)]
 pub(crate) enum Payload {
-    /// A decoded request, encoded again for the backend.
+    /// A decoded `predict` or `rank`, encoded again for the backend.
     Request(Request),
-    /// A binary `load_report`, `predict` or `rank` frame, length prefix
-    /// included, that passed [`binproto::check_request`] (or that the
-    /// gateway encoded itself): relayed as is.
+    /// A binary frame, length prefix included, that passed
+    /// [`binproto::check_request`] (or that the gateway encoded or cut
+    /// from such a frame itself): relayed as is.
     Frame(Vec<u8>),
 }
 
@@ -205,6 +216,7 @@ impl Payload {
             Payload::Frame(frame) => match frame.get(4) {
                 Some(&binproto::REQ_LOAD_REPORT) => "load_report",
                 Some(&binproto::REQ_PREDICT) => "predict",
+                Some(&binproto::REQ_DECIDE_BATCH) => "decide_batch",
                 Some(&binproto::REQ_RANK) => "rank",
                 _ => "frame",
             },
@@ -239,6 +251,18 @@ pub(crate) enum Answer {
 }
 
 impl Answer {
+    /// The reply kind, for log lines; a frame is not decoded for it.
+    fn kind(&self) -> &'static str {
+        match self {
+            Answer::Response(resp) => resp.kind(),
+            Answer::Frame(frame) => match frame.get(4) {
+                Some(&binproto::RESP_DECISIONS) => "decisions",
+                Some(&binproto::RESP_ERROR) => "error",
+                _ => "another reply",
+            },
+        }
+    }
+
     /// The reply as a value; a relayed frame is decoded.
     pub(crate) fn into_response(self) -> Response {
         match self {
@@ -271,27 +295,37 @@ enum OpState {
     /// (ring row `row`); failures move down the list.
     Query { row: usize, next: usize },
     /// `decide_batch` chunks, all in flight at once.
-    Fanout { chunks: Vec<Payload>, answers: Vec<Option<Decisions>>, pending: usize, failed: bool },
+    Fanout { chunks: Vec<Chunk>, pending: usize, failed: bool },
     /// A journaled `load_report` sent to every healthy backend; `first`
     /// is the ack of the lowest-numbered backend so far.
     Broadcast { first: Option<(usize, Answer)>, pending: usize },
+}
+
+/// One `decide_batch` chunk of a fan-out: the frame it sends, and its
+/// backend's `decisions` reply frame once that arrives.
+#[derive(Debug)]
+struct Chunk {
+    request: Payload,
+    reply: Option<Vec<u8>>,
 }
 
 impl Op {
     /// What a part sends.
     pub(crate) fn payload(&self, part: usize) -> &Payload {
         match &self.state {
-            OpState::Fanout { chunks, .. } => chunks.get(part).unwrap_or(&self.payload),
+            OpState::Fanout { chunks, .. } => {
+                chunks.get(part).map_or(&self.payload, |c| &c.request)
+            }
             _ => &self.payload,
         }
     }
 
-    /// Whether the op's answer is one backend's reply, unchanged — so
-    /// a binary client may be sent its frame as is: a query's, or the
-    /// broadcast ack chosen. Fan-out chunks are merged, so they are
-    /// decoded.
-    pub(crate) fn relays(&self) -> bool {
-        matches!(self.state, OpState::Query { .. } | OpState::Broadcast { .. })
+    /// Whether a part's reply must come back as its checked frame, not
+    /// decoded: a fan-out chunk's always, since chunk replies are
+    /// merged as bytes; a query's or a broadcast's when the client is
+    /// `binary`, since its answer is one backend's reply, unchanged.
+    pub(crate) fn relays(&self, binary: bool) -> bool {
+        binary || matches!(self.state, OpState::Fanout { .. })
     }
 
     /// Whether the op is a report broadcast, whose sends must wait for
@@ -300,6 +334,9 @@ impl Op {
         matches!(self.state, OpState::Broadcast { .. })
     }
 }
+
+/// Journal reports a catch-up sends before reading their acks.
+const REPLAY_WINDOW: usize = 64;
 
 /// The reply to a report journaled while no backend was healthy: the
 /// health checker's replay delivers it later.
@@ -462,11 +499,11 @@ impl Gateway {
         let mut queue: VecDeque<Part> = sends.drain(..).collect();
         while let Some(sent) = queue.pop_front() {
             let result = match (lanes.conn(sent.backend), op.payload(sent.part)) {
-                (Some(conn), Payload::Request(req)) => conn.request(req),
-                (Some(conn), Payload::Frame(frame)) => conn.request_frame(frame),
+                (Some(conn), Payload::Request(req)) => conn.request(req).map(Answer::Response),
+                (Some(conn), Payload::Frame(frame)) => conn.request_frame(frame).map(Answer::Frame),
                 (None, _) => Err(ClientError::Protocol("no connection to that backend".into())),
             };
-            let result = result.map(Answer::Response).map_err(|e| e.to_string());
+            let result = result.map_err(|e| e.to_string());
             if let Some(answer) = self.settle(&mut op, sent, result, &mut sends) {
                 return (answer.into_response(), false);
             }
@@ -489,27 +526,40 @@ impl Gateway {
 
     /// Plans one request: answers it locally, routes it (appending the
     /// parts to send to `sends`), or defers a `load_report` that must
-    /// wait for the broadcast turn. A relayed frame is a `load_report`,
-    /// broadcast, or a `predict` or `rank`, routed as a query.
+    /// wait for the broadcast turn. A frame is a `load_report`,
+    /// broadcast; a `decide_batch`, fanned out; or a `predict` or
+    /// `rank`, routed as a query.
     pub(crate) fn plan(
         &self,
         payload: Payload,
         who: &Broadcaster,
         sends: &mut Vec<Part>,
     ) -> Planned {
-        let req = match payload {
-            Payload::Frame(ref frame) if frame.get(4) == Some(&binproto::REQ_LOAD_REPORT) => {
-                return self.plan_broadcast(payload, who, sends)
-            }
-            Payload::Frame(_) => return self.plan_query(payload, sends),
-            Payload::Request(req) => req,
+        let frame = match payload {
+            Payload::Frame(frame) => frame,
+            Payload::Request(req) => match req {
+                Request::Predict(_) | Request::Rank(_) => {
+                    return self.plan_query(Payload::Request(req), sends)
+                }
+                Request::Stats => return Planned::Reply(Response::GwStats(self.gw_stats()), false),
+                Request::Shutdown => return Planned::Reply(Response::Ok, true),
+                // A decoded report or batch is encoded once, here: the
+                // journal, the lanes and the fan-out's chunks all copy
+                // these bytes.
+                Request::LoadReport(_) | Request::DecideBatch(_) => {
+                    let mut frame = Vec::new();
+                    if !binproto::encode_request(&req, &mut frame) {
+                        let why = format!("{} exceeds binary frame limits", req.kind());
+                        return Planned::Reply(Response::error(why), false);
+                    }
+                    frame
+                }
+            },
         };
-        match &req {
-            Request::LoadReport(_) => self.plan_broadcast(Payload::Request(req), who, sends),
-            Request::Predict(_) | Request::Rank(_) => self.plan_query(Payload::Request(req), sends),
-            Request::DecideBatch(_) => self.plan_decide_batch(req, sends),
-            Request::Stats => Planned::Reply(Response::GwStats(self.gw_stats()), false),
-            Request::Shutdown => Planned::Reply(Response::Ok, true),
+        match frame.get(4) {
+            Some(&binproto::REQ_LOAD_REPORT) => self.plan_broadcast(frame, who, sends),
+            Some(&binproto::REQ_DECIDE_BATCH) => self.plan_decide_batch(frame, sends),
+            _ => self.plan_query(Payload::Frame(frame), sends),
         }
     }
 
@@ -520,27 +570,7 @@ impl Gateway {
     /// only after it succeeds. A backend that fails the broadcast simply
     /// does not get its cursor advanced — the health checker replays
     /// the gap from the journal.
-    fn plan_broadcast(
-        &self,
-        payload: Payload,
-        who: &Broadcaster,
-        sends: &mut Vec<Part>,
-    ) -> Planned {
-        // A decoded report is encoded once, here: the journal and every
-        // backend get copies of the same bytes.
-        let frame = match payload {
-            Payload::Frame(frame) => frame,
-            Payload::Request(req) => {
-                let mut frame = Vec::new();
-                if !binproto::encode_request(&req, &mut frame) {
-                    return Planned::Reply(
-                        Response::error("load report exceeds binary frame limits"),
-                        false,
-                    );
-                }
-                frame
-            }
-        };
+    fn plan_broadcast(&self, frame: Vec<u8>, who: &Broadcaster, sends: &mut Vec<Part>) -> Planned {
         let mut seq = self.seq_lock();
         // Another broadcaster's reports are staged or in flight — or
         // this one's are while others wait, so a busy worker cannot
@@ -567,7 +597,7 @@ impl Gateway {
                 );
             }
             if self.cfg.journal_horizon_secs.is_some() {
-                if let Some(at) = report_at(body) {
+                if let Some(at) = journal::report_at(body) {
                     seq.newest_at = Some(seq.newest_at.map_or(at, |n| n.max(at)));
                 }
             }
@@ -693,47 +723,47 @@ impl Gateway {
         })
     }
 
-    /// `decide_batch` fan-out: tasks are chunked across the healthy
-    /// backends in preference order, every chunk in flight at once, and
-    /// the answers concatenated back into task order. Any chunk failure
-    /// falls back to routing the whole batch as a single idempotent
-    /// query — simpler than partial retry and just as correct.
-    fn plan_decide_batch(&self, req: Request, sends: &mut Vec<Part>) -> Planned {
-        let Request::DecideBatch(q) = &req else {
-            return self.plan_query(Payload::Request(req), sends);
+    /// `decide_batch` fan-out, on the frame's bytes: the tasks are
+    /// chunked across the healthy backends in preference order — chunk
+    /// `k` to the `k`-th, cycling — every chunk in flight at once, and
+    /// the replies merged back in task order. Each chunk frame copies
+    /// the batch's header, a run of its task bytes, and its `j_words`;
+    /// nothing is decoded. Any chunk failure falls back to routing the
+    /// whole batch as a single idempotent query — simpler than partial
+    /// retry and just as correct.
+    fn plan_decide_batch(&self, frame: Vec<u8>, sends: &mut Vec<Part>) -> Planned {
+        let body = frame.get(4..).unwrap_or_default();
+        let pref = self.ring.preference(binproto::request_machine(body).unwrap_or_default());
+        let healthy = |i: &usize| self.backends.get(*i).is_some_and(BackendState::is_healthy);
+        let lanes = pref.iter().filter(|i| healthy(i)).count();
+        let tasks = binproto::batch_tasks(body).filter(|t| lanes >= 2 && t.remaining() >= 2);
+        let Some(mut tasks) = tasks else {
+            return self.plan_query(Payload::Frame(frame), sends);
         };
-        let pref = self.ring.preference(&q.machine);
-        let healthy: Vec<usize> = pref
-            .iter()
-            .copied()
-            .filter(|&i| self.backends.get(i).is_some_and(BackendState::is_healthy))
-            .collect();
-        if healthy.len() < 2 || q.tasks.len() < 2 {
-            return self.plan_query(Payload::Request(req), sends);
+        let n = tasks.remaining();
+        let chunk_len = n.div_ceil(lanes.min(n));
+        let mut owners = pref.iter().copied().filter(healthy).cycle();
+        let mut chunks = Vec::with_capacity(n.div_ceil(chunk_len));
+        let first_send = sends.len();
+        while let Some(first) = tasks.next() {
+            let count = chunk_len.min(tasks.remaining() + 1);
+            let end = tasks.by_ref().take(count - 1).last().map_or(first.end, |t| t.end);
+            let mut chunk = Vec::new();
+            let built = binproto::encode_batch_chunk(body, first.start..end, count, &mut chunk);
+            // A backend that went down since the count may leave no
+            // owner: route the batch whole instead.
+            let (true, Some(backend)) = (built, owners.next()) else {
+                sends.truncate(first_send);
+                return self.plan_query(Payload::Frame(frame), sends);
+            };
+            sends.push(Part { part: chunks.len(), backend });
+            chunks.push(Chunk { request: Payload::Frame(chunk), reply: None });
         }
         self.count_dispatch(pref);
-        let lanes_count = healthy.len().min(q.tasks.len());
-        let chunk_len = q.tasks.len().div_ceil(lanes_count);
-        let chunks: Vec<Payload> = q
-            .tasks
-            .chunks(chunk_len)
-            .map(|tasks| {
-                Payload::Request(Request::DecideBatch(DecideBatch {
-                    machine: q.machine.clone(),
-                    now: q.now,
-                    tasks: tasks.to_vec(),
-                    j_words: q.j_words,
-                }))
-            })
-            .collect();
-        for (k, &backend) in (0..chunks.len()).zip(healthy.iter().cycle()) {
-            sends.push(Part { part: k, backend });
-        }
-        let answers = chunks.iter().map(|_| None).collect();
         let pending = chunks.len();
         Planned::Routed(Op {
-            payload: Payload::Request(req),
-            state: OpState::Fanout { chunks, answers, pending, failed: false },
+            payload: Payload::Frame(frame),
+            state: OpState::Fanout { chunks, pending, failed: false },
         })
     }
 
@@ -767,12 +797,12 @@ impl Gateway {
                     self.next_query_part(op, Some(e), sends).map(Answer::Response)
                 }
             },
-            OpState::Fanout { answers, pending, failed, .. } => {
+            OpState::Fanout { chunks, pending, failed } => {
                 match result {
-                    Ok(Answer::Response(Response::Decisions(d))) => {
+                    Ok(Answer::Frame(frame)) if frame.get(4) == Some(&binproto::RESP_DECISIONS) => {
                         self.metrics.backend_request(backend);
-                        if let Some(slot) = answers.get_mut(sent.part) {
-                            *slot = Some(d);
+                        if let Some(chunk) = chunks.get_mut(sent.part) {
+                            chunk.reply = Some(frame);
                         }
                     }
                     Ok(other) => {
@@ -782,7 +812,7 @@ impl Gateway {
                         // path only; the re-route is the real handling.
                         eprintln!(
                             "predictgw: decide_batch chunk on backend {backend} answered {}; falling back to single-backend routing",
-                            other.into_response().kind()
+                            other.kind()
                         );
                         self.metrics.failover(backend);
                         *failed = true;
@@ -809,23 +839,19 @@ impl Gateway {
                 }
                 // Headers (machine, p, stale, forecaster) are
                 // bit-identical across caught-up backends; keep the
-                // first, concatenate the decisions, AND the cache flags
-                // (a merged answer was only "all cached" if every chunk
-                // was).
-                let mut merged: Option<Decisions> = None;
-                for d in answers.iter_mut().filter_map(Option::take) {
-                    match merged.as_mut() {
-                        None => merged = Some(d),
-                        Some(m) => {
-                            m.cache_hit = m.cache_hit && d.cache_hit;
-                            m.decisions.extend(d.decisions);
-                        }
-                    }
-                }
-                Some(Answer::Response(merged.map_or_else(
-                    || Response::error("decide_batch fan-out produced no answer"),
-                    Response::Decisions,
-                )))
+                // first chunk's reply, append the others' decisions,
+                // AND the cache flags (a merged answer was only "all
+                // cached" if every chunk was).
+                let mut replies = chunks.iter_mut().map(|c| c.reply.take());
+                let merged = replies.next().flatten().and_then(|mut first| {
+                    replies
+                        .all(|r| r.is_some_and(|r| binproto::merge_decisions(&mut first, &r)))
+                        .then_some(first)
+                });
+                Some(merged.map_or_else(
+                    || Answer::Response(Response::error("decide_batch fan-out produced no answer")),
+                    Answer::Frame,
+                ))
             }
             OpState::Broadcast { first, pending } => {
                 self.release_send(backend, result.is_ok());
@@ -990,12 +1016,13 @@ impl Gateway {
     }
 
     /// Replays the backend's journal gap (`cursor .. journal.reports`)
-    /// through the checker's own lane, looping until the backend is
-    /// caught up *at sequencing-lock time*, and marks it up under that
-    /// lock — so no report can be staged between "caught up" and "up",
-    /// and broadcasts resume in journal order. Broadcasts still in
-    /// flight count as caught up; a gap behind them, or behind staged
-    /// records, waits for a later probe.
+    /// through the checker's own lane, in pipelined windows of
+    /// [`REPLAY_WINDOW`] frames, each ack advancing the cursor by one;
+    /// loops until the backend is caught up *at sequencing-lock time*,
+    /// and marks it up under that lock — so no report can be staged
+    /// between "caught up" and "up", and broadcasts resume in journal
+    /// order. Broadcasts still in flight count as caught up; a gap
+    /// behind them, or behind staged records, waits for a later probe.
     fn catch_up(&self, i: usize, b: &BackendState, lanes: &mut Lanes) -> Result<(), ClientError> {
         loop {
             let (from, path) = {
@@ -1034,31 +1061,34 @@ impl Gateway {
                 }
             };
             // Bulk replay outside the lock (reads see whole records;
-            // a torn in-flight tail parses as a clean prefix).
-            let all = journal::read_reports(&path).map_err(ClientError::Io)?;
-            let skip = usize::try_from(from).unwrap_or(usize::MAX);
+            // a torn in-flight tail parses as a clean prefix): the gap's
+            // records, as the frames they hold, a window at a time.
+            let gap = journal::report_frames(&path, from).map_err(ClientError::Io)?;
             let mut replayed = 0u64;
-            for r in all.iter().skip(skip) {
-                let Some(conn) = lanes.conn(i) else {
-                    return Err(ClientError::Protocol("backend lane missing".to_string()));
-                };
-                match conn.request(&Request::LoadReport(r.clone()))? {
-                    Response::Ack(_) => {
-                        b.advance_cursor(1);
-                        replayed += 1;
-                    }
-                    other => {
+            let sent = gap.chunks(REPLAY_WINDOW).try_for_each(|window| {
+                let conn = lanes
+                    .conn(i)
+                    .ok_or_else(|| ClientError::Protocol("backend lane missing".to_string()))?;
+                conn.request_frames(window, |reply| {
+                    if reply.first() != Some(&binproto::RESP_ACK)
+                        || !binproto::check_response(reply)
+                    {
+                        let kind =
+                            binproto::decode_response(reply).map_or("a bad reply", |r| r.kind());
                         return Err(ClientError::Protocol(format!(
-                            "replayed report answered {} instead of ack",
-                            other.kind()
-                        )))
+                            "replayed report answered {kind} instead of ack"
+                        )));
                     }
-                }
-            }
+                    b.advance_cursor(1);
+                    replayed += 1;
+                    Ok(())
+                })
+            });
             if replayed > 0 {
                 self.metrics.replayed(i, replayed);
                 eprintln!("predictgw: replayed {replayed} reports into backend {}", b.addr());
             }
+            sent?;
         }
     }
 }
@@ -1073,13 +1103,6 @@ fn end_turn(seq: &mut Seq) -> Option<Vec<Arc<Waker>>> {
     }
     seq.owner = None;
     Some(std::mem::take(&mut seq.waiting))
-}
-
-/// The `at` of a checked `load_report` frame body: the word right after
-/// its machine name.
-fn report_at(body: &[u8]) -> Option<f64> {
-    let at = 1 + 4 + binproto::request_machine(body)?.len();
-    Some(f64::from_le_bytes(*body.get(at..)?.first_chunk::<8>()?))
 }
 
 /// Horizon-keyed truncation: once the newest report is `horizon`
@@ -1205,7 +1228,7 @@ mod tests {
                 panic!("a rank frame must be routed");
             };
             assert_eq!(sends, [Part { part: 0, backend: gw.ring().owner(&machine) }]);
-            assert!(op.relays());
+            assert!(op.relays(true) && !op.relays(false));
             assert!(matches!(op.payload(0), Payload::Frame(f) if *f == frame));
             assert_eq!((op.payload.kind(), op.payload.machine()), ("rank", machine.as_str()));
         }

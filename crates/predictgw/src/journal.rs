@@ -104,6 +104,10 @@ pub struct Journal {
     bytes: u64,
     /// `REC_REPORT` records in the file.
     reports: u64,
+    /// A lower bound on the `at` of every report in the file and in
+    /// `staged` (see [`oldest_key`]); `+∞` with none. Exact after open
+    /// and after every [`Journal::truncate_before`] that reads the file.
+    oldest_at: f64,
     fsync_every: usize,
     /// Encoding scratch for [`Journal::append_report`].
     scratch: Vec<u8>,
@@ -146,6 +150,7 @@ impl Journal {
             frames: 0,
             bytes: 0,
             reports: 0,
+            oldest_at: f64::INFINITY,
             fsync_every: fsync_every.max(1),
             scratch: Vec::with_capacity(256),
             staged: Vec::new(),
@@ -165,7 +170,7 @@ impl Journal {
             journal.sync()?;
             return Ok(journal);
         }
-        let (clean_len, frames, reports) = scan(&raw, journal.path.display())?;
+        let Scan { clean_len, frames, reports, oldest_at } = scan(&raw, journal.path.display())?;
         if clean_len < raw.len() {
             // Torn tail from a crash mid-append: drop it.
             journal.file.set_len(u64::try_from(clean_len).unwrap_or(0))?;
@@ -173,6 +178,7 @@ impl Journal {
         }
         journal.frames = frames;
         journal.reports = reports;
+        journal.oldest_at = oldest_at;
         journal.bytes = u64::try_from(clean_len).unwrap_or(0);
         Ok(journal)
     }
@@ -228,6 +234,9 @@ impl Journal {
         }
         self.stage(REC_REPORT, body)?;
         self.staged_reports += 1;
+        // A record whose commit fails leaves this bound low: a later
+        // truncation then reads the file once and corrects it.
+        self.oldest_at = self.oldest_at.min(report_at(body).map_or(f64::NEG_INFINITY, oldest_key));
         Ok(())
     }
 
@@ -329,13 +338,21 @@ impl Journal {
     /// It is deliberately opt-in (`--journal-horizon-secs`) because a
     /// truncated journal can no longer warm-start a backend from
     /// before the cutoff.
+    ///
+    /// The file is read only when the oldest retained report is older
+    /// than the cutoff, so the gateway's call after every commit costs
+    /// nothing until there is something to drop.
     pub fn truncate_before(&mut self, cutoff_at: f64) -> io::Result<u64> {
         self.commit()?;
+        if cutoff_at <= self.oldest_at {
+            return Ok(0);
+        }
         let kept: Vec<LoadReport> =
             read_reports(&self.path)?.into_iter().filter(|r| r.at >= cutoff_at).collect();
         let kept_n = u64::try_from(kept.len()).unwrap_or(u64::MAX);
         let dropped = self.reports.saturating_sub(kept_n);
         if dropped == 0 {
+            self.oldest_at = kept.iter().map(|r| oldest_key(r.at)).fold(f64::INFINITY, f64::min);
             return Ok(0);
         }
         let tmp = self.path.with_extension("compact.tmp");
@@ -508,18 +525,48 @@ fn sync_loop(file: &File, shared: &SyncShared) {
     }
 }
 
+/// The `at` of a `load_report` frame body that passed
+/// [`binproto::check_request`]: the word right after its machine name.
+pub(crate) fn report_at(body: &[u8]) -> Option<f64> {
+    let at = 1 + 4 + binproto::request_machine(body)?.len();
+    Some(f64::from_le_bytes(*body.get(at..)?.first_chunk::<8>()?))
+}
+
+/// A report's `at` as [`Journal::truncate_before`] orders it: a NaN,
+/// which no cutoff keeps, sorts below every cutoff.
+fn oldest_key(at: f64) -> f64 {
+    if at.is_nan() {
+        f64::NEG_INFINITY
+    } else {
+        at
+    }
+}
+
+/// What [`scan`] found in a journal's bytes.
+struct Scan {
+    /// Length of the prefix of whole records.
+    clean_len: usize,
+    /// Whole records, every tag.
+    frames: u64,
+    /// Whole `REC_REPORT` records.
+    reports: u64,
+    /// The least [`oldest_key`] among them; `+∞` with none.
+    oldest_at: f64,
+}
+
 /// Walks the raw journal bytes, validating the header and counting
-/// whole records. Returns `(clean prefix length, frames, reports)`;
-/// a torn trailing record is excluded from the clean prefix, but a
-/// malformed record *body* (bad tag, corrupt report) is an error —
-/// silently replaying past corruption would desync the fleet.
-fn scan(raw: &[u8], path: impl std::fmt::Display) -> io::Result<(usize, u64, u64)> {
+/// whole records. A torn trailing record is excluded from the clean
+/// prefix, but a malformed record *body* (bad tag, corrupt report) is
+/// an error — silently replaying past corruption would desync the
+/// fleet.
+fn scan(raw: &[u8], path: impl std::fmt::Display) -> io::Result<Scan> {
     let corrupt = |what: &str| {
         Err(io::Error::new(io::ErrorKind::InvalidData, format!("journal {path}: {what}")))
     };
     let mut pos = 0usize;
     let mut frames = 0u64;
     let mut reports = 0u64;
+    let mut oldest_at = f64::INFINITY;
     while pos < raw.len() {
         let rest = &raw[pos..];
         if rest.len() < 4 {
@@ -547,7 +594,7 @@ fn scan(raw: &[u8], path: impl std::fmt::Display) -> io::Result<(usize, u64, u64
             }
             REC_REPORT => {
                 match binproto::decode_request(payload) {
-                    Ok(Request::LoadReport(_)) => {}
+                    Ok(Request::LoadReport(r)) => oldest_at = oldest_at.min(oldest_key(r.at)),
                     Ok(_) => return corrupt("REC_REPORT does not hold a load_report"),
                     Err(_) => return corrupt("undecodable REC_REPORT record"),
                 }
@@ -566,7 +613,7 @@ fn scan(raw: &[u8], path: impl std::fmt::Display) -> io::Result<(usize, u64, u64
         frames += 1;
         pos += 4 + len;
     }
-    Ok((pos, frames, reports))
+    Ok(Scan { clean_len: pos, frames, reports, oldest_at })
 }
 
 /// Reads every report from a journal file, in append order — the
@@ -574,7 +621,7 @@ fn scan(raw: &[u8], path: impl std::fmt::Display) -> io::Result<(usize, u64, u64
 /// subcommand.
 pub fn read_reports(path: &Path) -> io::Result<Vec<LoadReport>> {
     let raw = std::fs::read(path)?;
-    let (clean_len, _, reports) = scan(&raw, path.display())?;
+    let Scan { clean_len, reports, .. } = scan(&raw, path.display())?;
     let mut out = Vec::with_capacity(usize::try_from(reports).unwrap_or(0));
     let mut pos = 0usize;
     while pos < clean_len {
@@ -593,6 +640,43 @@ pub fn read_reports(path: &Path) -> io::Result<Vec<LoadReport>> {
         pos += 4 + len;
     }
     Ok(out)
+}
+
+/// The wire frames (length prefix included) of a journal's reports
+/// from report `from` on (counting from 0, in append order) — what a
+/// replay sends a backend that holds the first `from`. Earlier records
+/// are skipped by their length words, not decoded; a report this reads
+/// that [`binproto::check_request`] does not vouch for is an error, and
+/// a torn trailing record ends the read, as in [`read_reports`].
+pub fn report_frames(path: &Path, from: u64) -> io::Result<Vec<Vec<u8>>> {
+    let raw = std::fs::read(path)?;
+    let corrupt = |what: &str| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("journal {}: {what}", path.display()))
+    };
+    let mut frames = Vec::new();
+    let mut skip = from;
+    let mut rest = &raw[..];
+    while let Some((len4, tail)) = rest.split_first_chunk::<4>() {
+        let len = usize::try_from(u32::from_le_bytes(*len4)).unwrap_or(usize::MAX);
+        if len == 0 || len > MAX_RECORD_BYTES {
+            return Err(corrupt("record length is zero or absurd"));
+        }
+        let Some((record, tail)) = tail.split_at_checked(len) else { break };
+        rest = tail;
+        let Some((&REC_REPORT, body)) = record.split_first() else { continue };
+        if skip > 0 {
+            skip -= 1;
+            continue;
+        }
+        if body.first() != Some(&binproto::REQ_LOAD_REPORT) || !binproto::check_request(body) {
+            return Err(corrupt("undecodable REC_REPORT record"));
+        }
+        let mut frame = Vec::with_capacity(4 + body.len());
+        frame.extend_from_slice(&u32::try_from(body.len()).unwrap_or(0).to_le_bytes());
+        frame.extend_from_slice(body);
+        frames.push(frame);
+    }
+    Ok(frames)
 }
 
 #[cfg(test)]
@@ -683,6 +767,76 @@ mod tests {
         assert!(replayed.iter().all(|r| r.at >= 6.0));
         // Idempotent once compacted.
         assert_eq!(j.truncate_before(6.0).expect("truncate again"), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_truncation_that_drops_nothing_leaves_the_file_unread_and_unchanged() {
+        let path = tmp("no-read.j");
+        let away = tmp("no-read-away.j");
+        let mut j = Journal::open(&path, 1).expect("open");
+        for at in [7.0, 5.0, 9.0] {
+            j.append_report(&report("m", at)).expect("append");
+        }
+        j.stage_report(&body(&report("m", 4.0))).expect("stage");
+        let bytes = std::fs::read(&path).expect("read");
+        // Moved away, the file cannot be read through its path: a
+        // truncation that reads it fails.
+        std::fs::rename(&path, &away).expect("move away");
+        assert_eq!(j.truncate_before(4.0).expect("nothing older than the oldest"), 0);
+        assert!(j.truncate_before(4.5).is_err(), "a cutoff past the oldest reads the file");
+        std::fs::rename(&away, &path).expect("move back");
+        assert!(std::fs::read(&path).expect("read").starts_with(&bytes), "nothing was rewritten");
+        assert_eq!((j.reports(), j.frames()), (4, 5), "the staged report committed, no marker");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn compaction_drops_exactly_the_reports_older_than_the_cutoff() {
+        let path = tmp("exact.j");
+        let away = tmp("exact-away.j");
+        let mut j = Journal::open(&path, 1).expect("open");
+        let ats = [3.0, 9.0, 1.0, 7.0, 5.0, 8.0, 2.0, 6.0];
+        for (i, &at) in ats.iter().enumerate() {
+            j.append_report(&report(&format!("m{i}"), at)).expect("append");
+        }
+        assert_eq!(j.truncate_before(5.0).expect("truncate"), 3, "at 3, 1 and 2 dropped");
+        let kept: Vec<f64> = read_reports(&path).expect("read").iter().map(|r| r.at).collect();
+        assert_eq!(kept, [9.0, 7.0, 5.0, 8.0, 6.0], "the rest, in order");
+        // The reopened journal knows its oldest report is at 5.
+        std::fs::rename(&path, &away).expect("move away");
+        assert_eq!(j.truncate_before(5.0).expect("nothing to drop, nothing read"), 0);
+        std::fs::rename(&away, &path).expect("move back");
+        assert_eq!(j.truncate_before(6.5).expect("truncate"), 2, "at 5 and 6 dropped");
+        assert_eq!(j.reports(), 3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn report_frames_from_k_are_the_encodings_of_the_reports_from_k() {
+        let path = tmp("frames.j");
+        let mut j = Journal::open(&path, 1).expect("open");
+        for i in 0..6 {
+            j.append_report(&report(&format!("m{i}"), f64::from(i))).expect("append");
+        }
+        // A compaction marker sits between the header and the reports.
+        j.truncate_before(1.0).expect("truncate");
+        j.append_report(&report("late", 9.0)).expect("append");
+        let all = read_reports(&path).expect("read");
+        assert_eq!(all.len(), 6);
+        for k in 0..=7 {
+            let want: Vec<Vec<u8>> = all
+                .iter()
+                .skip(k)
+                .map(|r| {
+                    let mut frame = Vec::new();
+                    assert!(binproto::encode_request(&Request::LoadReport(r.clone()), &mut frame));
+                    frame
+                })
+                .collect();
+            let got = report_frames(&path, u64::try_from(k).expect("small")).expect("frames");
+            assert_eq!(got, want, "from report {k}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -8,13 +8,16 @@
 //! requests in order, so the oldest in-flight entry owns the next reply
 //! frame — no correlation id on the wire.
 //!
-//! **Relay.** A relayed request frame — a client's `predict`, `rank` or
-//! `load_report`, or a report the gateway encoded once for the journal
-//! and every lane — is copied into the outbox as is; any other request
-//! is encoded there. Each in-flight entry's [`Tag`]
-//! says whether its reply is relayed: such a reply is vouched for with
-//! [`binproto::check_response`] and handed back as its frame bytes,
-//! never decoded. Every other reply is decoded here, once.
+//! **Relay.** A relayed request frame — a client's `predict`, `rank`,
+//! `decide_batch` or `load_report`, a report or batch the gateway
+//! encoded once, or a `decide_batch` chunk cut from one — is copied
+//! into the outbox as is; a decoded `predict` or `rank` is encoded
+//! there. Each in-flight entry's [`Tag`] says whether its reply is
+//! relayed: such a reply — a binary client's query or broadcast ack,
+//! and every fan-out chunk's, which the gateway merges as bytes — is
+//! vouched for with [`binproto::check_response`] and handed back as its
+//! frame bytes, never decoded; one that fails the check breaks the
+//! lane. Every other reply is decoded here, once.
 //!
 //! A lane *breaks* when its transport fails (connect error, reset, EOF,
 //! a malformed or unsolicited reply) and *times out* when its oldest
@@ -50,9 +53,10 @@ pub(crate) struct Tag {
     pub(crate) conn_id: u64,
     pub(crate) slot: u64,
     pub(crate) part: Part,
-    /// Relay the reply frame instead of decoding it: a query or a
+    /// Hand back the reply frame instead of decoding it: a query or a
     /// report broadcast from a binary client, whose answer is one
-    /// backend's reply unchanged.
+    /// backend's reply unchanged, and any `decide_batch` chunk, whose
+    /// reply is merged as bytes.
     pub(crate) relay: bool,
 }
 

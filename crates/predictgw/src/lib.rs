@@ -13,9 +13,9 @@
 //! * backend health is probed with periodic `stats` requests; a dead
 //!   backend's traffic fails over to its ring successors, and
 //!   idempotent requests are retried ([`backend`], [`gateway`]);
-//! * `decide_batch` fans out across healthy backends in task chunks
-//!   and the merged decisions are bit-identical to a single node's
-//!   answer; `rank` can be hedged across replicas and cross-checked;
+//! * `decide_batch` fans out across healthy backends in task chunks,
+//!   split and merged as frame bytes without decoding, and the merged
+//!   decisions are bit-identical to a single node's answer;
 //! * a recovered or fresh backend is warm-started by replaying the
 //!   append-only load-report journal before it takes traffic again,
 //!   so it never answers stale where its peers answer fresh.
@@ -27,7 +27,9 @@
 //! ([`metrics`]) behind the `gw_stats` wire kind. The same loop drives
 //! the backends: each worker keeps one nonblocking, pipelined
 //! connection per backend in its epoll set, so no backend round trip
-//! ever blocks a worker.
+//! ever blocks a worker. A binary client's `load_report`, `predict`,
+//! `rank` and `decide_batch` frames cross the gateway as checked bytes,
+//! and so do the replies it relays to them.
 //!
 //! modelcheck: lock-discipline, atomics, float-env, wire-taint, event-loop, lock-order
 

@@ -25,13 +25,15 @@
 //! A failed commit refuses the batch's reports — answered `journal
 //! append failed: …`, sent nowhere — and lets the rest go.
 //!
-//! A binary client's `load_report`, `predict` and `rank` frames are
-//! relayed, not decoded: the loop reads the frame's tag, vouches for
-//! the rest with [`binproto::check_request`], and hands the routing
-//! step the frame itself, which the journal and the lanes copy out as
-//! is. The reply — a query's, or the ack a broadcast picks — comes back
-//! as the backend's frame and is copied into the client's write buffer.
-//! A frame that fails the check is decoded instead, and answered `bad
+//! A binary client's `load_report`, `predict`, `decide_batch` and
+//! `rank` frames are relayed, not decoded: the loop reads the frame's
+//! tag, vouches for the rest with [`binproto::check_request`], and
+//! hands the routing step the frame itself, which the journal and the
+//! lanes copy out as is — or, for a batch that fans out, cut into chunk
+//! frames. The reply — a query's, the ack a broadcast picks, or the
+//! merged chunk replies — comes back as a frame and is copied into the
+//! client's write buffer; a JSON client's is decoded once, there. A
+//! frame that fails the check is decoded instead, and answered `bad
 //! frame: …` here without reaching the journal or a backend.
 //!
 //! ## Reply slots
@@ -773,8 +775,8 @@ impl Io<'_> {
     /// lanes, or holds them for the journal commit: a report's always,
     /// anything else while a report of this batch waits. A part that
     /// cannot be queued fails at the end of the batch. A binary
-    /// client's single-answer op is relayed: its reply comes back as
-    /// the backend's frame.
+    /// client's single-answer op is relayed, and a fan-out chunk always
+    /// is: its reply comes back as the backend's frame.
     fn dispatch(
         &mut self,
         op: &Op,
@@ -784,7 +786,7 @@ impl Io<'_> {
         slot: u64,
         now: Instant,
     ) {
-        let relay = binary && op.relays();
+        let relay = op.relays(binary);
         if op.broadcasts() || !self.held.is_empty() {
             let start = self.held_parts.len();
             self.held_parts.extend_from_slice(&self.sends);
@@ -939,9 +941,9 @@ impl Io<'_> {
     }
 
     /// Binary mode: route every complete frame in `rbuf`. A
-    /// `load_report`, `predict` or `rank` frame that passes
-    /// [`binproto::check_request`] is routed by its machine and relayed
-    /// as is; every other frame is decoded, and one that fails is
+    /// `load_report`, `predict`, `decide_batch` or `rank` frame that
+    /// passes [`binproto::check_request`] is routed by its machine as
+    /// bytes; every other frame is decoded, and one that fails is
     /// answered `bad frame` here.
     fn route_binary(&mut self, conn: &mut Conn, idx: usize, now: Instant) {
         let max = self.cfg.max_frame_bytes;
@@ -976,7 +978,10 @@ impl Io<'_> {
             let Some(frame) = rest.get(..4 + len) else { break }; // partial frame
             let body = &frame[4..];
             let parsed = match body[0] {
-                binproto::REQ_LOAD_REPORT | binproto::REQ_PREDICT | binproto::REQ_RANK
+                binproto::REQ_LOAD_REPORT
+                | binproto::REQ_PREDICT
+                | binproto::REQ_DECIDE_BATCH
+                | binproto::REQ_RANK
                     if binproto::check_request(body) =>
                 {
                     Ok(Payload::Frame(frame.to_vec()))

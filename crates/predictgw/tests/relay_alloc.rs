@@ -5,8 +5,13 @@
 //! on a journaling gateway with two backends costs three — its frame,
 //! which the journal and both lanes copy, and the two ack frames — where
 //! decoding it, copying and encoding it for the journal, and decoding
-//! both acks cost seven. Pinned with a global allocator that counts only
-//! the gateway worker thread's allocations.
+//! both acks cost seven. A binary 8-task `decide_batch` fanned out over
+//! two backends costs seven — its frame, the chunk list, two chunk
+//! frames, two chunk reply frames, and one growth of the first reply as
+//! the second is merged into it — where decoding the batch, re-encoding
+//! its chunks, and decoding, merging and re-encoding the replies cost
+//! 48. Pinned with a global allocator that counts only the gateway
+//! worker thread's allocations.
 
 mod common;
 
@@ -16,8 +21,8 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
 
-use common::{exchange, predict, report, spawn_backend};
-use predictd::proto::Response;
+use common::{exchange, predict, report, spawn_backend, task};
+use predictd::proto::{DecideBatch, Request, Response};
 use predictd::{Client, ServerConfig};
 use predictgw::{Gateway, GatewayConfig, GatewayServer};
 
@@ -142,4 +147,48 @@ fn a_relayed_binary_report_costs_the_journaling_gateway_three_allocations() {
         "{counted} allocations for {requests} journaled reports"
     );
     let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn a_fanned_out_binary_decide_batch_costs_the_gateway_seven_allocations() {
+    let backends = vec![spawn_backend().to_string(), spawn_backend().to_string()];
+    let (gw, allocations) =
+        spawn_counted_gateway(GatewayConfig { backends, ..GatewayConfig::default() });
+    let mut client = Client::connect_binary(gw).expect("gateway connect");
+    let machines: Vec<String> = (0..16).map(|i| format!("alloc-b{i}")).collect();
+    let reports: Vec<_> = machines.iter().map(|m| report(m, 1.0)).collect();
+    assert!(exchange(&mut client, &reports).iter().all(|r| matches!(r, Response::Ack(_))));
+    let window: Vec<_> = machines
+        .iter()
+        .map(|m| {
+            Request::DecideBatch(DecideBatch {
+                machine: m.clone(),
+                now: 1.5,
+                tasks: vec![task(); 8],
+                j_words: 500,
+            })
+        })
+        .collect();
+
+    // Warm every buffer and queue to its working size first.
+    for _ in 0..50 {
+        exchange(&mut client, &window);
+    }
+    let rounds = 200u64;
+    let before = allocations.load(Ordering::Relaxed);
+    for _ in 0..rounds {
+        for reply in exchange(&mut client, &window) {
+            assert!(
+                matches!(reply, Response::Decisions(ref d) if d.decisions.len() == 8),
+                "{reply:?}"
+            );
+        }
+    }
+    let counted = allocations.load(Ordering::Relaxed) - before;
+    let requests = rounds * window.len() as u64;
+    // Seven per batch, with slack for a buffer that still grows.
+    assert!(
+        (7 * requests..=7 * requests + rounds).contains(&counted),
+        "{counted} allocations for {requests} fanned-out batches"
+    );
 }

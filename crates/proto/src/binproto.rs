@@ -49,6 +49,11 @@
 //! allocate nothing; each is true exactly when its decoder would
 //! succeed. A relay uses them to vouch for a frame it forwards as
 //! bytes, and [`request_machine`] to read the one field it routes by.
+//! A relay that fans a `decide_batch` out splits it the same way:
+//! [`batch_tasks`] yields each task's byte range, [`encode_batch_chunk`]
+//! copies a run of them behind the batch's header into a frame of its
+//! own, and [`merge_decisions`] joins the chunks' `decisions` replies
+//! into one frame — bit-identical to encoding the merged value.
 //!
 //! Byte-offset layouts per kind are documented in DESIGN.md §8; this
 //! module is the machine-checked source of truth (modelcheck's
@@ -593,6 +598,7 @@ impl<'a> Cur<'a> {
 /// The checkers' cursor: walks the layouts [`Cur`] decodes, in the same
 /// order and under the same limits, but builds no value and allocates
 /// nothing. Every method is `None` exactly where its [`Cur`] twin errs.
+#[derive(Debug, Clone)]
 struct Skim<'a> {
     b: &'a [u8],
     i: usize,
@@ -810,6 +816,116 @@ pub fn request_machine(body: &[u8]) -> Option<&str> {
         REQ_LOAD_REPORT | REQ_PREDICT | REQ_DECIDE_BATCH | REQ_RANK => c.str(),
         _ => None,
     }
+}
+
+/// The tasks of a `decide_batch` frame body, walked in place: each item
+/// is one task's byte range in the body. Built by [`batch_tasks`]; on a
+/// body that passed [`check_request`] the ranges tile the task bytes
+/// exactly, in order. The walk allocates nothing.
+#[derive(Debug, Clone)]
+pub struct BatchTasks<'a> {
+    c: Skim<'a>,
+    left: usize,
+}
+
+impl BatchTasks<'_> {
+    /// Tasks not walked yet.
+    pub fn remaining(&self) -> usize {
+        self.left
+    }
+}
+
+impl Iterator for BatchTasks<'_> {
+    type Item = std::ops::Range<usize>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let start = self.c.i;
+        let task = self.left.checked_sub(1).and_then(|left| {
+            self.c.task()?;
+            Some(left)
+        });
+        // A malformed task ends the walk.
+        self.left = task.unwrap_or(0);
+        task.map(|_| start..self.c.i)
+    }
+}
+
+/// Walks the tasks of a `decide_batch` frame body without decoding them:
+/// `None` unless the body opens with the `decide_batch` tag, a machine,
+/// `now`, and a task count the body could hold.
+pub fn batch_tasks(body: &[u8]) -> Option<BatchTasks<'_>> {
+    let mut c = Skim { b: body, i: 0 };
+    (c.u8()? == REQ_DECIDE_BATCH).then_some(())?;
+    c.str()?;
+    c.words(1)?;
+    let left = c.count(24)?;
+    Some(BatchTasks { c, left })
+}
+
+/// Appends a `decide_batch` frame (length prefix included) for `count`
+/// of the tasks of the `decide_batch` body `body` — those whose bytes
+/// are `body[tasks]`, as [`batch_tasks`] spans them — with `body`'s
+/// machine, `now` and `j_words`. Everything is copied, nothing decoded.
+/// Returns `false`, leaving `out` as it was, when `tasks` does not lie
+/// within the body's task bytes or `count` overflows its field.
+pub fn encode_batch_chunk(
+    body: &[u8],
+    tasks: std::ops::Range<usize>,
+    count: usize,
+    out: &mut Vec<u8>,
+) -> bool {
+    let Some(first_task) = batch_tasks(body).map(|t| t.c.i) else { return false };
+    let Some(j_words) = body.len().checked_sub(8) else { return false };
+    if tasks.start < first_task || tasks.start > tasks.end || tasks.end > j_words {
+        return false;
+    }
+    out.reserve(4 + first_task + tasks.len() + 8);
+    let mut w = FrameWriter::begin(out, REQ_DECIDE_BATCH);
+    // Machine and `now`: everything between the tag and the task count.
+    w.out.extend_from_slice(&body[1..first_task - 4]);
+    w.len32(count);
+    w.out.extend_from_slice(&body[tasks]);
+    w.out.extend_from_slice(&body[j_words..]);
+    w.finish()
+}
+
+/// The offset of the `cache_hit` byte in a `decisions` reply frame
+/// (length prefix included), and the decision count that follows it;
+/// the decisions follow the count.
+fn decisions_at(frame: &[u8]) -> Option<(usize, u32)> {
+    let mut c = Skim { b: frame, i: 4 };
+    (c.u8()? == RESP_DECISIONS).then_some(())?;
+    c.str()?;
+    c.words(1)?;
+    c.boolean()?;
+    c.str()?;
+    let at = c.i;
+    c.boolean()?;
+    Some((at, u32::from_le_bytes(c.word()?)))
+}
+
+/// Appends the decisions of the `decisions` reply frame `more` to the
+/// `decisions` reply frame `into` — both length prefix included and
+/// passing [`check_response`] — without decoding either: `into` keeps
+/// its header (machine, `p`, `stale`, forecaster), its `cache_hit`
+/// becomes the AND of both, its count the sum, and its length prefix
+/// covers the appended decisions. Returns `false`, leaving `into` as it
+/// was, when either frame is not a `decisions` reply or a length field
+/// would overflow.
+pub fn merge_decisions(into: &mut Vec<u8>, more: &[u8]) -> bool {
+    let (Some((at, n)), Some((from, m))) = (decisions_at(into), decisions_at(more)) else {
+        return false;
+    };
+    let added = &more[from + 5..];
+    let (Some(sum), Ok(len)) = (n.checked_add(m), u32::try_from(into.len() - 4 + added.len()))
+    else {
+        return false;
+    };
+    into[at] &= more[from];
+    into[at + 1..at + 5].copy_from_slice(&sum.to_le_bytes());
+    into[..4].copy_from_slice(&len.to_le_bytes());
+    into.extend_from_slice(added);
+    true
 }
 
 /// Decodes one request frame body (`tag` + payload, the length prefix

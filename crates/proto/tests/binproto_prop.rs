@@ -365,3 +365,123 @@ proptest! {
         }
     }
 }
+
+/// Task `i` of a ragged batch: data-set lists of varying lengths, so
+/// task byte ranges differ in width.
+fn ragged_task(i: usize, scale: f64, words: usize) -> ParagonTask {
+    let words = (words + i) as u64;
+    ParagonTask {
+        dcomp_sun: secs(10.0 + scale + i as f64),
+        t_paragon: secs(0.5 + scale * 0.25),
+        to_backend: (0..i % 3).map(|k| DataSet::burst(k as u64 + 1, words)).collect(),
+        from_backend: (0..(i + 1) % 2).map(|_| DataSet::single(words / 2 + 1)).collect(),
+    }
+}
+
+/// A `decide_batch` frame body cut into chunks of `chunk_len` tasks the
+/// way a fan-out cuts it: spans from `batch_tasks`, frames from
+/// `encode_batch_chunk`.
+fn split_batch(body: &[u8], chunk_len: usize) -> Vec<Vec<u8>> {
+    let mut tasks = binproto::batch_tasks(body).expect("a decide_batch body");
+    let mut chunks = Vec::new();
+    while let Some(first) = tasks.next() {
+        let count = chunk_len.min(tasks.remaining() + 1);
+        let end = tasks.by_ref().take(count - 1).last().map_or(first.end, |t| t.end);
+        let mut chunk = Vec::new();
+        assert!(binproto::encode_batch_chunk(body, first.start..end, count, &mut chunk));
+        chunks.push(chunk);
+    }
+    chunks
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Splitting a batch's bytes is splitting its tasks: chunk `k`
+    /// decodes to the `k`-th of `tasks.chunks(chunk_len)` of the decoded
+    /// request, and is byte for byte that chunk's own encoding.
+    #[test]
+    fn split_chunks_are_the_encodings_of_the_task_chunks(
+        raw in (
+            proptest::sample::select(name_pool()),
+            0.0..1.0e6f64,
+            0.0..64.0f64,
+            0..12usize,
+            1..5000usize,
+        ),
+        chunk_len in 1..6usize,
+    ) {
+        let (name, now, scale, n, words) = raw;
+        let req = Request::DecideBatch(DecideBatch {
+            machine: name.to_string(),
+            now,
+            tasks: (0..n).map(|i| ragged_task(i, scale, words)).collect(),
+            j_words: words as u64,
+        });
+        let mut frame = Vec::new();
+        prop_assert!(encode_request(&req, &mut frame));
+        let decoded = match decode_request(&frame[4..]) {
+            Ok(Request::DecideBatch(q)) => q,
+            other => return Err(TestCaseError::fail(format!("not a batch: {other:?}"))),
+        };
+        let chunks = split_batch(&frame[4..], chunk_len);
+        prop_assert_eq!(chunks.len(), decoded.tasks.chunks(chunk_len).len());
+        for (chunk, tasks) in chunks.iter().zip(decoded.tasks.chunks(chunk_len)) {
+            let want = Request::DecideBatch(DecideBatch { tasks: tasks.to_vec(), ..decoded.clone() });
+            prop_assert_eq!(&decode_request(&chunk[4..]).expect("a chunk decodes"), &want);
+            let mut encoded = Vec::new();
+            prop_assert!(encode_request(&want, &mut encoded));
+            prop_assert_eq!(chunk, &encoded);
+        }
+    }
+
+    /// Merging `decisions` frames as bytes is merging the values: the
+    /// first frame's header (machine, `p`, `stale`, forecaster), the
+    /// AND of every `cache_hit`, every decision in order. A frame that
+    /// is not a `decisions` reply is refused and changes nothing.
+    #[test]
+    fn merged_frames_are_the_encoding_of_the_merged_value(
+        parts in proptest::collection::vec(
+            (proptest::sample::select(name_pool()), 0..64u64, 0..4usize, 0..5usize, 0.0..1.0e4f64),
+            1..5,
+        ),
+    ) {
+        let values: Vec<Decisions> = parts
+            .iter()
+            .map(|&(name, p, flags, n, a)| Decisions {
+                machine: name.to_string(),
+                p,
+                stale: flags & 1 == 1,
+                forecaster: format!("f-{name}"),
+                cache_hit: flags & 2 == 2,
+                decisions: (0..n).map(|i| decision_for(a + i as f64, 1.0, i % 2 == 0)).collect(),
+            })
+            .collect();
+        let mut want = values[0].clone();
+        for v in &values[1..] {
+            want.cache_hit &= v.cache_hit;
+            want.decisions.extend(v.decisions.iter().cloned());
+        }
+        let frames: Vec<Vec<u8>> = values
+            .iter()
+            .map(|v| {
+                let mut f = Vec::new();
+                assert!(encode_response(&Response::Decisions(v.clone()), &mut f));
+                f
+            })
+            .collect();
+        let mut merged = frames[0].clone();
+        for f in &frames[1..] {
+            prop_assert!(binproto::merge_decisions(&mut merged, f));
+        }
+        let mut expected = Vec::new();
+        prop_assert!(encode_response(&Response::Decisions(want), &mut expected));
+        prop_assert_eq!(&merged, &expected);
+
+        let mut ack = Vec::new();
+        prop_assert!(encode_response(&response_for(&(0, "m", 1.0, 1.0, 3, 0, 0)), &mut ack));
+        prop_assert!(!binproto::merge_decisions(&mut merged, &ack));
+        prop_assert!(!binproto::merge_decisions(&mut ack.clone(), &frames[0]));
+        prop_assert_eq!(&merged, &expected);
+    }
+}

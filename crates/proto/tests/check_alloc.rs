@@ -1,7 +1,8 @@
 //! The binary checkers vouch for a frame without allocating: a relay
 //! runs them on every frame it forwards instead of decoding it, and the
-//! allocations a decode makes are what relaying saves. Pinned with a
-//! global allocator that counts this thread's allocations.
+//! allocations a decode makes are what relaying saves. The walk that
+//! splits a `decide_batch` into chunks allocates nothing either. Pinned
+//! with a global allocator that counts this thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -10,9 +11,9 @@ use contention_model::dataset::DataSet;
 use contention_model::predict::{ParagonTask, Placement, PlacementDecision};
 use contention_model::units::secs;
 use proto::binproto::{
-    check_request, check_response, decode_request, encode_request, encode_response,
+    batch_tasks, check_request, check_response, decode_request, encode_request, encode_response,
 };
-use proto::proto::{Predict, Prediction, Rank, Request, Response};
+use proto::proto::{DecideBatch, Predict, Prediction, Rank, Request, Response};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -96,4 +97,36 @@ fn checking_a_predict_or_rank_round_trip_allocates_nothing() {
     // A failed check allocates nothing either.
     let cut = &body(&frame)[..frame.len() / 2];
     assert_eq!(allocations(|| check_response(cut)), (false, 0));
+}
+
+#[test]
+fn walking_a_batch_for_its_task_spans_allocates_nothing() {
+    let tasks: Vec<ParagonTask> = (0..8u64)
+        .map(|i| ParagonTask {
+            dcomp_sun: secs(30.0),
+            t_paragon: secs(6.0),
+            to_backend: vec![DataSet::burst(10, 2000 + i); usize::try_from(i % 3).unwrap_or(0)],
+            from_backend: vec![DataSet::single(1000)],
+        })
+        .collect();
+    let req = Request::DecideBatch(DecideBatch {
+        machine: "m2".to_string(),
+        now: 3.5,
+        tasks,
+        j_words: 500,
+    });
+    let mut frame = Vec::new();
+    assert!(encode_request(&req, &mut frame));
+    let mut ends = [0usize; 8];
+    let walk = || {
+        let Some(spans) = batch_tasks(body(&frame)) else { return false };
+        let mut n = 0;
+        for (end, span) in ends.iter_mut().zip(spans) {
+            *end = span.end;
+            n += 1;
+        }
+        n == 8
+    };
+    assert_eq!(allocations(walk), (true, 0));
+    assert_eq!(ends[7], frame.len() - 4 - 8, "the last task ends where j_words begins");
 }
