@@ -8,13 +8,12 @@
 //! * brute-force exhaustive search vs the Gray-code delta-evaluated walk,
 //! * refolding the mix vs an epoch-keyed `ProfileCache` hit.
 //!
-//! A second file, `BENCH_service.json`, covers the online service path:
-//! loadcast ingest+forecast and `predictd` request throughput
-//! (`load_report` and warm-cache `predict`) through `handle_line`, plus
-//! a concurrency sweep over real TCP — a closed-loop baseline on one
-//! event loop and one shard, against the 4-loop server with pipelined
-//! clients in both the JSON and binary codecs at 1/4/16 connections,
-//! client-observed latency quantiles included.
+//! A second file, `BENCH_service.json`, covers the online service path
+//! in process: loadcast ingest+forecast and `predictd` request
+//! throughput (`load_report` and warm-cache `predict`) through
+//! `handle_line`. The daemons over real TCP, gateway included, are
+//! measured by the repository benchmark (`perfbench/`), which controls
+//! for run-to-run spread.
 
 #![cfg_attr(
     not(test),
@@ -241,248 +240,5 @@ fn service_report() -> Value {
         ("loadcast_forecast_query".to_string(), throughput(query)),
         ("predictd_load_report".to_string(), throughput(load_report)),
         ("predictd_predict".to_string(), throughput(predict)),
-        ("concurrency_sweep".to_string(), concurrency_sweep()),
-        ("gateway_sweep".to_string(), gateway_sweep()),
-    ])
-}
-
-/// One measured loadgen run as a JSON record, client-observed latency
-/// quantiles included.
-fn sweep_point(conns: usize, pipeline: usize, s: &bench::loadgen::Summary) -> Value {
-    Value::Map(vec![
-        ("conns".to_string(), Value::UInt(conns as u64)),
-        ("pipeline".to_string(), Value::UInt(pipeline as u64)),
-        ("requests".to_string(), Value::UInt(s.requests)),
-        ("errors".to_string(), Value::UInt(s.errors)),
-        ("elapsed_secs".to_string(), Value::Float(s.elapsed_secs)),
-        ("requests_per_sec".to_string(), Value::Float(s.requests_per_sec)),
-        ("p50_us".to_string(), Value::UInt(s.p50_us)),
-        ("p95_us".to_string(), Value::UInt(s.p95_us)),
-        ("p99_us".to_string(), Value::UInt(s.p99_us)),
-        ("max_us".to_string(), Value::UInt(s.max_us)),
-    ])
-}
-
-/// The service headline numbers: mixed predict/load_report traffic
-/// against (a) one event loop over one shard, one closed-loop JSON
-/// connection, and (b) four event loops (per-core epoll loops,
-/// `SO_REUSEPORT`, shard-affine replicas) over the default shards with
-/// pipelined clients at 1, 4, and 16 connections in both codecs, all
-/// over real TCP on loopback. `json_16_vs_closed_loop_baseline` is
-/// JSON at 16 pipelined connections against the closed-loop baseline;
-/// `binary_vs_json_evented_16` is the codec ratio on the same engine
-/// at 16 connections.
-fn concurrency_sweep() -> Value {
-    use bench::loadgen::{drive, Codec, GenConfig, Mix};
-    use predictd::proto::Request;
-    use predictd::{Client, EventedServer, ServerConfig, Service, ServiceConfig};
-    use std::net::SocketAddr;
-    use std::thread;
-
-    const REQUESTS_PER_CONN: usize = 2000;
-    const PIPELINE: usize = 64;
-    /// Trials per measured point; the fastest is recorded, the usual
-    /// guard against scheduler noise on a shared box.
-    const TRIALS: usize = 3;
-
-    let best_run = |addr, cfg: &GenConfig| {
-        let mut best: Option<bench::loadgen::Summary> = None;
-        for _ in 0..TRIALS {
-            let s = drive(addr, cfg).expect("loadgen run");
-            if best.as_ref().is_none_or(|b| s.requests_per_sec > b.requests_per_sec) {
-                best = Some(s);
-            }
-        }
-        best.expect("at least one trial")
-    };
-
-    let spawn = |workers: usize, shards: usize| {
-        let server = EventedServer::bind("127.0.0.1:0".parse().expect("loopback addr"), workers)
-            .expect("bind evented");
-        let addr = server.local_addr();
-        let handle = thread::spawn(move || {
-            let service = Service::with_default_predictor(ServiceConfig {
-                shards,
-                ..ServiceConfig::default()
-            });
-            server.run(&service, &ServerConfig::default()).expect("evented serve");
-        });
-        (addr, handle)
-    };
-    let shutdown = |addr: SocketAddr, handle: thread::JoinHandle<()>| {
-        let mut client = Client::connect_binary(addr).expect("shutdown connection");
-        client.request(&Request::Shutdown).expect("shutdown");
-        drop(client);
-        handle.join().expect("evented server exits");
-    };
-
-    // Baseline: one loop, one shard, one connection, one request in
-    // flight — every request pays a full write/read round trip.
-    let (addr, handle) = spawn(1, 1);
-    let baseline = best_run(
-        addr,
-        &GenConfig {
-            conns: 1,
-            requests_per_conn: REQUESTS_PER_CONN,
-            pipeline: 1,
-            mix: Mix::default(),
-            codec: Codec::Json,
-        },
-    );
-    shutdown(addr, handle);
-
-    // Four loops over the default shards, swept in both codecs over the
-    // same pipelined traffic.
-    let (addr, handle) = spawn(4, ServiceConfig::default().shards);
-    let mut evented_json = Vec::new();
-    let mut evented_binary = Vec::new();
-    let mut json_16 = 0.0;
-    let mut binary_16 = 0.0;
-    for codec in [Codec::Json, Codec::Binary] {
-        for conns in [1usize, 4, 16] {
-            let cfg = GenConfig {
-                conns,
-                requests_per_conn: REQUESTS_PER_CONN,
-                pipeline: PIPELINE,
-                mix: Mix::default(),
-                codec,
-            };
-            let summary = best_run(addr, &cfg);
-            let (points, at_16) = match codec {
-                Codec::Json => (&mut evented_json, &mut json_16),
-                Codec::Binary => (&mut evented_binary, &mut binary_16),
-            };
-            if conns == 16 {
-                *at_16 = summary.requests_per_sec;
-            }
-            points.push(sweep_point(conns, PIPELINE, &summary));
-        }
-    }
-    shutdown(addr, handle);
-
-    Value::Map(vec![
-        ("baseline_1conn_closed_loop".to_string(), sweep_point(1, 1, &baseline)),
-        ("evented_workers4_json".to_string(), Value::Seq(evented_json)),
-        ("evented_workers4_binary".to_string(), Value::Seq(evented_binary)),
-        (
-            "json_16_vs_closed_loop_baseline".to_string(),
-            Value::Float(json_16 / baseline.requests_per_sec.max(1e-9)),
-        ),
-        ("binary_vs_json_evented_16".to_string(), Value::Float(binary_16 / json_16.max(1e-9))),
-    ])
-}
-
-/// Federation overhead per hop: the same mixed binary traffic against
-/// one monolithic evented predictd, then against one `predictgw`
-/// fronting 1, 2, and 4 backends. Every gateway request pays at least
-/// one extra loopback hop (and `load_report` pays one per backend, by
-/// broadcast), so `gateway_1backend_vs_monolithic` is the per-hop cost
-/// tracked across PRs; the 2- and 4-backend points show how fan-out
-/// amortizes it. Fixtures are leaked per point — this is a short-lived
-/// dump process, the same trade the e2e tests make.
-fn gateway_sweep() -> Value {
-    use bench::loadgen::{drive, Codec, GenConfig, Mix};
-    use predictd::proto::Request;
-    use predictd::{Client, EventedServer, ServerConfig, Service, ServiceConfig};
-    use predictgw::{Gateway, GatewayConfig, GatewayServer};
-    use std::sync::atomic::AtomicBool;
-    use std::thread;
-
-    const REQUESTS_PER_CONN: usize = 1000;
-    const PIPELINE: usize = 32;
-    const CONNS: usize = 4;
-    const TRIALS: usize = 2;
-
-    let cfg = GenConfig {
-        conns: CONNS,
-        requests_per_conn: REQUESTS_PER_CONN,
-        pipeline: PIPELINE,
-        mix: Mix::default(),
-        codec: Codec::Binary,
-    };
-    let best_run = |addr| {
-        let mut best: Option<bench::loadgen::Summary> = None;
-        for _ in 0..TRIALS {
-            let s = drive(addr, &cfg).expect("loadgen run");
-            if best.as_ref().is_none_or(|b| s.requests_per_sec > b.requests_per_sec) {
-                best = Some(s);
-            }
-        }
-        best.expect("at least one trial")
-    };
-    let spawn_backend = || {
-        let service: &'static Service =
-            Box::leak(Box::new(Service::with_default_predictor(ServiceConfig::default())));
-        let scfg: &'static ServerConfig = Box::leak(Box::new(ServerConfig::default()));
-        let server =
-            EventedServer::bind("127.0.0.1:0".parse().expect("loopback addr"), 2).expect("bind");
-        let addr = server.local_addr();
-        let handle = thread::spawn(move || server.run(service, scfg).expect("backend run"));
-        (addr, handle)
-    };
-    let shutdown = |addr| {
-        let mut client = Client::connect_binary(addr).expect("shutdown connection");
-        client.request(&Request::Shutdown).expect("shutdown");
-    };
-
-    // Monolithic baseline: the same engine the gateway's backends run.
-    let (mono_addr, mono_handle) = spawn_backend();
-    let mono = best_run(mono_addr);
-    shutdown(mono_addr);
-    mono_handle.join().expect("monolithic server exits");
-
-    let mut points = Vec::new();
-    let mut one_backend_rps = 0.0;
-    for n in [1usize, 2, 4] {
-        let mut addrs = Vec::new();
-        let mut handles = Vec::new();
-        for _ in 0..n {
-            let (addr, handle) = spawn_backend();
-            addrs.push(addr);
-            handles.push(handle);
-        }
-        let gateway: &'static Gateway = Box::leak(Box::new(
-            Gateway::new(GatewayConfig {
-                backends: addrs.iter().map(|a| a.to_string()).collect(),
-                ..GatewayConfig::default()
-            })
-            .expect("gateway"),
-        ));
-        let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let scfg: &'static ServerConfig = Box::leak(Box::new(ServerConfig::default()));
-        let server = GatewayServer::bind("127.0.0.1:0".parse().expect("loopback addr"), 2)
-            .expect("bind gateway");
-        let gw_addr = server.local_addr();
-        let gw_handle =
-            thread::spawn(move || server.run(gateway, scfg, stop).expect("gateway run"));
-
-        let summary = best_run(gw_addr);
-        if n == 1 {
-            one_backend_rps = summary.requests_per_sec;
-        }
-        let point = match sweep_point(CONNS, PIPELINE, &summary) {
-            Value::Map(mut entries) => {
-                entries.insert(0, ("backends".to_string(), Value::UInt(n as u64)));
-                Value::Map(entries)
-            }
-            other => other,
-        };
-        points.push(point);
-
-        shutdown(gw_addr);
-        gw_handle.join().expect("gateway exits");
-        for (addr, handle) in addrs.iter().zip(handles) {
-            shutdown(*addr);
-            handle.join().expect("backend exits");
-        }
-    }
-
-    Value::Map(vec![
-        ("monolithic_baseline".to_string(), sweep_point(CONNS, PIPELINE, &mono)),
-        ("gateway".to_string(), Value::Seq(points)),
-        (
-            "gateway_1backend_vs_monolithic".to_string(),
-            Value::Float(one_backend_rps / mono.requests_per_sec.max(1e-9)),
-        ),
     ])
 }

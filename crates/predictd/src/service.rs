@@ -358,20 +358,11 @@ impl Service {
     }
 
     fn handle_line_opt(&self, line: &str, out: &mut String, aff: Option<&mut Affinity>) -> bool {
-        // The specialized codec takes the hot request kinds without a
-        // Value tree; anything it declines goes through the generic
-        // parser, which owns acceptance and error wording.
-        let (resp, shutdown) = match crate::codec::parse_request(line) {
-            Some(req) => self.handle_with(&req, aff),
-            None => match serde_json::from_str::<Request>(line) {
-                Ok(req) => self.handle_with(&req, aff),
-                Err(e) => (Response::error(format!("bad request: {e}")), false),
-            },
+        let (resp, shutdown) = match crate::codec::parse_line(line) {
+            Ok(req) => self.handle_with(&req, aff),
+            Err(message) => (Response::error(message), false),
         };
-        if !crate::codec::write_response(&resp, out) {
-            serde_json::to_string_into(&resp, out);
-        }
-        out.push('\n');
+        crate::codec::write_line(&resp, out);
         shutdown
     }
 

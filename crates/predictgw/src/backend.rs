@@ -18,6 +18,8 @@ use predictd::server::IDLE_TIMEOUT;
 use predictd::{Client, ClientError};
 use proto::{binproto, Request, Response};
 
+use crate::gateway::bad_reply;
+
 /// Fleet-wide facts about one backend, shared by every thread.
 #[derive(Debug)]
 pub struct BackendState {
@@ -182,11 +184,7 @@ impl BackendConn {
             let mut body = Vec::with_capacity(64);
             client.recv_frame_into(&mut body)?;
             if !binproto::check_response(&body) {
-                let why = binproto::decode_response(&body).err().map(|e| e.message);
-                return Err(ClientError::Protocol(format!(
-                    "bad reply: {}",
-                    why.unwrap_or_default()
-                )));
+                return Err(ClientError::Protocol(bad_reply(&body)));
             }
             let mut reply = Vec::with_capacity(4 + body.len());
             reply.extend_from_slice(&u32::try_from(body.len()).unwrap_or(0).to_le_bytes());
@@ -248,12 +246,6 @@ impl BackendConn {
                 Err(e)
             }
         }
-    }
-
-    /// Drops the cached connection (e.g. after the health checker saw
-    /// the backend bounce: the old socket may be half-dead).
-    pub fn disconnect(&mut self) {
-        self.client = None;
     }
 }
 
@@ -371,6 +363,5 @@ mod tests {
         );
         assert!(c.request(&Request::Stats).is_err());
         assert!(c.request(&Request::Stats).is_err(), "retryable after failure");
-        c.disconnect();
     }
 }

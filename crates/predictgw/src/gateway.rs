@@ -5,8 +5,8 @@
 //!
 //! Routing is a plan-and-merge state machine, [`Op`]: [`Gateway::plan`]
 //! turns a client request into the sub-requests to send (each a
-//! [`Part`]: which backend, which request), and [`Gateway::settle`]
-//! folds each backend answer or transport failure back in, either
+//! [`Part`]: which backend, which frame), and [`Gateway::settle`]
+//! folds each backend reply or transport failure back in, either
 //! naming more parts to send (a failover, a `decide_batch` fallback)
 //! or yielding the client's reply. The step never does I/O itself.
 //! Two executors drive it: the event loop ([`crate::server`]) sends the
@@ -15,19 +15,20 @@
 //! [`BackendConn`]s. Both share one routing and one set of `gw_stats`
 //! counters.
 //!
-//! What an op sends is a [`Payload`]: a decoded `predict` or `rank`, or
-//! a binary frame the event loop has checked and relays as bytes — the
-//! step reads only its machine, to route it, a report's `at` when the
-//! journal has a horizon, and a batch's task boundaries to split it. A
-//! report and a `decide_batch` always travel as frames: a decoded one
-//! is encoded once, when it is planned, and the journal, the lanes and
-//! the fan-out's chunks copy those bytes. What comes back is an
-//! [`Answer`]: a decoded reply, or a checked reply frame — one
-//! backend's, relayed to a binary client, or the fan-out's chunk
-//! replies merged as bytes. [`Gateway::handle`] decodes the answer it
-//! returns; the event loop decodes one only for a JSON client. A query
-//! op keeps the index of its machine's preference row in the [`Ring`],
-//! not a list of its own, so planning a query allocates nothing.
+//! The step holds requests and replies only as frames, length prefix
+//! included: a request frame that passed [`binproto::check_request`] or
+//! that the gateway encoded or cut from one, and a reply frame that
+//! passed [`binproto::check_response`] or that the gateway encoded
+//! itself (an error, `gw_stats`, `ok`). It reads a frame's tag to
+//! dispatch it, its machine to route it, a report's `at` when the
+//! journal has a horizon, and a batch's task boundaries to split it;
+//! the journal, the lanes and the fan-out's chunks copy its bytes, and
+//! the fan-out merges its chunks' `decisions` replies as bytes. Codecs
+//! belong to the edges: the event loop encodes a JSON client's request
+//! once and decodes its reply once, and [`Gateway::handle`] does the
+//! same for its caller. A query op keeps the index of its machine's
+//! preference row in the [`Ring`], not a list of its own, so planning a
+//! query allocates nothing.
 //!
 //! ## Replication by broadcast
 //!
@@ -177,17 +178,9 @@ impl Lanes {
     fn conn(&mut self, i: usize) -> Option<&mut BackendConn> {
         self.conns.get_mut(i)
     }
-
-    /// Drops the cached connection to backend `i` so the next request
-    /// reconnects from scratch.
-    pub fn disconnect(&mut self, i: usize) {
-        if let Some(c) = self.conns.get_mut(i) {
-            c.disconnect();
-        }
-    }
 }
 
-/// One sub-request to send: `op.payload(part)` to backend `backend`.
+/// One sub-request to send: `op.frame(part)` to backend `backend`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Part {
     /// Which of the op's sub-requests (a `decide_batch` chunk index;
@@ -197,94 +190,71 @@ pub(crate) struct Part {
     pub(crate) backend: usize,
 }
 
-/// What a request or sub-request carries to a backend.
-#[derive(Debug)]
-pub(crate) enum Payload {
-    /// A decoded `predict` or `rank`, encoded again for the backend.
-    Request(Request),
-    /// A binary frame, length prefix included, that passed
-    /// [`binproto::check_request`] (or that the gateway encoded or cut
-    /// from such a frame itself): relayed as is.
-    Frame(Vec<u8>),
-}
-
-impl Payload {
-    /// The request kind, for log lines.
-    fn kind(&self) -> &'static str {
-        match self {
-            Payload::Request(req) => req.kind(),
-            Payload::Frame(frame) => match frame.get(4) {
-                Some(&binproto::REQ_LOAD_REPORT) => "load_report",
-                Some(&binproto::REQ_PREDICT) => "predict",
-                Some(&binproto::REQ_DECIDE_BATCH) => "decide_batch",
-                Some(&binproto::REQ_RANK) => "rank",
-                _ => "frame",
-            },
-        }
-    }
-
-    /// The machine the request names; empty for `stats`/`shutdown`.
-    fn machine(&self) -> &str {
-        match self {
-            Payload::Request(req) => match req {
-                Request::Predict(q) => &q.machine,
-                Request::Rank(q) => &q.machine,
-                Request::DecideBatch(q) => &q.machine,
-                Request::LoadReport(r) => &r.machine,
-                Request::Stats | Request::Shutdown => "",
-            },
-            Payload::Frame(frame) => {
-                frame.get(4..).and_then(binproto::request_machine).unwrap_or_default()
-            }
-        }
+/// The kind of a request frame (length prefix included), for log
+/// lines; read from its tag, not decoded.
+fn request_kind(frame: &[u8]) -> &'static str {
+    match frame.get(4) {
+        Some(&binproto::REQ_LOAD_REPORT) => "load_report",
+        Some(&binproto::REQ_PREDICT) => "predict",
+        Some(&binproto::REQ_DECIDE_BATCH) => "decide_batch",
+        Some(&binproto::REQ_RANK) => "rank",
+        Some(&binproto::REQ_STATS) => "stats",
+        Some(&binproto::REQ_SHUTDOWN) => "shutdown",
+        _ => "frame",
     }
 }
 
-/// A backend's answer as the gateway holds it.
-#[derive(Debug)]
-pub(crate) enum Answer {
-    /// A decoded reply.
-    Response(Response),
-    /// A reply frame, length prefix included, that passed
-    /// [`binproto::check_response`]: relayed to a binary client as is.
-    Frame(Vec<u8>),
+/// The machine a request frame names; empty for `stats`/`shutdown`.
+fn request_machine(frame: &[u8]) -> &str {
+    frame.get(4..).and_then(binproto::request_machine).unwrap_or_default()
 }
 
-impl Answer {
-    /// The reply kind, for log lines; a frame is not decoded for it.
-    fn kind(&self) -> &'static str {
-        match self {
-            Answer::Response(resp) => resp.kind(),
-            Answer::Frame(frame) => match frame.get(4) {
-                Some(&binproto::RESP_DECISIONS) => "decisions",
-                Some(&binproto::RESP_ERROR) => "error",
-                _ => "another reply",
-            },
-        }
-    }
-
-    /// The reply as a value; a relayed frame is decoded.
-    pub(crate) fn into_response(self) -> Response {
-        match self {
-            Answer::Response(resp) => resp,
-            Answer::Frame(frame) => binproto::decode_response(frame.get(4..).unwrap_or_default())
-                .unwrap_or_else(|e| Response::error(format!("bad reply: {e}"))),
-        }
+/// `req` as a request frame, or the error a client gets for a request
+/// no frame can carry.
+pub(crate) fn request_frame(req: &Request) -> Result<Vec<u8>, String> {
+    let mut frame = Vec::new();
+    if binproto::encode_request(req, &mut frame) {
+        Ok(frame)
+    } else {
+        Err(format!("{} exceeds binary frame limits", req.kind()))
     }
 }
 
-impl From<Response> for Answer {
-    fn from(resp: Response) -> Answer {
-        Answer::Response(resp)
+/// A reply the gateway makes itself, as a frame; one too large for a
+/// frame becomes an error that fits.
+fn reply_frame(resp: &Response) -> Vec<u8> {
+    let mut frame = Vec::new();
+    if !binproto::encode_response(resp, &mut frame) {
+        let fallback = Response::error("response exceeds binary frame limits");
+        let _ = binproto::encode_response(&fallback, &mut frame);
     }
+    frame
 }
 
-/// One client request being routed: the request plus what it waits on.
+/// An `error` reply frame.
+pub(crate) fn error_frame(message: impl std::fmt::Display) -> Vec<u8> {
+    reply_frame(&Response::error(message))
+}
+
+/// A checked reply frame as a value, for a caller that speaks values.
+pub(crate) fn decode_reply(frame: &[u8]) -> Response {
+    binproto::decode_response(frame.get(4..).unwrap_or_default())
+        .unwrap_or_else(|e| Response::error(format!("bad reply: {e}")))
+}
+
+/// Why a reply body failed [`binproto::check_response`]: decoded only to
+/// word the error.
+pub(crate) fn bad_reply(body: &[u8]) -> String {
+    let why = binproto::decode_response(body).err().map(|e| e.message);
+    format!("bad reply: {}", why.unwrap_or_default())
+}
+
+/// One client request being routed: its frame plus what it waits on.
 /// Built by [`Gateway::plan`], advanced by [`Gateway::settle`]; it is
 /// finished only when no part of it is in flight.
 #[derive(Debug)]
 pub(crate) struct Op {
-    payload: Payload,
+    frame: Vec<u8>,
     state: OpState,
 }
 
@@ -298,34 +268,24 @@ enum OpState {
     Fanout { chunks: Vec<Chunk>, pending: usize, failed: bool },
     /// A journaled `load_report` sent to every healthy backend; `first`
     /// is the ack of the lowest-numbered backend so far.
-    Broadcast { first: Option<(usize, Answer)>, pending: usize },
+    Broadcast { first: Option<(usize, Vec<u8>)>, pending: usize },
 }
 
 /// One `decide_batch` chunk of a fan-out: the frame it sends, and its
 /// backend's `decisions` reply frame once that arrives.
 #[derive(Debug)]
 struct Chunk {
-    request: Payload,
+    request: Vec<u8>,
     reply: Option<Vec<u8>>,
 }
 
 impl Op {
-    /// What a part sends.
-    pub(crate) fn payload(&self, part: usize) -> &Payload {
+    /// The frame a part sends.
+    pub(crate) fn frame(&self, part: usize) -> &[u8] {
         match &self.state {
-            OpState::Fanout { chunks, .. } => {
-                chunks.get(part).map_or(&self.payload, |c| &c.request)
-            }
-            _ => &self.payload,
+            OpState::Fanout { chunks, .. } => chunks.get(part).map_or(&self.frame, |c| &c.request),
+            _ => &self.frame,
         }
-    }
-
-    /// Whether a part's reply must come back as its checked frame, not
-    /// decoded: a fan-out chunk's always, since chunk replies are
-    /// merged as bytes; a query's or a broadcast's when the client is
-    /// `binary`, since its answer is one backend's reply, unchanged.
-    pub(crate) fn relays(&self, binary: bool) -> bool {
-        binary || matches!(self.state, OpState::Fanout { .. })
     }
 
     /// Whether the op is a report broadcast, whose sends must wait for
@@ -345,15 +305,16 @@ pub(crate) const NO_RECIPIENT: &str = "no healthy backend accepted the report";
 /// What [`Gateway::plan`] made of a request.
 #[derive(Debug)]
 pub(crate) enum Planned {
-    /// Answered without a backend; the flag asks the caller to stop.
-    Reply(Response, bool),
+    /// Answered without a backend, with this reply frame; the flag asks
+    /// the caller to stop.
+    Reply(Vec<u8>, bool),
     /// Routed: send the parts appended to `sends`, settle each. A
     /// broadcast's parts wait for [`Gateway::commit`]; one with no part
     /// is answered [`NO_RECIPIENT`] once committed.
     Routed(Op),
     /// A `load_report` that must wait for another broadcaster's turn to
     /// end; it was not journaled. Plan it again once woken.
-    Deferred(Payload),
+    Deferred(Vec<u8>),
 }
 
 /// State behind the sequencing lock.
@@ -477,15 +438,31 @@ impl Gateway {
     /// Handles one request through blocking connections, sending its
     /// parts one at a time; the flag is true when the gateway should
     /// stop (after sending the response). `shutdown` stops only the
-    /// gateway — the backends it fronts keep running. A report's record
+    /// gateway — the backends it fronts keep running. The request is
+    /// encoded once and the reply decoded once; in between it is routed
+    /// as frames, just as the event loop routes it. A report's record
     /// is committed right after it is planned.
     pub fn handle(&self, req: &Request, lanes: &mut Lanes) -> (Response, bool) {
+        match request_frame(req) {
+            Ok(frame) => {
+                let (reply, stop) = self.handle_frame(frame, lanes);
+                (decode_reply(&reply), stop)
+            }
+            Err(why) => (Response::error(why), false),
+        }
+    }
+
+    /// [`Gateway::handle`] on a request frame, yielding the reply frame.
+    fn handle_frame(&self, mut frame: Vec<u8>, lanes: &mut Lanes) -> (Vec<u8>, bool) {
         let mut sends = Vec::new();
         let mut op = loop {
-            match self.plan(Payload::Request(req.clone()), &lanes.who, &mut sends) {
-                Planned::Reply(resp, stop) => return (resp, stop),
+            match self.plan(frame, &lanes.who, &mut sends) {
+                Planned::Reply(reply, stop) => return (reply, stop),
                 Planned::Routed(op) => break op,
-                Planned::Deferred(_) => self.await_turn(),
+                Planned::Deferred(again) => {
+                    frame = again;
+                    self.await_turn();
+                }
             }
         };
         if op.broadcasts() {
@@ -493,23 +470,21 @@ impl Gateway {
                 return (self.refuse(&sends, &why), false);
             }
             if sends.is_empty() {
-                return (Response::error(NO_RECIPIENT), false);
+                return (error_frame(NO_RECIPIENT), false);
             }
         }
         let mut queue: VecDeque<Part> = sends.drain(..).collect();
         while let Some(sent) = queue.pop_front() {
-            let result = match (lanes.conn(sent.backend), op.payload(sent.part)) {
-                (Some(conn), Payload::Request(req)) => conn.request(req).map(Answer::Response),
-                (Some(conn), Payload::Frame(frame)) => conn.request_frame(frame).map(Answer::Frame),
-                (None, _) => Err(ClientError::Protocol("no connection to that backend".into())),
+            let result = match lanes.conn(sent.backend) {
+                Some(conn) => conn.request_frame(op.frame(sent.part)).map_err(|e| e.to_string()),
+                None => Err("no connection to that backend".to_string()),
             };
-            let result = result.map_err(|e| e.to_string());
-            if let Some(answer) = self.settle(&mut op, sent, result, &mut sends) {
-                return (answer.into_response(), false);
+            if let Some(reply) = self.settle(&mut op, sent, result, &mut sends) {
+                return (reply, false);
             }
             queue.extend(sends.drain(..));
         }
-        (Response::error("routing stalled with nothing in flight"), false)
+        (error_frame("routing stalled with nothing in flight"), false)
     }
 
     /// Blocks until no broadcaster holds the turn (blocking callers
@@ -524,42 +499,20 @@ impl Gateway {
         }
     }
 
-    /// Plans one request: answers it locally, routes it (appending the
-    /// parts to send to `sends`), or defers a `load_report` that must
-    /// wait for the broadcast turn. A frame is a `load_report`,
-    /// broadcast; a `decide_batch`, fanned out; or a `predict` or
-    /// `rank`, routed as a query.
-    pub(crate) fn plan(
-        &self,
-        payload: Payload,
-        who: &Broadcaster,
-        sends: &mut Vec<Part>,
-    ) -> Planned {
-        let frame = match payload {
-            Payload::Frame(frame) => frame,
-            Payload::Request(req) => match req {
-                Request::Predict(_) | Request::Rank(_) => {
-                    return self.plan_query(Payload::Request(req), sends)
-                }
-                Request::Stats => return Planned::Reply(Response::GwStats(self.gw_stats()), false),
-                Request::Shutdown => return Planned::Reply(Response::Ok, true),
-                // A decoded report or batch is encoded once, here: the
-                // journal, the lanes and the fan-out's chunks all copy
-                // these bytes.
-                Request::LoadReport(_) | Request::DecideBatch(_) => {
-                    let mut frame = Vec::new();
-                    if !binproto::encode_request(&req, &mut frame) {
-                        let why = format!("{} exceeds binary frame limits", req.kind());
-                        return Planned::Reply(Response::error(why), false);
-                    }
-                    frame
-                }
-            },
-        };
+    /// Plans one request frame, by its tag: answers `stats` and
+    /// `shutdown` locally, broadcasts a `load_report`, fans out a
+    /// `decide_batch`, and routes a `predict` or `rank` as a query —
+    /// appending the parts to send to `sends` — or defers a report that
+    /// must wait for the broadcast turn.
+    pub(crate) fn plan(&self, frame: Vec<u8>, who: &Broadcaster, sends: &mut Vec<Part>) -> Planned {
         match frame.get(4) {
             Some(&binproto::REQ_LOAD_REPORT) => self.plan_broadcast(frame, who, sends),
             Some(&binproto::REQ_DECIDE_BATCH) => self.plan_decide_batch(frame, sends),
-            _ => self.plan_query(Payload::Frame(frame), sends),
+            Some(&binproto::REQ_STATS) => {
+                Planned::Reply(reply_frame(&Response::GwStats(self.gw_stats())), false)
+            }
+            Some(&binproto::REQ_SHUTDOWN) => Planned::Reply(reply_frame(&Response::Ok), true),
+            _ => self.plan_query(frame, sends),
         }
     }
 
@@ -582,7 +535,7 @@ impl Gateway {
                     seq.waiting.push(Arc::clone(w));
                 }
             }
-            return Planned::Deferred(Payload::Frame(frame));
+            return Planned::Deferred(frame);
         }
         let body = frame.get(4..).unwrap_or_default();
         if let Some(j) = seq.journal.as_mut() {
@@ -591,10 +544,7 @@ impl Gateway {
             if let Err(e) = j.stage_report(body) {
                 // Refuse what we cannot journal: accepting it would let
                 // the fleet and the journal disagree.
-                return Planned::Reply(
-                    Response::error(format!("journal append failed: {e}")),
-                    false,
-                );
+                return Planned::Reply(error_frame(format!("journal append failed: {e}")), false);
             }
             if self.cfg.journal_horizon_secs.is_some() {
                 if let Some(at) = journal::report_at(body) {
@@ -613,10 +563,7 @@ impl Gateway {
         seq.owner = Some(who.id);
         seq.outstanding += pending;
         drop(seq);
-        Planned::Routed(Op {
-            payload: Payload::Frame(frame),
-            state: OpState::Broadcast { first: None, pending },
-        })
+        Planned::Routed(Op { frame, state: OpState::Broadcast { first: None, pending } })
     }
 
     /// Commits the journal records staged since the last commit — the
@@ -653,12 +600,12 @@ impl Gateway {
 
     /// Refuses a staged broadcast whose commit failed: releases the
     /// in-flight count and the turn share of each of its `parts`, which
-    /// are never sent, and yields its reply.
-    pub(crate) fn refuse(&self, parts: &[Part], why: &str) -> Response {
+    /// are never sent, and yields its reply frame.
+    pub(crate) fn refuse(&self, parts: &[Part], why: &str) -> Vec<u8> {
         for part in parts {
             self.release_send(part.backend, false);
         }
-        Response::error(why)
+        error_frame(why)
     }
 
     /// Settles one broadcast send — acked, failed, or refused unsent;
@@ -689,24 +636,24 @@ impl Gateway {
     /// Routes an idempotent single-answer query down the machine's
     /// preference list: owner first, ring successors on unhealth or
     /// mid-flight failure.
-    fn plan_query(&self, payload: Payload, sends: &mut Vec<Part>) -> Planned {
-        let row = self.ring.row_of(payload.machine());
+    fn plan_query(&self, frame: Vec<u8>, sends: &mut Vec<Part>) -> Planned {
+        let row = self.ring.row_of(request_machine(&frame));
         self.count_dispatch(self.ring.row(row));
-        let mut op = Op { payload, state: OpState::Query { row, next: 0 } };
+        let mut op = Op { frame, state: OpState::Query { row, next: 0 } };
         match self.next_query_part(&mut op, None, sends) {
-            Some(resp) => Planned::Reply(resp, false),
+            Some(reply) => Planned::Reply(reply, false),
             None => Planned::Routed(op),
         }
     }
 
     /// Sends a query to the next healthy backend on its preference
-    /// list, or — when none is left — yields the error reply.
+    /// list, or — when none is left — yields the error reply frame.
     fn next_query_part(
         &self,
         op: &mut Op,
         last_err: Option<String>,
         sends: &mut Vec<Part>,
-    ) -> Option<Response> {
+    ) -> Option<Vec<u8>> {
         if let OpState::Query { row, next } = &mut op.state {
             while let Some(&i) = self.ring.row(*row).get(*next) {
                 *next += 1;
@@ -716,10 +663,10 @@ impl Gateway {
                 }
             }
         }
-        let machine = op.payload.machine();
+        let machine = request_machine(&op.frame);
         Some(match last_err {
-            Some(e) => Response::error(format!("every backend failed for {machine}: {e}")),
-            None => Response::error(format!("no healthy backend for {machine}")),
+            Some(e) => error_frame(format!("every backend failed for {machine}: {e}")),
+            None => error_frame(format!("no healthy backend for {machine}")),
         })
     }
 
@@ -738,7 +685,7 @@ impl Gateway {
         let lanes = pref.iter().filter(|i| healthy(i)).count();
         let tasks = binproto::batch_tasks(body).filter(|t| lanes >= 2 && t.remaining() >= 2);
         let Some(mut tasks) = tasks else {
-            return self.plan_query(Payload::Frame(frame), sends);
+            return self.plan_query(frame, sends);
         };
         let n = tasks.remaining();
         let chunk_len = n.div_ceil(lanes.min(n));
@@ -754,36 +701,34 @@ impl Gateway {
             // owner: route the batch whole instead.
             let (true, Some(backend)) = (built, owners.next()) else {
                 sends.truncate(first_send);
-                return self.plan_query(Payload::Frame(frame), sends);
+                return self.plan_query(frame, sends);
             };
             sends.push(Part { part: chunks.len(), backend });
-            chunks.push(Chunk { request: Payload::Frame(chunk), reply: None });
+            chunks.push(Chunk { request: chunk, reply: None });
         }
         self.count_dispatch(pref);
         let pending = chunks.len();
-        Planned::Routed(Op {
-            payload: Payload::Frame(frame),
-            state: OpState::Fanout { chunks, pending, failed: false },
-        })
+        Planned::Routed(Op { frame, state: OpState::Fanout { chunks, pending, failed: false } })
     }
 
-    /// Folds one part's outcome into `op`: the client's reply once the
-    /// op is finished, else `None` with any new parts to send appended
-    /// to `sends`.
+    /// Folds one part's outcome — a checked reply frame, or why there
+    /// is none — into `op`: the client's reply frame once the op is
+    /// finished, else `None` with any new parts to send appended to
+    /// `sends`.
     pub(crate) fn settle(
         &self,
         op: &mut Op,
         sent: Part,
-        result: Result<Answer, String>,
+        result: Result<Vec<u8>, String>,
         sends: &mut Vec<Part>,
-    ) -> Option<Answer> {
+    ) -> Option<Vec<u8>> {
         let backend = sent.backend;
         let addr = self.backends.get(backend).map_or("?", BackendState::addr);
         match &mut op.state {
             OpState::Query { .. } => match result {
-                Ok(answer) => {
+                Ok(reply) => {
                     self.metrics.backend_request(backend);
-                    Some(answer)
+                    Some(reply)
                 }
                 Err(e) => {
                     self.metrics.failover(backend);
@@ -791,15 +736,15 @@ impl Gateway {
                     // path only, rate-bounded by backend failures.
                     eprintln!(
                         "predictgw: failover: {} for {} re-sent past backend {addr} ({e})",
-                        op.payload.kind(),
-                        op.payload.machine()
+                        request_kind(&op.frame),
+                        request_machine(&op.frame)
                     );
-                    self.next_query_part(op, Some(e), sends).map(Answer::Response)
+                    self.next_query_part(op, Some(e), sends)
                 }
             },
             OpState::Fanout { chunks, pending, failed } => {
                 match result {
-                    Ok(Answer::Frame(frame)) if frame.get(4) == Some(&binproto::RESP_DECISIONS) => {
+                    Ok(frame) if frame.get(4) == Some(&binproto::RESP_DECISIONS) => {
                         self.metrics.backend_request(backend);
                         if let Some(chunk) = chunks.get_mut(sent.part) {
                             chunk.reply = Some(frame);
@@ -812,7 +757,7 @@ impl Gateway {
                         // path only; the re-route is the real handling.
                         eprintln!(
                             "predictgw: decide_batch chunk on backend {backend} answered {}; falling back to single-backend routing",
-                            other.kind()
+                            if other.get(4) == Some(&binproto::RESP_ERROR) { "error" } else { "another reply" }
                         );
                         self.metrics.failover(backend);
                         *failed = true;
@@ -832,10 +777,10 @@ impl Gateway {
                     return None;
                 }
                 if *failed {
-                    let row = self.ring.row_of(op.payload.machine());
+                    let row = self.ring.row_of(request_machine(&op.frame));
                     self.count_dispatch(self.ring.row(row));
                     op.state = OpState::Query { row, next: 0 };
-                    return self.next_query_part(op, None, sends).map(Answer::Response);
+                    return self.next_query_part(op, None, sends);
                 }
                 // Headers (machine, p, stale, forecaster) are
                 // bit-identical across caught-up backends; keep the
@@ -848,18 +793,18 @@ impl Gateway {
                         .all(|r| r.is_some_and(|r| binproto::merge_decisions(&mut first, &r)))
                         .then_some(first)
                 });
-                Some(merged.map_or_else(
-                    || Answer::Response(Response::error("decide_batch fan-out produced no answer")),
-                    Answer::Frame,
-                ))
+                Some(
+                    merged
+                        .unwrap_or_else(|| error_frame("decide_batch fan-out produced no answer")),
+                )
             }
             OpState::Broadcast { first, pending } => {
                 self.release_send(backend, result.is_ok());
                 match result {
-                    Ok(answer) => {
+                    Ok(reply) => {
                         self.metrics.backend_request(backend);
                         if first.as_ref().is_none_or(|&(b, _)| backend < b) {
-                            *first = Some((backend, answer));
+                            *first = Some((backend, reply));
                         }
                     }
                     Err(e) => {
@@ -876,12 +821,7 @@ impl Gateway {
                 if *pending > 0 {
                     return None;
                 }
-                Some(
-                    first.take().map_or_else(
-                        || Answer::Response(Response::error(NO_RECIPIENT)),
-                        |(_, a)| a,
-                    ),
-                )
+                Some(first.take().map_or_else(|| error_frame(NO_RECIPIENT), |(_, reply)| reply))
             }
         }
     }
@@ -1223,14 +1163,12 @@ mod tests {
             let mut frame = Vec::new();
             assert!(binproto::encode_request(&req, &mut frame));
             let mut sends = Vec::new();
-            let Planned::Routed(op) = gw.plan(Payload::Frame(frame.clone()), &who, &mut sends)
-            else {
+            let Planned::Routed(op) = gw.plan(frame.clone(), &who, &mut sends) else {
                 panic!("a rank frame must be routed");
             };
             assert_eq!(sends, [Part { part: 0, backend: gw.ring().owner(&machine) }]);
-            assert!(op.relays(true) && !op.relays(false));
-            assert!(matches!(op.payload(0), Payload::Frame(f) if *f == frame));
-            assert_eq!((op.payload.kind(), op.payload.machine()), ("rank", machine.as_str()));
+            assert_eq!(op.frame(0), frame);
+            assert_eq!((request_kind(&op.frame), request_machine(&op.frame)), ("rank", &*machine));
         }
     }
 

@@ -8,16 +8,13 @@
 //! requests in order, so the oldest in-flight entry owns the next reply
 //! frame — no correlation id on the wire.
 //!
-//! **Relay.** A relayed request frame — a client's `predict`, `rank`,
-//! `decide_batch` or `load_report`, a report or batch the gateway
-//! encoded once, or a `decide_batch` chunk cut from one — is copied
-//! into the outbox as is; a decoded `predict` or `rank` is encoded
-//! there. Each in-flight entry's [`Tag`] says whether its reply is
-//! relayed: such a reply — a binary client's query or broadcast ack,
-//! and every fan-out chunk's, which the gateway merges as bytes — is
-//! vouched for with [`binproto::check_response`] and handed back as its
-//! frame bytes, never decoded; one that fails the check breaks the
-//! lane. Every other reply is decoded here, once.
+//! **Relay.** A lane carries frames and never touches a codec. A
+//! request frame — a client's, one the gateway encoded from a JSON
+//! request, or a `decide_batch` chunk cut from one — is copied into the
+//! outbox as is. Every reply is vouched for with
+//! [`binproto::check_response`] and handed back as its frame bytes; one
+//! that fails the check breaks the lane, and is decoded only to word
+//! its `bad reply: …` error.
 //!
 //! A lane *breaks* when its transport fails (connect error, reset, EOF,
 //! a malformed or unsolicited reply) and *times out* when its oldest
@@ -39,29 +36,24 @@ use predictd::poll::{
 };
 use proto::binproto;
 
-use crate::gateway::{Answer, Part, Payload};
+use crate::gateway::{bad_reply, Part};
 
 /// Compact the outbox once this many sent bytes sit at its front.
 const OUTBOX_COMPACT_BYTES: usize = 64 * 1024;
 
 /// Where a backend reply goes: the client connection (slab index plus
-/// the id that rules out a reused slot), its reply slot, and the part —
-/// and whether it goes there as its frame bytes.
+/// the id that rules out a reused slot), its reply slot, and the part.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Tag {
     pub(crate) conn: usize,
     pub(crate) conn_id: u64,
     pub(crate) slot: u64,
     pub(crate) part: Part,
-    /// Hand back the reply frame instead of decoding it: a query or a
-    /// report broadcast from a binary client, whose answer is one
-    /// backend's reply unchanged, and any `decide_batch` chunk, whose
-    /// reply is merged as bytes.
-    pub(crate) relay: bool,
 }
 
-/// One backend answer — or the reason there is none — for a tag.
-pub(crate) type Reply = (Tag, Result<Answer, String>);
+/// One backend's checked reply frame — or the reason there is none —
+/// for a tag.
+pub(crate) type Reply = (Tag, Result<Vec<u8>, String>);
 
 /// One nonblocking connection to one backend (see module docs).
 #[derive(Debug)]
@@ -105,13 +97,14 @@ impl Lane {
         }
     }
 
-    /// Queues `payload` (connecting first if needed); its reply, or its
-    /// failure, comes back under `tag`. An `Err` means the request
-    /// never made it onto the lane and must be settled as failed now.
+    /// Queues a request `frame` (connecting first if needed); its
+    /// reply, or its failure, comes back under `tag`. An `Err` means the
+    /// request never made it onto the lane and must be settled as
+    /// failed now.
     pub(crate) fn send(
         &mut self,
         epoll: &Epoll,
-        payload: &Payload,
+        frame: &[u8],
         tag: Tag,
         now: Instant,
     ) -> Result<(), String> {
@@ -121,14 +114,7 @@ impl Lane {
         if self.stream.is_none() {
             self.open(epoll, now)?;
         }
-        match payload {
-            Payload::Frame(frame) => self.out.extend_from_slice(frame),
-            Payload::Request(req) => {
-                if !binproto::encode_request(req, &mut self.out) {
-                    return Err("request exceeds binary frame limits".to_string());
-                }
-            }
-        }
+        self.out.extend_from_slice(frame);
         self.in_flight.push_back((tag, now));
         Ok(())
     }
@@ -197,8 +183,8 @@ impl Lane {
     }
 
     /// Matches every complete reply frame in `inbuf` to the oldest
-    /// in-flight request. A malformed reply fails its request and
-    /// breaks the lane.
+    /// in-flight request. A reply that fails the check fails its
+    /// request and breaks the lane.
     fn parse_replies(&mut self, replies: &mut Vec<Reply>) {
         let mut at = 0;
         while let Some(rest) = self.inbuf.get(at..) {
@@ -215,19 +201,13 @@ impl Lane {
             };
             at += frame.len();
             let body = &frame[4..];
-            let result = if tag.relay && binproto::check_response(body) {
-                Ok(Answer::Frame(frame.to_vec()))
-            } else {
-                binproto::decode_response(body)
-                    .map(Answer::Response)
-                    .map_err(|e| format!("bad reply: {e}"))
-            };
-            let bad = result.as_ref().err().cloned();
-            replies.push((tag, result));
-            if bad.is_some() {
-                self.broken = bad;
+            if !binproto::check_response(body) {
+                let why = bad_reply(body);
+                self.broken = Some(why.clone());
+                replies.push((tag, Err(why)));
                 break;
             }
+            replies.push((tag, Ok(frame.to_vec())));
         }
         self.inbuf.drain(..at);
     }

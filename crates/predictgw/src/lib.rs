@@ -3,12 +3,13 @@
 //! One predictd process cannot serve a fleet of millions of machines;
 //! the gateway tier is how the service scales out. A `predictgw`
 //! daemon sits in front of N predictd backends, speaks both wire
-//! codecs on both sides, and routes every request by a consistent hash
-//! of its machine ID over a configurable ring with virtual nodes
-//! ([`ring`]). Load reports are journaled ([`journal`]) and broadcast
-//! to every backend, so any backend can answer any placement question
-//! bit-identically to a monolithic daemon — which is what makes
-//! failover, scatter-gather, and warm restarts sound:
+//! codecs to its clients and the binary one to its backends, and
+//! routes every request by a consistent hash of its machine ID over a
+//! configurable ring with virtual nodes ([`ring`]). Load reports are
+//! journaled ([`journal`]) and broadcast to every backend, so any
+//! backend can answer any placement question bit-identically to a
+//! monolithic daemon — which is what makes failover, scatter-gather,
+//! and warm restarts sound:
 //!
 //! * backend health is probed with periodic `stats` requests; a dead
 //!   backend's traffic fails over to its ring successors, and
@@ -27,9 +28,11 @@
 //! ([`metrics`]) behind the `gw_stats` wire kind. The same loop drives
 //! the backends: each worker keeps one nonblocking, pipelined
 //! connection per backend in its epoll set, so no backend round trip
-//! ever blocks a worker. A binary client's `load_report`, `predict`,
-//! `rank` and `decide_batch` frames cross the gateway as checked bytes,
-//! and so do the replies it relays to them.
+//! ever blocks a worker. Codecs live at the client edge only: past it,
+//! every request and reply crosses the gateway as a binary frame that
+//! passed `binproto`'s checks or that the gateway encoded itself — a
+//! JSON client's request is encoded once on the way in and its reply
+//! decoded once on the way out.
 //!
 //! modelcheck: lock-discipline, atomics, float-env, wire-taint, event-loop, lock-order
 

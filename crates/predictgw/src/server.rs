@@ -25,16 +25,18 @@
 //! A failed commit refuses the batch's reports — answered `journal
 //! append failed: …`, sent nowhere — and lets the rest go.
 //!
-//! A binary client's `load_report`, `predict`, `decide_batch` and
-//! `rank` frames are relayed, not decoded: the loop reads the frame's
-//! tag, vouches for the rest with [`binproto::check_request`], and
-//! hands the routing step the frame itself, which the journal and the
-//! lanes copy out as is — or, for a batch that fans out, cut into chunk
-//! frames. The reply — a query's, the ack a broadcast picks, or the
-//! merged chunk replies — comes back as a frame and is copied into the
-//! client's write buffer; a JSON client's is decoded once, there. A
-//! frame that fails the check is decoded instead, and answered `bad
-//! frame: …` here without reaching the journal or a backend.
+//! Codecs live here, at the client edge; past it every request and
+//! reply is a frame. A binary client's frame is vouched for with
+//! [`binproto::check_request`] and handed to the routing step as is —
+//! the journal and the lanes copy it out, and a batch that fans out is
+//! cut into chunk frames. One that fails the check is decoded only to
+//! word its `bad frame: …` reply, given here without reaching the
+//! journal or a backend. A JSON client's line is parsed
+//! ([`codec::parse_line`]) and encoded once into the frame it is routed
+//! as. Every reply — a backend's, the merged chunk replies, or one the
+//! gateway made itself — fills its slot as a frame, which is copied
+//! into a binary client's write buffer, or decoded once and written as
+//! a line ([`codec::write_line`]) for a JSON client.
 //!
 //! ## Reply slots
 //!
@@ -83,9 +85,11 @@ use predictd::poll::{
 };
 use predictd::server::{ACCEPT_BACKOFF, IDLE_TIMEOUT, SWEEP_EVERY};
 use predictd::ServerConfig;
-use proto::{binproto, Request, Response};
+use proto::{binproto, codec};
 
-use crate::gateway::{Answer, Broadcaster, Gateway, Op, Part, Payload, Planned, NO_RECIPIENT};
+use crate::gateway::{
+    decode_reply, error_frame, request_frame, Broadcaster, Gateway, Op, Part, Planned, NO_RECIPIENT,
+};
 use crate::lane::{Lane, Reply, Tag};
 
 /// Reads per readiness wakeup go through this per-loop scratch buffer.
@@ -125,8 +129,8 @@ enum Mode {
 enum Slot {
     /// Routed; backend parts still in flight.
     Waiting(Op),
-    /// Answered, waiting for the slots before it.
-    Ready(Answer),
+    /// Answered with this reply frame, waiting for the slots before it.
+    Ready(Vec<u8>),
 }
 
 /// One client connection's state machine (see the predictd evented
@@ -148,9 +152,9 @@ struct Conn {
     slots: VecDeque<Slot>,
     /// Sequence number of `slots.front()`.
     first_slot: u64,
-    /// A `load_report` waiting for the broadcast turn; routing and
-    /// reading pause behind it.
-    deferred: Option<Payload>,
+    /// A `load_report` frame waiting for the broadcast turn; routing
+    /// and reading pause behind it.
+    deferred: Option<Vec<u8>>,
     /// The socket failed: no more I/O. Kept only until its in-flight
     /// routing settles, so backend replies always find their slot.
     dead: bool,
@@ -324,7 +328,6 @@ struct Held {
     conn: usize,
     conn_id: u64,
     slot: u64,
-    relay: bool,
     /// A report broadcast: refused if the commit fails.
     broadcast: bool,
     /// Its parts, in [`Io::held_parts`].
@@ -533,7 +536,7 @@ impl Worker<'_> {
     }
 
     /// Folds one backend outcome into the op it belongs to.
-    fn settle(&mut self, tag: Tag, result: Result<Answer, String>, now: Instant) {
+    fn settle(&mut self, tag: Tag, result: Result<Vec<u8>, String>, now: Instant) {
         let Some(Some(conn)) = self.conns.get_mut(tag.conn) else { return };
         if conn.id != tag.conn_id {
             return;
@@ -550,8 +553,8 @@ impl Worker<'_> {
             if conn.id != id {
                 continue;
             }
-            let Some(payload) = conn.deferred.take() else { continue };
-            let flow = self.io.route(conn, idx, payload, now);
+            let Some(frame) = conn.deferred.take() else { continue };
+            let flow = self.io.route(conn, idx, frame, now);
             match flow {
                 Flow::Go => self.io.route_all(conn, idx, now),
                 Flow::Stop => conn.rbuf.clear(),
@@ -613,7 +616,7 @@ impl Worker<'_> {
             let parts = parts.get(h.parts).unwrap_or_default();
             let answer = match &committed {
                 Err(why) if h.broadcast => Some(self.io.gateway.refuse(parts, why)),
-                _ if parts.is_empty() => Some(Response::error(NO_RECIPIENT)),
+                _ if parts.is_empty() => Some(error_frame(NO_RECIPIENT)),
                 _ => None,
             };
             // A waiting slot keeps its connection, so both are found.
@@ -623,15 +626,15 @@ impl Worker<'_> {
             }
             let Some(slot) = conn.slot_mut(h.slot) else { continue };
             match answer {
-                Some(resp) => {
-                    *slot = Slot::Ready(resp.into());
+                Some(reply) => {
+                    *slot = Slot::Ready(reply);
                     mark_dirty(&mut self.dirty, conn, h.conn);
                 }
                 None => {
                     if let Slot::Waiting(op) = slot {
                         for &part in parts {
-                            let (conn, conn_id, slot, relay) = (h.conn, h.conn_id, h.slot, h.relay);
-                            self.io.send(op, Tag { conn, conn_id, slot, part, relay }, now);
+                            let tag = Tag { conn: h.conn, conn_id: h.conn_id, slot: h.slot, part };
+                            self.io.send(op, tag, now);
                         }
                     }
                 }
@@ -774,30 +777,19 @@ impl Io<'_> {
     /// Queues the parts in `self.sends` of the op in `slot` on their
     /// lanes, or holds them for the journal commit: a report's always,
     /// anything else while a report of this batch waits. A part that
-    /// cannot be queued fails at the end of the batch. A binary
-    /// client's single-answer op is relayed, and a fan-out chunk always
-    /// is: its reply comes back as the backend's frame.
-    fn dispatch(
-        &mut self,
-        op: &Op,
-        binary: bool,
-        conn: usize,
-        conn_id: u64,
-        slot: u64,
-        now: Instant,
-    ) {
-        let relay = op.relays(binary);
+    /// cannot be queued fails at the end of the batch.
+    fn dispatch(&mut self, op: &Op, conn: usize, conn_id: u64, slot: u64, now: Instant) {
         if op.broadcasts() || !self.held.is_empty() {
             let start = self.held_parts.len();
             self.held_parts.extend_from_slice(&self.sends);
             let parts = start..self.held_parts.len();
             let broadcast = op.broadcasts();
-            self.held.push(Held { conn, conn_id, slot, relay, broadcast, parts });
+            self.held.push(Held { conn, conn_id, slot, broadcast, parts });
             return;
         }
         for i in 0..self.sends.len() {
             let part = self.sends[i];
-            self.send(op, Tag { conn, conn_id, slot, part, relay }, now);
+            self.send(op, Tag { conn, conn_id, slot, part }, now);
         }
     }
 
@@ -805,7 +797,7 @@ impl Io<'_> {
     /// queued fails at the end of the batch.
     fn send(&mut self, op: &Op, tag: Tag, now: Instant) {
         let queued = match self.lanes.get_mut(tag.part.backend) {
-            Some(lane) => lane.send(&self.epoll, op.payload(tag.part.part), tag, now),
+            Some(lane) => lane.send(&self.epoll, op.frame(tag.part.part), tag, now),
             None => Err("no lane to that backend".to_string()),
         };
         if let Err(why) = queued {
@@ -815,25 +807,24 @@ impl Io<'_> {
 
     /// Folds one backend outcome into its op: a reply fills the slot,
     /// anything else goes out on the lanes.
-    fn settle(&mut self, conn: &mut Conn, tag: Tag, result: Result<Answer, String>, now: Instant) {
-        let binary = matches!(conn.mode, Mode::Binary);
+    fn settle(&mut self, conn: &mut Conn, tag: Tag, result: Result<Vec<u8>, String>, now: Instant) {
         let Some(slot) = conn.slot_mut(tag.slot) else { return };
         let Slot::Waiting(op) = slot else { return };
         self.sends.clear();
         match self.gateway.settle(op, tag.part, result, &mut self.sends) {
-            Some(answer) => *slot = Slot::Ready(answer),
+            Some(reply) => *slot = Slot::Ready(reply),
             // Still waiting on other parts, with nothing new to send.
             None if self.sends.is_empty() => {}
-            None => self.dispatch(op, binary, tag.conn, tag.conn_id, tag.slot, now),
+            None => self.dispatch(op, tag.conn, tag.conn_id, tag.slot, now),
         }
     }
 
-    /// Routes one request of `conn` into a new reply slot.
-    fn route(&mut self, conn: &mut Conn, idx: usize, payload: Payload, now: Instant) -> Flow {
+    /// Routes one request frame of `conn` into a new reply slot.
+    fn route(&mut self, conn: &mut Conn, idx: usize, frame: Vec<u8>, now: Instant) -> Flow {
         self.sends.clear();
-        match self.gateway.plan(payload, &self.who, &mut self.sends) {
-            Planned::Reply(resp, stop) => {
-                conn.push(Slot::Ready(resp.into()));
+        match self.gateway.plan(frame, &self.who, &mut self.sends) {
+            Planned::Reply(reply, stop) => {
+                conn.push(Slot::Ready(reply));
                 if !stop {
                     return Flow::Go;
                 }
@@ -846,14 +837,13 @@ impl Io<'_> {
             }
             Planned::Routed(op) => {
                 let seq = conn.push(Slot::Waiting(op));
-                let binary = matches!(conn.mode, Mode::Binary);
                 if let Some(Slot::Waiting(op)) = conn.slots.back() {
-                    self.dispatch(op, binary, idx, conn.id, seq, now);
+                    self.dispatch(op, idx, conn.id, seq, now);
                 }
                 Flow::Go
             }
-            Planned::Deferred(payload) => {
-                conn.deferred = Some(payload);
+            Planned::Deferred(frame) => {
+                conn.deferred = Some(frame);
                 self.deferred.push_back((idx, conn.id));
                 Flow::Pause
             }
@@ -875,9 +865,7 @@ impl Io<'_> {
                     conn.rbuf.drain(..4);
                     conn.mode = Mode::Binary;
                 } else {
-                    conn.push(Slot::Ready(
-                        Response::error("bad preamble: expected BD 50 44 01").into(),
-                    ));
+                    conn.push(Slot::Ready(error_frame("bad preamble: expected BD 50 44 01")));
                     conn.closing = true;
                     conn.rbuf.clear();
                     return;
@@ -893,7 +881,8 @@ impl Io<'_> {
         }
     }
 
-    /// JSON mode: route every complete line in `rbuf`.
+    /// JSON mode: route every complete line in `rbuf`, each parsed
+    /// request encoded once into the frame it is routed as.
     fn route_json(&mut self, conn: &mut Conn, idx: usize, now: Instant) {
         let max = self.cfg.max_line_bytes;
         let mut consumed = 0;
@@ -912,19 +901,19 @@ impl Io<'_> {
             } else {
                 match std::str::from_utf8(line) {
                     Ok(text) if text.trim().is_empty() => continue,
-                    Ok(text) => parse_json(text.trim()),
+                    Ok(text) => codec::parse_line(text.trim()).and_then(|req| request_frame(&req)),
                     Err(_) => Err("request line is not valid UTF-8".to_string()),
                 }
             };
             match parsed {
-                Ok(req) => {
-                    flow = self.route(conn, idx, Payload::Request(req), now);
+                Ok(frame) => {
+                    flow = self.route(conn, idx, frame, now);
                     if flow != Flow::Go {
                         break;
                     }
                 }
                 Err(message) => {
-                    conn.push(Slot::Ready(Response::error(message).into()));
+                    conn.push(Slot::Ready(error_frame(message)));
                 }
             }
         }
@@ -932,19 +921,15 @@ impl Io<'_> {
         if flow == Flow::Stop || conn.json_discard {
             conn.rbuf.clear();
         } else if conn.rbuf.len() > max && !conn.rbuf.contains(&b'\n') {
-            conn.push(Slot::Ready(
-                Response::error(format!("request line exceeds {max} bytes")).into(),
-            ));
+            conn.push(Slot::Ready(error_frame(format!("request line exceeds {max} bytes"))));
             conn.rbuf.clear();
             conn.json_discard = true;
         }
     }
 
-    /// Binary mode: route every complete frame in `rbuf`. A
-    /// `load_report`, `predict`, `decide_batch` or `rank` frame that
-    /// passes [`binproto::check_request`] is routed by its machine as
-    /// bytes; every other frame is decoded, and one that fails is
-    /// answered `bad frame` here.
+    /// Binary mode: route every complete frame in `rbuf` that passes
+    /// [`binproto::check_request`], as its bytes; one that fails is
+    /// decoded only to word the `bad frame: …` reply given here.
     fn route_binary(&mut self, conn: &mut Conn, idx: usize, now: Instant) {
         let max = self.cfg.max_frame_bytes;
         let mut consumed = 0;
@@ -964,41 +949,27 @@ impl Io<'_> {
             let len = usize::try_from(u32::from_le_bytes(*len4)).unwrap_or(usize::MAX);
             if len == 0 {
                 consumed += 4;
-                conn.push(Slot::Ready(Response::error("bad frame: empty frame").into()));
+                conn.push(Slot::Ready(error_frame("bad frame: empty frame")));
                 continue;
             }
             if len > max {
                 consumed += 4;
                 conn.bin_discard = len;
-                conn.push(Slot::Ready(
-                    Response::error(format!("frame exceeds {max} bytes")).into(),
-                ));
+                conn.push(Slot::Ready(error_frame(format!("frame exceeds {max} bytes"))));
                 continue;
             }
             let Some(frame) = rest.get(..4 + len) else { break }; // partial frame
-            let body = &frame[4..];
-            let parsed = match body[0] {
-                binproto::REQ_LOAD_REPORT
-                | binproto::REQ_PREDICT
-                | binproto::REQ_DECIDE_BATCH
-                | binproto::REQ_RANK
-                    if binproto::check_request(body) =>
-                {
-                    Ok(Payload::Frame(frame.to_vec()))
-                }
-                _ => binproto::decode_request(body).map(Payload::Request),
-            };
             consumed += frame.len();
-            match parsed {
-                Ok(payload) => {
-                    flow = self.route(conn, idx, payload, now);
-                    if flow != Flow::Go {
-                        break;
-                    }
+            let body = &frame[4..];
+            if binproto::check_request(body) {
+                flow = self.route(conn, idx, frame.to_vec(), now);
+                if flow != Flow::Go {
+                    break;
                 }
-                Err(e) => {
-                    conn.push(Slot::Ready(Response::error(format!("bad frame: {e}")).into()));
-                }
+            } else {
+                let why = binproto::decode_request(body).err().map(|e| e.message);
+                let why = format!("bad frame: {}", why.unwrap_or_default());
+                conn.push(Slot::Ready(error_frame(why)));
             }
         }
         conn.rbuf.drain(..consumed);
@@ -1013,14 +984,6 @@ fn mark_dirty(dirty: &mut Vec<usize>, conn: &mut Conn, idx: usize) {
     if !conn.dirty {
         conn.dirty = true;
         dirty.push(idx);
-    }
-}
-
-/// Parses one JSON request line: the fast path, then serde.
-fn parse_json(text: &str) -> Result<Request, String> {
-    match proto::codec::parse_request(text) {
-        Some(req) => Ok(req),
-        None => serde_json::from_str(text).map_err(|e| format!("bad request: {e}")),
     }
 }
 
@@ -1046,37 +1009,22 @@ fn read_client(conn: &mut Conn, scratch: &mut [u8]) -> bool {
     }
 }
 
-/// Moves the finished replies at the front of the slot queue into the
-/// write buffer, in the connection's codec: a relayed frame as is,
-/// anything else encoded.
+/// Moves the finished reply frames at the front of the slot queue into
+/// the write buffer, in the connection's codec: as is for a binary
+/// client, decoded and written as a line for a JSON one.
 fn write_ready(conn: &mut Conn, json: &mut String) {
     while matches!(conn.slots.front(), Some(Slot::Ready(_))) {
-        let Some(Slot::Ready(answer)) = conn.slots.pop_front() else { break };
+        let Some(Slot::Ready(frame)) = conn.slots.pop_front() else { break };
         conn.first_slot += 1;
-        let resp = match (&conn.mode, answer) {
-            (Mode::Binary, Answer::Frame(frame)) => {
-                conn.wbuf.extend_from_slice(&frame);
-                continue;
-            }
-            (_, answer) => answer.into_response(),
-        };
         match conn.mode {
             Mode::Json => {
                 json.clear();
-                if !proto::codec::write_response(&resp, json) {
-                    serde_json::to_string_into(&resp, json);
-                }
-                json.push('\n');
+                codec::write_line(&decode_reply(&frame), json);
                 conn.wbuf.extend_from_slice(json.as_bytes());
             }
             // A bad preamble is answered before any codec is chosen:
             // in binary, since the client opened with the magic byte.
-            Mode::Binary | Mode::Sniff => {
-                if !binproto::encode_response(&resp, &mut conn.wbuf) {
-                    let fallback = Response::error("response exceeds binary frame limits");
-                    let _ = binproto::encode_response(&fallback, &mut conn.wbuf);
-                }
-            }
+            Mode::Binary | Mode::Sniff => conn.wbuf.extend_from_slice(&frame),
         }
     }
 }

@@ -3,7 +3,8 @@
 //! a decoded one would be, and never reaches a backend; a `load_report`
 //! frame it cannot vouch for reaches neither a backend nor the journal,
 //! and one it can is journaled byte for byte. A relayed reply the
-//! gateway cannot vouch for breaks its lane, and the query fails over;
+//! gateway cannot vouch for breaks its lane, and the query fails over,
+//! whichever codec the client speaks;
 //! a fan-out chunk's reply that fails the check does the same, and the
 //! batch falls back to whole routing. A reply it can vouch for reaches
 //! the client byte for byte; chunk replies are merged as frames for a
@@ -195,22 +196,29 @@ fn a_reply_that_fails_the_check_breaks_the_lane_and_fails_over() {
     let mut client = Client::connect_binary(gw).expect("gateway connect");
     let acks = exchange(&mut client, &[report(&machine, 1.0), report(&machine, 2.0)]);
     assert!(acks.iter().all(|a| matches!(a, Response::Ack(_))), "{acks:?}");
-    let before = gateway.gw_stats();
 
-    let reply = client.request(&predict(&machine, 2.5)).expect("predict");
-    let direct = Client::connect_binary(real).expect("backend").request(&predict(&machine, 2.5));
-    match (reply, direct.expect("direct predict")) {
-        (Response::Prediction(mut got), Response::Prediction(mut want)) => {
-            (got.cache_hit, want.cache_hit) = (false, false);
-            assert_eq!(got, want, "the survivor's answer");
+    // A JSON client's query breaks the lane the same way: the reply is
+    // vouched for as a frame whichever codec the client speaks.
+    for mut client in [client, Client::connect(gw).expect("gateway connect")] {
+        let before = gateway.gw_stats();
+        let reply = client.request(&predict(&machine, 2.5)).expect("predict");
+        let direct =
+            Client::connect_binary(real).expect("backend").request(&predict(&machine, 2.5));
+        match (reply, direct.expect("direct predict")) {
+            (Response::Prediction(mut got), Response::Prediction(mut want)) => {
+                (got.cache_hit, want.cache_hit) = (false, false);
+                assert_eq!(got, want, "the survivor's answer");
+            }
+            other => panic!("want two predictions, got {other:?}"),
         }
-        other => panic!("want two predictions, got {other:?}"),
+        closed
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the gateway must close the broken lane");
+        let after = gateway.gw_stats();
+        assert_eq!(after.failovers - before.failovers, 1, "{after:?}");
+        assert_eq!(after.backends[0].failovers - before.backends[0].failovers, 1, "{after:?}");
+        assert_eq!(after.backends[1].requests - before.backends[1].requests, 1, "{after:?}");
     }
-    closed.recv_timeout(Duration::from_secs(5)).expect("the gateway must close the broken lane");
-    let after = gateway.gw_stats();
-    assert_eq!(after.failovers - before.failovers, 1, "{after:?}");
-    assert_eq!(after.backends[0].failovers - before.backends[0].failovers, 1, "{after:?}");
-    assert_eq!(after.backends[1].requests - before.backends[1].requests, 1, "{after:?}");
 }
 
 fn batch(machine: &str, now: f64, n: usize) -> Request {

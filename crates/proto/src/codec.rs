@@ -224,6 +224,29 @@ fn paragon_tasks(s: &mut Scan<'_>) -> Option<Vec<ParagonTask>> {
     }
 }
 
+/// Parses one request line: the fast path, then the generic serde
+/// parser, whose error is the client's `bad request: …` message. The
+/// one JSON request edge every daemon shares; inlined, since each
+/// daemon's loop calls it once per line.
+#[inline]
+pub fn parse_line(line: &str) -> Result<Request, String> {
+    match parse_request(line) {
+        Some(req) => Ok(req),
+        None => serde_json::from_str(line).map_err(|e| format!("bad request: {e}")),
+    }
+}
+
+/// Appends `resp` to `out` as one reply line, newline included: the
+/// fast path, then the generic serializer. The JSON reply edge every
+/// daemon shares.
+#[inline]
+pub fn write_line(resp: &Response, out: &mut String) {
+    if !write_response(resp, out) {
+        serde_json::to_string_into(resp, out);
+    }
+    out.push('\n');
+}
+
 /// Parses one request line on the fast path, in any field order.
 /// `None` means "not recognized here" — never "invalid": the caller
 /// falls back to the generic parser, which owns acceptance and errors.

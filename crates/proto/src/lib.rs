@@ -16,7 +16,8 @@
 //!   newline-JSON representation. The source of truth for every kind.
 //! * [`codec`] — the specialized byte-scan JSON fast path for the hot
 //!   kinds; falls back to (and is pinned byte-identical against) the
-//!   generic serde path.
+//!   generic serde path. Its `parse_line`/`write_line` are the one JSON
+//!   line edge both daemons use.
 //! * [`binproto`] — the length-prefixed binary codec (`0xBD` preamble,
 //!   `[u32 LE len][u8 tag][payload]` frames, raw IEEE-754 `f64`s),
 //!   hostile-input safe.
