@@ -164,4 +164,25 @@ mod tests {
         let fc = monitor.forecast(secs(31.0));
         assert_eq!(fc.p, contenders(fc.load));
     }
+
+    /// The replay's printed output, pinned: both notes byte for byte and
+    /// both series' MAPE to the printed precision. A change to the
+    /// monitor, the forecaster bank or the selector that moves any
+    /// forecast moves one of these.
+    #[test]
+    fn the_notes_and_mapes_are_pinned() {
+        let e = run();
+        assert_eq!(
+            e.notes,
+            [
+                "piecewise-constant trace (0 → 2 → 4 → 1 → 0 contenders): the selector is \
+                 exact on every steady-state step and pays only at the 4 transitions; \
+                 final winner `last`",
+                "last MAE 0.267, mean4 MAE 0.611, mean16 MAE 1.423, median5 MAE 0.700, \
+                 ewma0.10 MAE 1.396, ewma0.30 MAE 0.781, ewma0.90 MAE 0.293",
+            ]
+        );
+        let mapes: Vec<String> = e.series.iter().map(|s| format!("{:.2}", s.mape())).collect();
+        assert_eq!(mapes, ["11.89", "11.89"]);
+    }
 }

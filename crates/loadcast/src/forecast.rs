@@ -8,6 +8,11 @@
 //! same value repeatedly makes `predict` return that value to the bit —
 //! the property that lets forecast-fed model predictions match direct
 //! `decide()` calls bit-for-bit when the load is steady.
+//!
+//! The selector holds [`default_family`]'s bank inline rather than as
+//! these boxed trait objects. They stay as the reference definition:
+//! the property tests feed both the same traces and require the same
+//! predictions, winners and scores, to the bit.
 
 use contention_model::units::f64_from_usize;
 use std::collections::VecDeque;
@@ -24,13 +29,6 @@ pub trait Forecaster {
 
     /// Short display name (`"last"`, `"mean16"`, `"ewma0.30"`, …).
     fn name(&self) -> &str;
-
-    /// An independent copy of this forecaster with identical state, as
-    /// a fresh boxed trait object. Lets a whole predictor bank be
-    /// duplicated (e.g. into a per-core replica) while staying object
-    /// safe; every implementation is `Clone`, so this is `Box::new
-    /// (self.clone())` throughout.
-    fn clone_box(&self) -> Box<dyn Forecaster + Send + Sync>;
 }
 
 /// Predicts the most recent observation (the NWS "last value" method).
@@ -57,10 +55,6 @@ impl Forecaster for LastValue {
 
     fn name(&self) -> &str {
         "last"
-    }
-
-    fn clone_box(&self) -> Box<dyn Forecaster + Send + Sync> {
-        Box::new(self.clone())
     }
 }
 
@@ -93,9 +87,9 @@ impl Forecaster for WindowedMean {
         // Equal-window fast path: summing n copies of v and dividing by n
         // rounds for non-dyadic v (sixteen 0.1s ≠ 1.6 exactly), so the
         // constant-input fixed-point guarantee is enforced structurally.
-        // modelcheck-allow: float-env — the bit-exact forecaster
-        // guarantee is defined in terms of representation equality.
-        if self.buf.iter().all(|x| x.to_bits() == first.to_bits()) {
+        // `total_cmp` equality is bit equality, so 0.0 and -0.0 do not
+        // count as repeats.
+        if self.buf.iter().all(|x| x.total_cmp(&first).is_eq()) {
             return Some(first);
         }
         // Re-summed each call (k is small) rather than kept as a running
@@ -106,10 +100,6 @@ impl Forecaster for WindowedMean {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn clone_box(&self) -> Box<dyn Forecaster + Send + Sync> {
-        Box::new(self.clone())
     }
 }
 
@@ -173,10 +163,6 @@ impl Forecaster for WindowedMedian {
     fn name(&self) -> &str {
         &self.name
     }
-
-    fn clone_box(&self) -> Box<dyn Forecaster + Send + Sync> {
-        Box::new(self.clone())
-    }
 }
 
 /// Exponentially weighted moving average, `s ← s + g·(v − s)`, with the
@@ -216,10 +202,6 @@ impl Forecaster for Ewma {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn clone_box(&self) -> Box<dyn Forecaster + Send + Sync> {
-        Box::new(self.clone())
     }
 }
 

@@ -2,15 +2,19 @@
 //!
 //! The paper's premise is that a scheduler consults the contention model
 //! *at allocation time* using the machines' **current** load. This crate
-//! supplies the missing "current": timestamped load samples ingested into
-//! bounded [`window`]s, a family of one-step-ahead [`forecast`]ers
-//! (last-value, windowed mean/median, EWMA at several gains) with
-//! NWS-style dynamic [`selector`] choice — track every forecaster's
-//! running MAE, forward the current winner — and a [`monitor`] that turns
-//! the winning forecast into the [`WorkloadMix`] the core model consumes,
-//! with an explicit staleness policy: no samples within a configurable
-//! horizon degrades the answer to the dedicated-machine prediction and
-//! flags it stale.
+//! supplies the missing "current": a family of one-step-ahead
+//! [`forecast`]ers (last-value, windowed mean/median, EWMA at several
+//! gains) fed timestamped load samples, with NWS-style dynamic
+//! [`selector`] choice — track every forecaster's running MAE, forward
+//! the current winner — and a [`monitor`] that turns the winning forecast
+//! into the [`WorkloadMix`] the core model consumes, with an explicit
+//! staleness policy: no samples within a configurable horizon degrades
+//! the answer to the dedicated-machine prediction and flags it stale.
+//!
+//! One machine's state is one fixed-size value: the monitor keeps only
+//! its newest sample's time, and the selector holds the default bank
+//! inline — one 16-sample ring, three EWMA states, seven error sums — so
+//! ingesting a report allocates nothing.
 //!
 //! The forecast is chosen at report time: each accepted sample scores
 //! the bank and stores the winner's prediction. A query never evaluates
@@ -37,9 +41,7 @@
 pub mod forecast;
 pub mod monitor;
 pub mod selector;
-pub mod window;
 
 pub use forecast::{default_family, Ewma, Forecaster, LastValue, WindowedMean, WindowedMedian};
 pub use monitor::{LoadForecast, LoadMonitor, MixForecast, MonitorConfig};
 pub use selector::{ForecasterScore, SelectivePredictor};
-pub use window::{LoadSample, SlidingWindow};

@@ -1,11 +1,14 @@
 //! Per-machine load monitoring: samples in, workload mixes out.
 //!
-//! [`LoadMonitor`] glues the pipeline together for one machine: reports
-//! land in a [`SlidingWindow`] and feed a [`SelectivePredictor`], which
-//! picks the winning forecast right then, once per accepted report. A
-//! query only checks staleness against its `now` and copies that stored
-//! forecast out as the contender count (and, on request, the
-//! [`WorkloadMix`]) the contention model consumes.
+//! [`LoadMonitor`] glues the pipeline together for one machine: each
+//! accepted report feeds a [`SelectivePredictor`], which picks the
+//! winning forecast right then, once per report. The monitor itself
+//! keeps only the newest sample's time — the one thing a query reads
+//! besides the stored forecast. A query checks staleness against its
+//! `now` and copies that stored forecast out as the contender count
+//! (and, on request, the [`WorkloadMix`]) the contention model
+//! consumes. A monitor is a fixed-size value: it allocates nothing,
+//! however many reports it ingests.
 //!
 //! **Staleness policy.** A forecast is only as good as its samples. If
 //! the newest sample is older than the configured horizon (or no samples
@@ -15,7 +18,6 @@
 //! told me anything lately".
 
 use crate::selector::SelectivePredictor;
-use crate::window::{LoadSample, SlidingWindow};
 use contention_model::mix::WorkloadMix;
 use contention_model::units::{secs, Prob, Seconds};
 
@@ -26,8 +28,6 @@ pub const MAX_CONTENDERS: usize = 1024;
 /// Tuning knobs of a [`LoadMonitor`].
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorConfig {
-    /// Sliding-window capacity (samples kept per machine).
-    pub window: usize,
     /// Staleness horizon: a forecast asked for more than this long after
     /// the newest sample degrades to the dedicated answer.
     pub horizon: Seconds,
@@ -41,7 +41,7 @@ pub struct MonitorConfig {
 
 impl Default for MonitorConfig {
     fn default() -> Self {
-        MonitorConfig { window: 64, horizon: secs(10.0), default_frac: Prob::ZERO, frac_gain: 0.3 }
+        MonitorConfig { horizon: secs(10.0), default_frac: Prob::ZERO, frac_gain: 0.3 }
     }
 }
 
@@ -76,13 +76,15 @@ pub struct MixForecast {
 }
 
 /// Online load monitor for one machine. `Clone` duplicates the whole
-/// monitor — window, forecaster bank with running scores, tracked
-/// fraction — so a copy fed the same subsequent reports stays
+/// monitor — newest sample time, forecaster bank with running scores,
+/// tracked fraction — so a copy fed the same subsequent reports stays
 /// bit-identical to the original (every forecaster is deterministic).
 #[derive(Clone)]
 pub struct LoadMonitor {
     cfg: MonitorConfig,
-    window: SlidingWindow,
+    /// When the newest accepted sample was taken; `None` before the
+    /// first.
+    newest: Option<Seconds>,
     selector: SelectivePredictor,
     frac: Prob,
 }
@@ -92,7 +94,7 @@ impl LoadMonitor {
     /// forecaster bank.
     pub fn new(cfg: MonitorConfig) -> Self {
         LoadMonitor {
-            window: SlidingWindow::new(cfg.window),
+            newest: None,
             selector: SelectivePredictor::nws_default(),
             frac: cfg.default_frac,
             cfg,
@@ -101,11 +103,14 @@ impl LoadMonitor {
 
     /// Ingests one load report. `comm_frac`, when present, updates the
     /// tracked per-contender communication fraction by EWMA. Returns
-    /// `false` (state unchanged) for invalid or time-regressing samples.
+    /// `false` (state unchanged) for an invalid load — not finite, or
+    /// negative — or a sample older than the newest one: reports must
+    /// arrive in time order per machine, and equal times are fine.
     pub fn report(&mut self, at: Seconds, load: f64, comm_frac: Option<Prob>) -> bool {
-        if !self.window.push(LoadSample::new(at, load)) {
+        if !(load.is_finite() && load >= 0.0) || self.newest.is_some_and(|newest| at < newest) {
             return false;
         }
+        self.newest = Some(at);
         self.selector.observe(load);
         if let Some(cf) = comm_frac {
             let g = self.cfg.frac_gain;
@@ -150,7 +155,7 @@ impl LoadMonitor {
 
     /// Time since the newest sample, `None` before the first.
     fn age(&self, now: Seconds) -> Option<Seconds> {
-        self.window.latest().map(|s| secs((now.get() - s.at.get()).max(0.0)))
+        self.newest.map(|at| secs((now.get() - at.get()).max(0.0)))
     }
 
     /// The stored winner's raw prediction and name, if a sample this
@@ -177,11 +182,6 @@ impl LoadMonitor {
         self.frac
     }
 
-    /// The ingestion window (for diagnostics and stats).
-    pub fn window(&self) -> &SlidingWindow {
-        &self.window
-    }
-
     /// Per-forecaster running scores (for diagnostics and stats).
     pub fn scores(&self) -> Vec<crate::selector::ForecasterScore> {
         self.selector.scores()
@@ -197,7 +197,7 @@ impl std::fmt::Debug for LoadMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LoadMonitor")
             .field("cfg", &self.cfg)
-            .field("samples", &self.window.len())
+            .field("newest", &self.newest)
             .field("frac", &self.frac)
             .finish()
     }
@@ -281,9 +281,14 @@ mod tests {
         assert!(m.report(secs(5.0), 1.0, None));
         assert!(!m.report(secs(4.0), 9.0, Some(prob(0.9))), "time regression");
         assert!(!m.report(secs(6.0), f64::NAN, Some(prob(0.9))));
+        assert!(!m.report(secs(6.0), -1.0, Some(prob(0.9))));
+        assert!(!m.report(secs(6.0), f64::INFINITY, Some(prob(0.9))));
         assert_eq!(m.frac(), Prob::ZERO, "rejected reports must not move the frac");
-        assert_eq!(m.window().len(), 1);
+        assert!(m.scores().iter().all(|s| s.scored == 0), "nothing past the first was scored");
         assert_eq!(m.forecast(secs(5.0)).load, 1.0);
+        assert_eq!(m.forecast(secs(7.0)).age, Some(secs(2.0)), "the newest sample is still t=5");
+        assert!(m.report(secs(5.0), 2.0, None), "equal timestamps are fine");
+        assert_eq!(m.forecast(secs(5.0)).load, 2.0);
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! The cheap-count property: `LoadMonitor::contenders_at` agrees with
 //! the full forecast's contender count and staleness.
 //!
-//! The cached-winner property: the winner the selector stores at report
-//! time is the one a from-scratch argmin over the bank picks, on random
+//! The inline-bank property: the selector holds the default bank in
+//! plain fields, and after every sample it must agree to the bit with a
+//! from-scratch reference built on the boxed [`default_family`]: the
+//! stored winner is the one a full argmin over the reference's MAEs
+//! picks (earliest on exact ties), and every forecaster's score — name,
+//! MAE bits, scored count — is the reference's. Checked on random
 //! traces, constant traces, exact MAE ties, a single sample, and traces
 //! with rejected reports; and a monitor cloned mid-trace stays identical
 //! to the original when both are fed the same later reports.
@@ -20,7 +24,7 @@ use contention_model::mix::WorkloadMix;
 use contention_model::predict::{ParagonPredictor, ParagonTask};
 use contention_model::units::{prob, secs, BytesPerSec};
 use loadcast::{
-    default_family, Ewma, Forecaster, LastValue, LoadMonitor, MonitorConfig, SelectivePredictor,
+    default_family, Forecaster, ForecasterScore, LoadMonitor, MonitorConfig, SelectivePredictor,
 };
 use proptest::prelude::*;
 
@@ -52,9 +56,9 @@ fn predictor() -> ParagonPredictor {
     }
 }
 
-/// A from-scratch model of the selector: its own copy of a bank, scored
-/// the same way, with the winner found by a full argmin over the bank
-/// each time it is asked.
+/// A from-scratch model of the selector: the boxed default bank, each
+/// forecaster scored on its own, with the winner found by a full argmin
+/// over the bank each time it is asked.
 struct Reference {
     bank: Vec<Box<dyn Forecaster + Send + Sync>>,
     abs_err: Vec<f64>,
@@ -62,9 +66,23 @@ struct Reference {
 }
 
 impl Reference {
-    fn new(bank: Vec<Box<dyn Forecaster + Send + Sync>>) -> Self {
+    fn new() -> Self {
+        let bank = default_family();
         let n = bank.len();
         Reference { bank, abs_err: vec![0.0; n], scored: vec![0; n] }
+    }
+
+    /// Every forecaster's (name, MAE bits, scored count), in bank order.
+    fn scores(&self) -> Vec<(String, Option<u64>, u64)> {
+        self.bank
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let n = self.scored[i];
+                let mae = (n > 0).then(|| (self.abs_err[i] / n as f64).to_bits());
+                (f.name().to_string(), mae, n)
+            })
+            .collect()
     }
 
     fn observe(&mut self, load: f64) {
@@ -108,6 +126,18 @@ fn argmin(r: &Reference) -> Option<(u64, String)> {
     r.winner().map(|(p, name)| (p.to_bits(), name))
 }
 
+/// Scores in the reference's terms: (name, MAE bits, scored count).
+fn score_bits(scores: &[ForecasterScore]) -> Vec<(String, Option<u64>, u64)> {
+    scores.iter().map(|s| (s.name.clone(), s.mae.map(f64::to_bits), s.scored)).collect()
+}
+
+/// Checks the selector against the reference: the stored winner and
+/// every score, bitwise.
+fn assert_matches(sel: &SelectivePredictor, r: &Reference, step: usize) {
+    assert_eq!(stored(sel), argmin(r), "winner at step {step}");
+    assert_eq!(score_bits(&sel.scores()), r.scores(), "scores at step {step}");
+}
+
 /// A trace step drawn by the generators below.
 #[derive(Debug, Clone, Copy)]
 enum Step {
@@ -120,14 +150,16 @@ enum Step {
 }
 
 /// Turns raw draws into steps: tag 0 regresses time, tag 1 reports NaN,
-/// tags 2-5 report small integers (so forecasters tie), the rest report
-/// the random float.
+/// tags 2-5 report small integers (so forecasters tie), tag 6 reports a
+/// negative zero (a valid load whose bits differ from 0's), the rest
+/// report the random float.
 fn steps(raw: &[(u8, f64)]) -> Vec<Step> {
     raw.iter()
         .map(|&(tag, v)| match tag {
             0 => Step::Regress,
             1 => Step::NaN,
             2..=5 => Step::Load(f64::from(tag - 2)),
+            6 => Step::Load(-0.0),
             _ => Step::Load(v),
         })
         .collect()
@@ -143,39 +175,33 @@ fn fresh_forecast(m: &LoadMonitor, newest: f64) -> (u64, String) {
 #[test]
 fn single_sample_stores_the_first_forecaster() {
     let mut sel = SelectivePredictor::nws_default();
-    let mut r = Reference::new(default_family());
+    let mut r = Reference::new();
+    assert_matches(&sel, &r, 0);
     sel.observe(2.5);
     r.observe(2.5);
-    assert_eq!(stored(&sel), argmin(&r));
+    assert_matches(&sel, &r, 1);
     assert_eq!(stored(&sel), Some((2.5f64.to_bits(), "last".to_string())));
 }
 
 #[test]
 fn exact_mae_ties_go_to_the_earliest_entry() {
-    // On small dyadic values `Ewma(1.0)` computes exactly what
-    // last-value does: every prediction, and so every MAE, is equal to
-    // the bit. Either order, the earlier entry must win.
-    let trace = [1.0, 4.0, 2.0, 2.0, 7.5, 0.0, 3.0];
-    for last_first in [true, false] {
-        let bank = || -> Vec<Box<dyn Forecaster + Send + Sync>> {
-            if last_first {
-                vec![Box::new(LastValue::new()), Box::new(Ewma::new(1.0))]
-            } else {
-                vec![Box::new(Ewma::new(1.0)), Box::new(LastValue::new())]
-            }
-        };
-        let mut sel = SelectivePredictor::new(bank());
-        let mut r = Reference::new(bank());
-        for &v in &trace {
-            sel.observe(v);
-            r.observe(v);
-            assert_eq!(stored(&sel), argmin(&r));
-        }
-        let scores = sel.scores();
-        assert_eq!(scores[0].mae, scores[1].mae, "the tie must be exact");
-        let want = if last_first { "last" } else { "ewma1.00" };
-        assert_eq!(sel.predict().map(|(_, n)| n), Some(want));
+    // On 0, 2, 1 the two means and the median all predict 0 and then 1,
+    // so their MAEs tie to the bit at 1.0 and beat every other entry.
+    // The earliest of the three, `mean4`, must win; `last` (earlier
+    // still) is not in the tie.
+    let mut sel = SelectivePredictor::nws_default();
+    let mut r = Reference::new();
+    for (step, v) in [0.0, 2.0, 1.0].into_iter().enumerate() {
+        sel.observe(v);
+        r.observe(v);
+        assert_matches(&sel, &r, step);
     }
+    let scores = sel.scores();
+    let tied: Vec<&str> =
+        scores.iter().filter(|s| s.mae == Some(1.0)).map(|s| s.name.as_str()).collect();
+    assert_eq!(tied, ["mean4", "mean16", "median5"], "{scores:?}");
+    assert!(scores.iter().all(|s| s.mae >= Some(1.0)), "{scores:?}");
+    assert_eq!(sel.predict(), Some((1.0, "mean4")));
 }
 
 proptest! {
@@ -191,7 +217,7 @@ proptest! {
     ) {
         let mut monitor = LoadMonitor::new(MonitorConfig::default());
         let mut sel = SelectivePredictor::nws_default();
-        let mut r = Reference::new(default_family());
+        let mut r = Reference::new();
         let mut copy: Option<LoadMonitor> = None;
         let mut newest: Option<f64> = None;
         for (i, step) in steps(&raw).into_iter().enumerate() {
@@ -217,6 +243,8 @@ proptest! {
                 r.observe(load);
             }
             prop_assert_eq!(stored(&sel), argmin(&r), "step {}", i);
+            prop_assert_eq!(score_bits(&sel.scores()), r.scores(), "step {}", i);
+            prop_assert_eq!(score_bits(&monitor.scores()), r.scores(), "step {}", i);
             if let (Some(t), Some((p, name))) = (newest, r.winner()) {
                 let want = (p.max(0.0).to_bits(), name);
                 prop_assert_eq!(fresh_forecast(&monitor, t), want, "step {}", i);
@@ -260,11 +288,12 @@ proptest! {
     ) {
         let load = p as f64;
         let mut sel = SelectivePredictor::nws_default();
-        let mut r = Reference::new(default_family());
+        let mut r = Reference::new();
         for _ in 0..len {
             sel.observe(load);
             r.observe(load);
             prop_assert_eq!(stored(&sel), argmin(&r));
+            prop_assert_eq!(score_bits(&sel.scores()), r.scores());
         }
         prop_assert_eq!(stored(&sel), Some((load.to_bits(), "last".to_string())));
     }

@@ -16,7 +16,8 @@
 //!
 //! * `.lock(` / `write_lock(` — mutex or shard write-lock acquisition
 //!   parks the loop thread behind whoever holds it. (`read_lock` is
-//!   exempt: core-local replica reads are the designed hot path.)
+//!   exempt: a warm query's shard read lock is the designed hot path,
+//!   shared by every loop and only waiting out a report's short write.)
 //! * `sleep(` — `std::thread::sleep` stalls every connection on the
 //!   core.
 //! * `.read_to_end(` / `.read_to_string(` / `.read_exact(` /

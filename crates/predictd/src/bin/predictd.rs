@@ -3,7 +3,7 @@
 //! ```text
 //! predictd [--listen ADDR] [--port-file PATH] [--stdio]
 //!          [--workers N] [--shards N] [--max-line-bytes N] [--max-frame-bytes N]
-//!          [--window N] [--horizon-secs S] [--frac F] [--max-rank N]
+//!          [--horizon-secs S] [--frac F] [--max-rank N]
 //! ```
 //!
 //! With `--listen` (default `127.0.0.1:0`, IPv4) the bound address is
@@ -12,7 +12,7 @@
 //! protocol on stdin/stdout instead — handy for debugging and piping.
 //!
 //! Over TCP the daemon runs one nonblocking epoll event loop per worker
-//! over `SO_REUSEPORT` listeners, each with a per-core replica of the
+//! over `SO_REUSEPORT` listeners, all serving one sharded copy of the
 //! machine state (see `predictd::server`). Every connection speaks
 //! newline-JSON or the length-prefixed binary codec, sniffed from its
 //! first byte.
@@ -100,12 +100,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--max-frame-bytes must be at least 64".to_string());
                 }
             }
-            "--window" => {
-                args.cfg.monitor.window = parse_num(&value("--window")?, "--window")?;
-                if args.cfg.monitor.window == 0 {
-                    return Err("--window must be at least 1".to_string());
-                }
-            }
             "--horizon-secs" => {
                 let raw: f64 = parse_num(&value("--horizon-secs")?, "--horizon-secs")?;
                 args.cfg.monitor.horizon = Seconds::try_new(raw)
@@ -138,7 +132,7 @@ fn parse_num<T: std::str::FromStr>(raw: &str, name: &str) -> Result<T, String> {
 
 const USAGE: &str = "usage: predictd [--listen ADDR] [--port-file PATH] [--stdio] \
 [--workers N] [--shards N] [--max-line-bytes N] [--max-frame-bytes N] \
-[--window N] [--horizon-secs S] [--frac F] [--max-rank N]";
+[--horizon-secs S] [--frac F] [--max-rank N]";
 
 fn announce(args: &Args, bound: std::net::SocketAddr) -> Result<(), String> {
     println!(

@@ -11,11 +11,10 @@
 //! Deliberately std-only: newline-delimited JSON (via the vendored
 //! serde) or binary frames over TCP, JSON over stdio, no async runtime.
 //! Connections are served by one nonblocking epoll event loop per
-//! worker over a sharded service — machine state is partitioned across
-//! [`std::sync::RwLock`]-guarded shards (each loop also keeps per-core
-//! replicas of the machines it serves) and metrics are lock-free
-//! atomics, so warm predictions run under read locks or none and
-//! `stats` never blocks the request path. The wire surface
+//! worker over a sharded service — each machine's state lives once, in
+//! one of the [`std::sync::RwLock`]-guarded shards, and metrics are
+//! lock-free atomics, so warm predictions run under a shared read lock
+//! and `stats` never blocks the request path. The wire surface
 //! (request/response types, JSON fast path, binary codec) lives in the
 //! shared [`proto`] crate and is re-exported here under its historical
 //! paths; see [`service`] for the request handler and sharding,

@@ -3,8 +3,8 @@
 //! newline-delimited JSON over stdio.
 //!
 //! The TCP engine does nonblocking accept/read/write over epoll,
-//! thread-per-core with `SO_REUSEPORT`, per-connection state machines
-//! with reused buffers, and per-core shard affinity.
+//! thread-per-core with `SO_REUSEPORT`, and per-connection state
+//! machines with reused buffers.
 //!
 //! **Why not thread-per-connection?** A thread that owns a connection
 //! end to end is pinned by it: a blocked writer or an idle peer holds
@@ -13,12 +13,10 @@
 //! worker owns an epoll instance and its own `SO_REUSEPORT` listener,
 //! so the kernel spreads connections across cores, a core's
 //! connections never migrate, and an idle connection costs a slab
-//! entry, not a thread. That pinning is what makes [`Affinity`] sound:
-//! a machine's reporter and the queries about it usually arrive on the
-//! same core, so warm `predict`/`decide_batch` run against the
-//! core-local replica with no lock at all, falling back to the sharded
-//! `RwLock` path only on divergence or cross-shard requests (`rank`,
-//! `stats`).
+//! entry, not a thread. Every loop serves from the one sharded
+//! [`Service`]: warm `predict`/`decide_batch`/`rank` run under their
+//! machine's shard *read* lock, which loops on other cores share, and
+//! only a `load_report` or a cold profile takes the write lock.
 //!
 //! **Codec negotiation:** the first byte of a connection routes it to
 //! the binary frame loop ([`crate::binproto`], whose magic byte can
@@ -45,7 +43,7 @@ use crate::poll::{
     bind_reuseport, Epoll, EpollEvent, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::proto::Response;
-use crate::service::{Affinity, Service};
+use crate::service::Service;
 
 /// Transport-level tuning for the TCP server. The event-loop count is
 /// not here: it is the `workers` argument of [`EventedServer::bind`].
@@ -234,8 +232,8 @@ const TOKEN_WAKER: u64 = 1;
 /// First token available for connections.
 const TOKEN_CONNS: u64 = 2;
 
-/// One worker's loop: accept, sniff, parse, handle (with core-local
-/// affinity), write — all nonblocking, all level-triggered — and close
+/// One worker's loop: accept, sniff, parse, handle, write — all
+/// nonblocking, all level-triggered — and close
 /// connections idle for `idle_timeout`.
 // modelcheck: event-loop
 fn event_loop(
@@ -254,7 +252,6 @@ fn event_loop(
     let mut free: Vec<usize> = Vec::new();
     let mut events = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
     let mut scratch = vec![0u8; SCRATCH_BYTES];
-    let mut affinity = Affinity::new();
     // After `stop`, linger briefly to flush pending responses (most
     // importantly the `ok` reply to the shutdown request itself).
     let mut drain_deadline: Option<Instant> = None;
@@ -293,15 +290,7 @@ fn event_loop(
                     conn.last_active = now;
                     let mut dead = bits & (EPOLLERR | EPOLLHUP) != 0;
                     if !dead && bits & (EPOLLIN | EPOLLRDHUP) != 0 {
-                        dead = !on_readable(
-                            conn,
-                            service,
-                            cfg,
-                            &mut scratch,
-                            &mut affinity,
-                            stop,
-                            all_wakers,
-                        );
+                        dead = !on_readable(conn, service, cfg, &mut scratch, stop, all_wakers);
                     }
                     if !dead {
                         dead = !on_writable(conn);
@@ -414,7 +403,6 @@ fn on_readable(
     service: &Service,
     cfg: &ServerConfig,
     scratch: &mut [u8],
-    affinity: &mut Affinity,
     stop: &AtomicBool,
     all_wakers: &[Waker],
 ) -> bool {
@@ -445,7 +433,7 @@ fn on_readable(
             Err(_) => return false,
         }
     }
-    process_rbuf(conn, service, cfg, affinity, stop, all_wakers);
+    process_rbuf(conn, service, cfg, stop, all_wakers);
     true
 }
 
@@ -456,7 +444,6 @@ fn process_rbuf(
     conn: &mut Conn,
     service: &Service,
     cfg: &ServerConfig,
-    affinity: &mut Affinity,
     stop: &AtomicBool,
     all_wakers: &[Waker],
 ) {
@@ -482,8 +469,8 @@ fn process_rbuf(
     }
     let shutdown = match conn.mode {
         Mode::Sniff => false,
-        Mode::Json => process_json(conn, service, cfg, affinity),
-        Mode::Binary => process_binary(conn, service, cfg, affinity),
+        Mode::Json => process_json(conn, service, cfg),
+        Mode::Binary => process_binary(conn, service, cfg),
     };
     if shutdown {
         conn.closing = true;
@@ -496,12 +483,7 @@ fn process_rbuf(
 
 /// JSON mode: handle every complete line in `rbuf`. Returns the
 /// shutdown flag.
-fn process_json(
-    conn: &mut Conn,
-    service: &Service,
-    cfg: &ServerConfig,
-    affinity: &mut Affinity,
-) -> bool {
+fn process_json(conn: &mut Conn, service: &Service, cfg: &ServerConfig) -> bool {
     let mut shutdown = false;
     let mut consumed = 0;
     let mut out = String::new();
@@ -525,7 +507,7 @@ fn process_json(
             match std::str::from_utf8(line) {
                 Ok(text) => {
                     let text = text.trim();
-                    if !text.is_empty() && service.handle_line_local(text, &mut out, affinity) {
+                    if !text.is_empty() && service.handle_line_into(text, &mut out) {
                         shutdown = true;
                         break;
                     }
@@ -553,12 +535,7 @@ fn process_json(
 
 /// Binary mode: handle every complete frame in `rbuf`. Returns the
 /// shutdown flag.
-fn process_binary(
-    conn: &mut Conn,
-    service: &Service,
-    cfg: &ServerConfig,
-    affinity: &mut Affinity,
-) -> bool {
+fn process_binary(conn: &mut Conn, service: &Service, cfg: &ServerConfig) -> bool {
     let mut shutdown = false;
     let mut consumed = 0;
     loop {
@@ -599,7 +576,7 @@ fn process_binary(
         if rest.len() < 4 + len {
             break; // partial frame: wait for more bytes
         }
-        let done = service.handle_frame_local(&rest[4..4 + len], &mut conn.wbuf, affinity);
+        let done = service.handle_frame_into(&rest[4..4 + len], &mut conn.wbuf);
         consumed += 4 + len;
         if done {
             shutdown = true;

@@ -14,13 +14,12 @@
 //! plus a copy. A `load_report` only updates the monitor; it never
 //! builds a mix. The mix is an input to a *prediction*, so it is
 //! rebuilt (three allocations, the `O(p²)` distribution, an epoch bump)
-//! by the first query whose forecast shape differs from the stored one
-//! — on the shard's write-lock slow path or on a core-local replica.
-//! The read-lock fast path declines a mismatched shape, so it never
-//! needs to mutate. The mix is a pure function of the shape, so answers
-//! are the same bits as building it afresh per query; a shape that
-//! moves and comes back between two queries keeps its mix, its epoch
-//! and its cached profile.
+//! by the first query whose forecast shape differs from the stored one,
+//! on the shard's write-lock slow path. The read-lock fast path declines
+//! a mismatched shape, so it never needs to mutate. The mix is a pure
+//! function of the shape, so answers are the same bits as building it
+//! afresh per query; a shape that moves and comes back between two
+//! queries keeps its mix, its epoch and its cached profile.
 //!
 //! **Sharding & lock discipline.** Machine state is split across N
 //! shards, each behind its own [`RwLock`]; a machine routes to a shard
@@ -40,10 +39,16 @@
 //! the per-machine cache: they are answered from one precomputed
 //! dedicated-machine profile, so a machine flapping between fresh and
 //! stale does not thrash its cache.
+//!
+//! **One copy per machine.** A machine's state exists once, in its
+//! shard: there are no per-core replicas to keep in step, so a report is
+//! applied once and every event loop reads the same state through the
+//! shard lock. The monitor is a fixed-size value (see `loadcast`), so a
+//! machine's first report allocates only its key, the `Ack`'s name and
+//! the empty placeholder mix.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use contention_model::mix::WorkloadMix;
@@ -81,12 +86,7 @@ impl Default for ServiceConfig {
 }
 
 /// Forecasting and caching state for one reported machine.
-///
-/// `Clone` duplicates everything *except* the report counter, which is
-/// shared: a clone is a replica of the same machine, and the shared
-/// [`MachineState::version`] is how a core-local replica later proves
-/// it has seen every accepted report (see [`Affinity`]).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MachineState {
     monitor: LoadMonitor,
     /// The mix the cache is keyed on; replaced only when a query finds
@@ -96,9 +96,6 @@ struct MachineState {
     /// Shape of `mix`: `(p, frac.to_bits())`.
     shape: Option<(usize, u64)>,
     cache: ProfileCache,
-    /// Count of *accepted* load reports, bumped under the shard write
-    /// lock. Shared (not duplicated) across clones.
-    version: Arc<AtomicU64>,
 }
 
 impl MachineState {
@@ -108,18 +105,7 @@ impl MachineState {
             mix: WorkloadMix::new(),
             shape: None,
             cache: ProfileCache::new(),
-            version: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// Applies one *validated* report the same way on every copy of the
-    /// state. Deterministic: two states with equal history fed the same
-    /// report stay bit-identical. The mix is left for the next query to
-    /// bring up to date. Returns (accepted, forecast contender count as
-    /// of `at`, 0 when stale); allocates nothing.
-    fn apply_report(&mut self, at: Seconds, load: f64, frac: Option<Prob>) -> (bool, usize) {
-        let accepted = self.monitor.report(at, load, frac);
-        (accepted, self.monitor.contenders_at(at).unwrap_or(0))
     }
 
     /// The shape of a fresh forecast of `p` contenders: `p` and the
@@ -169,89 +155,22 @@ struct Resolved {
     cache_hit: bool,
 }
 
-/// Upper bound on replicas one core keeps, so a fleet of hostile
-/// machine names cannot multiply shard state by the core count.
-const MAX_REPLICAS: usize = 4096;
-
-/// One core's replica of a machine: a full [`MachineState`] clone plus
-/// the shared report counter value it has caught up to.
-#[derive(Debug)]
-struct Replica {
-    state: MachineState,
-    /// Value of `state.version` this replica reflects. Equal to the
-    /// shared counter ⇔ no other core has accepted a report since.
-    seen: u64,
-}
-
-/// Core-local shard affinity: replicas of the machines whose reporters
-/// this core serves, so warm `predict`/`decide_batch` run with **no
-/// lock at all** — not even a read lock.
-///
-/// The sharded service stays the ground truth: every `load_report` is
-/// applied to its shard first (under the write lock, bumping the
-/// machine's shared report counter), and only then mirrored into the
-/// reporting core's replica. A query is answered locally only when the
-/// replica's `seen` equals the shared counter; if another core accepted
-/// a report in between, the replica is dropped and the query falls back
-/// to the sharded-`RwLock` path (it is rebuilt by the machine's next
-/// local report). Forecasts are deterministic, so a caught-up replica
-/// answers bit-identically to the shard — only the `cache_hit` metadata
-/// may differ, because each core warms its own profile cache.
-///
-/// One `Affinity` belongs to one event-loop thread and is deliberately
-/// not `Sync`-shared; cross-shard requests (`rank`, `stats`) always use
-/// the shared path.
+/// An empty stand-in for the per-core replica map that event loops
+/// once carried. It holds nothing: every request goes through the
+/// shard path, and [`Service::handle_local`] is [`Service::handle`].
+/// Kept so callers written against that API still build.
 #[derive(Debug, Default)]
-pub struct Affinity {
-    machines: HashMap<String, Replica>,
-}
+pub struct Affinity;
 
 impl Affinity {
-    /// An empty affinity map (no replicas yet).
+    /// The (empty) affinity.
     pub fn new() -> Self {
-        Affinity::default()
+        Affinity
     }
 
-    /// How many machines this core currently holds replicas of.
+    /// Machines replicated on this core: always 0.
     pub fn replicas(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Mirrors one just-applied report into this core's replica. Must
-    /// be called while the shard write lock on `state` is still held,
-    /// so `prev`/the new counter value cannot race another reporter.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb(
-        &mut self,
-        machine: &str,
-        state: &MachineState,
-        prev: u64,
-        accepted: bool,
-        at: Seconds,
-        load: f64,
-        frac: Option<Prob>,
-    ) {
-        let current = state.version.load(Ordering::Acquire);
-        match self.machines.get_mut(machine) {
-            // Caught up before this report: replay it locally (the
-            // deterministic update keeps the replica bit-identical).
-            Some(rep) if rep.seen == prev => {
-                if accepted {
-                    rep.state.apply_report(at, load, frac);
-                }
-                rep.seen = current;
-            }
-            // Diverged (another core reported meanwhile) or first
-            // sighting: re-clone the ground truth.
-            _ => {
-                if self.machines.len() < MAX_REPLICAS || self.machines.contains_key(machine) {
-                    self.machines.insert(
-                        machine.to_string(),
-                        Replica { state: state.clone(), seen: current },
-                    );
-                }
-            }
-        }
+        0
     }
 }
 
@@ -306,19 +225,6 @@ impl Service {
     /// Handles one request; the flag is true when the daemon should stop
     /// (after sending the response).
     pub fn handle(&self, req: &Request) -> (Response, bool) {
-        self.handle_with(req, None)
-    }
-
-    /// Handles one request with a core-local [`Affinity`]: warm
-    /// `predict`/`decide_batch` against a caught-up replica touch no
-    /// shard lock; everything else behaves exactly like
-    /// [`Service::handle`]. Answers are bit-identical either way (see
-    /// [`Affinity`]).
-    pub fn handle_local(&self, req: &Request, aff: &mut Affinity) -> (Response, bool) {
-        self.handle_with(req, Some(aff))
-    }
-
-    fn handle_with(&self, req: &Request, aff: Option<&mut Affinity>) -> (Response, bool) {
         let started = Instant::now();
         self.metrics.count_request(match req {
             Request::LoadReport(_) => ReqKind::LoadReport,
@@ -329,9 +235,9 @@ impl Service {
             Request::Shutdown => ReqKind::Shutdown,
         });
         let (resp, shutdown) = match req {
-            Request::LoadReport(r) => (self.on_load_report(r, aff), false),
-            Request::Predict(q) => (self.on_predict(q, aff), false),
-            Request::DecideBatch(q) => (self.on_decide_batch(q, aff), false),
+            Request::LoadReport(r) => (self.on_load_report(r), false),
+            Request::Predict(q) => (self.on_predict(q), false),
+            Request::DecideBatch(q) => (self.on_decide_batch(q), false),
             Request::Rank(q) => (self.on_rank(q), false),
             // The snapshot includes the stats request itself; its own
             // latency lands in the histogram afterwards.
@@ -343,23 +249,19 @@ impl Service {
         (resp, shutdown)
     }
 
+    /// [`Service::handle`]; the [`Affinity`] is an empty stand-in.
+    pub fn handle_local(&self, req: &Request, _aff: &mut Affinity) -> (Response, bool) {
+        self.handle(req)
+    }
+
     /// Parses one request line and appends the encoded response line
     /// (with trailing newline) to `out`, reusing the caller's buffer —
-    /// the stdio transport's path. Malformed input yields an `error`
-    /// response, never a dropped connection. Returns the shutdown flag.
+    /// the TCP server's JSON path and the stdio transport's. Malformed
+    /// input yields an `error` response, never a dropped connection.
+    /// Returns the shutdown flag.
     pub fn handle_line_into(&self, line: &str, out: &mut String) -> bool {
-        self.handle_line_opt(line, out, None)
-    }
-
-    /// [`Service::handle_line_into`] with a core-local [`Affinity`] —
-    /// the TCP server's JSON hot path.
-    pub fn handle_line_local(&self, line: &str, out: &mut String, aff: &mut Affinity) -> bool {
-        self.handle_line_opt(line, out, Some(aff))
-    }
-
-    fn handle_line_opt(&self, line: &str, out: &mut String, aff: Option<&mut Affinity>) -> bool {
         let (resp, shutdown) = match crate::codec::parse_line(line) {
-            Ok(req) => self.handle_with(&req, aff),
+            Ok(req) => self.handle(&req),
             Err(message) => (Response::error(message), false),
         };
         crate::codec::write_line(&resp, out);
@@ -372,18 +274,8 @@ impl Service {
     /// Malformed frames yield an `error` response frame, never a
     /// dropped connection. Returns the shutdown flag.
     pub fn handle_frame_into(&self, body: &[u8], out: &mut Vec<u8>) -> bool {
-        self.handle_frame_opt(body, out, None)
-    }
-
-    /// [`Service::handle_frame_into`] with a core-local [`Affinity`] —
-    /// the TCP server's binary hot path.
-    pub fn handle_frame_local(&self, body: &[u8], out: &mut Vec<u8>, aff: &mut Affinity) -> bool {
-        self.handle_frame_opt(body, out, Some(aff))
-    }
-
-    fn handle_frame_opt(&self, body: &[u8], out: &mut Vec<u8>, aff: Option<&mut Affinity>) -> bool {
         let (resp, shutdown) = match crate::binproto::decode_request(body) {
-            Ok(req) => self.handle_with(&req, aff),
+            Ok(req) => self.handle(&req),
             Err(e) => (Response::error(format!("bad frame: {e}")), false),
         };
         if !crate::binproto::encode_response(&resp, out) {
@@ -424,7 +316,7 @@ impl Service {
         self.metrics.snapshot(machines, self.started.elapsed().as_secs_f64(), shards)
     }
 
-    fn on_load_report(&self, r: &LoadReport, aff: Option<&mut Affinity>) -> Response {
+    fn on_load_report(&self, r: &LoadReport) -> Response {
         let at = match Seconds::try_new(r.at) {
             Some(s) => s,
             None => return Response::error("\"at\" must be finite and non-negative"),
@@ -449,36 +341,17 @@ impl Service {
         shard.load_reports += 1;
         // A known machine's report allocates no key: look it up first,
         // and copy the name only on its first sighting.
-        if let Some(state) = shard.machines.get_mut(&r.machine) {
-            return self.apply_to_shard(state, r, at, frac, aff);
-        }
-        let state =
-            shard.machines.entry(r.machine.clone()).or_insert_with(|| MachineState::new(cfg));
-        self.apply_to_shard(state, r, at, frac, aff)
-    }
-
-    /// Applies a validated report to its machine's shard state (the
-    /// shard write lock held by the caller) and answers its `Ack`.
-    fn apply_to_shard(
-        &self,
-        state: &mut MachineState,
-        r: &LoadReport,
-        at: Seconds,
-        frac: Option<Prob>,
-        aff: Option<&mut Affinity>,
-    ) -> Response {
-        // The shard is the ground truth: apply there first, bump the
-        // shared report counter, and only then mirror into this core's
-        // replica — all under the write lock, so replicas can trust
-        // `seen == counter` to mean "caught up".
-        let prev = state.version.load(Ordering::Acquire);
-        let (accepted, p) = state.apply_report(at, r.load, frac);
-        if accepted {
-            state.version.fetch_add(1, Ordering::Release);
-        }
-        if let Some(aff) = aff {
-            aff.absorb(&r.machine, state, prev, accepted, at, r.load, frac);
-        }
+        let state = match shard.machines.get_mut(&r.machine) {
+            Some(state) => state,
+            None => {
+                shard.machines.entry(r.machine.clone()).or_insert_with(|| MachineState::new(cfg))
+            }
+        };
+        // The mix is left for the next query to bring up to date, and the
+        // forecast's contender count is read without its name, so this
+        // allocates nothing.
+        let accepted = state.monitor.report(at, r.load, frac);
+        let p = state.monitor.contenders_at(at).unwrap_or(0);
         Response::Ack(Ack {
             machine: r.machine.clone(),
             accepted,
@@ -555,9 +428,9 @@ impl Service {
         self.resolve_state(state, now, f)
     }
 
-    /// Resolves one mutable machine state (the shard write path, or a
-    /// core-local replica that needs no lock at all) to the profile a
-    /// prediction should use, recording cache metrics, and applies `f`.
+    /// Resolves one mutable machine state (the shard write path) to the
+    /// profile a prediction should use, recording cache metrics, and
+    /// applies `f`.
     /// This is where the mix catches up with the reports since the last
     /// query: rebuilt once if their forecast shape differs from the
     /// stored one, untouched otherwise.
@@ -591,26 +464,7 @@ impl Service {
         f(profile, meta)
     }
 
-    /// Attempts the lock-free core-local path: serve from this core's
-    /// replica if it exists and has seen every accepted report. A
-    /// diverged replica is dropped (rebuilt by the machine's next local
-    /// report) and the caller falls back to the sharded path.
-    fn local_profile<R>(
-        &self,
-        aff: &mut Affinity,
-        machine: &str,
-        now: Seconds,
-        f: impl FnOnce(&SlowdownProfile, Resolved) -> R,
-    ) -> Option<R> {
-        let rep = aff.machines.get_mut(machine)?;
-        if rep.seen != rep.state.version.load(Ordering::Acquire) {
-            aff.machines.remove(machine);
-            return None;
-        }
-        Some(self.resolve_state(&mut rep.state, now, f))
-    }
-
-    fn on_predict(&self, q: &Predict, aff: Option<&mut Affinity>) -> Response {
+    fn on_predict(&self, q: &Predict) -> Response {
         let now = match Seconds::try_new(q.now) {
             Some(s) => s,
             None => return Response::error("\"now\" must be finite and non-negative"),
@@ -626,15 +480,10 @@ impl Service {
                 decision,
             })
         };
-        if let Some(aff) = aff {
-            if let Some(resp) = self.local_profile(aff, &q.machine, now, build) {
-                return resp;
-            }
-        }
         self.with_profile(&q.machine, now, build)
     }
 
-    fn on_decide_batch(&self, q: &DecideBatch, aff: Option<&mut Affinity>) -> Response {
+    fn on_decide_batch(&self, q: &DecideBatch) -> Response {
         let now = match Seconds::try_new(q.now) {
             Some(s) => s,
             None => return Response::error("\"now\" must be finite and non-negative"),
@@ -652,11 +501,6 @@ impl Service {
                 decisions,
             })
         };
-        if let Some(aff) = aff {
-            if let Some(resp) = self.local_profile(aff, &q.machine, now, build) {
-                return resp;
-            }
-        }
         self.with_profile(&q.machine, now, build)
     }
 
@@ -912,102 +756,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn affinity_replica_answers_bit_identically_without_locks() {
-        let shared = svc();
-        let local = svc();
-        let mut aff = Affinity::new();
-        for t in 0..4 {
-            shared.handle(&report("m0", f64::from(t), 3.0));
-            local.handle_local(&report("m0", f64::from(t), 3.0), &mut aff);
-        }
-        assert_eq!(aff.replicas(), 1, "reporting core must hold the replica");
-        let (want, _) = shared.handle(&predict_at("m0", 3.0));
-        let (got, _) = local.handle_local(&predict_at("m0", 3.0), &mut aff);
-        let Response::Prediction(want) = want else { panic!("want prediction") };
-        let Response::Prediction(got) = got else { panic!("want prediction") };
-        assert_eq!(got.decision, want.decision, "replica answer must be bit-identical");
-        assert_eq!((got.p, got.stale, &got.forecaster), (want.p, want.stale, &want.forecaster));
-        assert_eq!(aff.replicas(), 1, "a caught-up replica survives the query");
-
-        // Batch through the replica matches too.
-        let batch = Request::DecideBatch(DecideBatch {
-            machine: "m0".to_string(),
-            now: 3.5,
-            tasks: vec![task(), task()],
-            j_words: 500,
-        });
-        let (want, _) = shared.handle(&batch);
-        let (got, _) = local.handle_local(&batch, &mut aff);
-        let Response::Decisions(want) = want else { panic!("want decisions") };
-        let Response::Decisions(got) = got else { panic!("want decisions") };
-        assert_eq!(got.decisions, want.decisions);
-    }
-
     /// The mix epoch of `machine` on the shard, if it has reported.
     fn shard_epoch(s: &Service, machine: &str) -> Option<u64> {
         read_lock(&s.shards[s.shard_of(machine)]).machines.get(machine).map(|m| m.mix.epoch())
     }
 
-    /// The mix epoch of this core's replica of `machine`, if it has one.
-    fn replica_epoch(aff: &Affinity, machine: &str) -> Option<u64> {
-        aff.machines.get(machine).map(|r| r.state.mix.epoch())
-    }
-
     #[test]
     fn unchanged_shape_keeps_the_mix_and_every_query_hits() {
         let s = svc();
-        let mut aff = Affinity::new();
         for t in 0..4 {
-            s.handle_local(&report("m0", f64::from(t), 3.0), &mut aff);
+            s.handle(&report("m0", f64::from(t), 3.0));
         }
-        // The first query on each path builds that path's mix and fills
-        // its cache; from then on the shape never changes.
+        // The first query builds the mix and fills the cache; from then
+        // on the shape never changes.
         s.handle(&predict_at("m0", 3.0));
-        s.handle_local(&predict_at("m0", 3.0), &mut aff);
-        let (shard_before, replica_before) = (shard_epoch(&s, "m0"), replica_epoch(&aff, "m0"));
-        assert!(shard_before.is_some() && replica_before.is_some(), "both paths hold a mix");
+        let before = shard_epoch(&s, "m0");
+        assert!(before.is_some(), "the shard holds a mix");
         for i in 0..1000 {
             let now = 3.0 + f64::from(i) * 1e-3;
-            let (shard, _) = s.handle(&predict_at("m0", now));
-            let (local, _) = s.handle_local(&predict_at("m0", now), &mut aff);
-            for (path, resp) in [("shard", shard), ("replica", local)] {
-                let Response::Prediction(p) = resp else { panic!("want prediction") };
-                assert!(p.cache_hit, "{path} query {i} missed the cache");
-                assert_eq!(p.p, 3);
-            }
+            let (resp, _) = s.handle(&predict_at("m0", now));
+            let Response::Prediction(p) = resp else { panic!("want prediction") };
+            assert!(p.cache_hit, "query {i} missed the cache");
+            assert_eq!(p.p, 3);
         }
-        assert_eq!(shard_epoch(&s, "m0"), shard_before, "shard mix rebuilt on an unchanged shape");
-        assert_eq!(
-            replica_epoch(&aff, "m0"),
-            replica_before,
-            "replica mix rebuilt on an unchanged shape"
-        );
-        assert_eq!(aff.replicas(), 1);
+        assert_eq!(shard_epoch(&s, "m0"), before, "mix rebuilt on an unchanged shape");
     }
 
     #[test]
     fn reports_leave_the_mix_to_the_next_query() {
         let s = svc();
-        let mut aff = Affinity::new();
         for t in 0..3 {
-            s.handle_local(&report("m0", f64::from(t), 2.0), &mut aff);
+            s.handle(&report("m0", f64::from(t), 2.0));
         }
         s.handle(&predict_at("m0", 2.0));
-        s.handle_local(&predict_at("m0", 2.0), &mut aff);
-        let (shard_before, replica_before) = (shard_epoch(&s, "m0"), replica_epoch(&aff, "m0"));
-        // Shape-changing reports, on both paths: no mix is built.
+        let before = shard_epoch(&s, "m0");
+        // Shape-changing reports: no mix is built.
         let loads = [5.0, 5.0, 5.0, 7.0, 7.0, 7.0];
         for (t, &load) in (3..).zip(&loads) {
-            let (resp, _) = s.handle_local(&report("m0", f64::from(t), load), &mut aff);
+            let (resp, _) = s.handle(&report("m0", f64::from(t), load));
             let Response::Ack(a) = resp else { panic!("want ack") };
             assert!(a.accepted);
         }
-        assert_eq!(shard_epoch(&s, "m0"), shard_before, "a report rebuilt the shard mix");
-        assert_eq!(replica_epoch(&aff, "m0"), replica_before, "a report rebuilt the replica mix");
+        assert_eq!(shard_epoch(&s, "m0"), before, "a report rebuilt the mix");
 
-        // The next query on each path rebuilds its mix exactly once, and
-        // answers like a fresh service fed the same reports.
+        // The next query rebuilds the mix exactly once, and answers like
+        // a fresh service fed the same reports.
         let fresh = svc();
         for (t, load) in (0..3).map(|t| (t, 2.0)).chain((3..).zip(loads)) {
             fresh.handle(&report("m0", f64::from(t), load));
@@ -1015,24 +808,17 @@ mod tests {
         let (want, _) = fresh.handle(&predict_at("m0", 8.5));
         let Response::Prediction(want) = want else { panic!("want prediction") };
         assert_eq!(want.p, 7);
-        let (shard, _) = s.handle(&predict_at("m0", 8.5));
-        let (local, _) = s.handle_local(&predict_at("m0", 8.5), &mut aff);
-        let (shard_after, replica_after) = (shard_epoch(&s, "m0"), replica_epoch(&aff, "m0"));
-        assert_ne!(shard_after, shard_before, "the query must rebuild the shard mix");
-        assert_ne!(replica_after, replica_before, "the query must rebuild the replica mix");
-        for (path, resp) in [("shard", shard), ("replica", local)] {
-            let Response::Prediction(got) = resp else { panic!("want prediction") };
-            assert_eq!(got.decision, want.decision, "{path} answer differs from a fresh service");
-            assert_eq!((got.p, got.stale, &got.forecaster), (want.p, want.stale, &want.forecaster));
-            assert!(!got.cache_hit, "{path}: a rebuilt mix starts with a cold cache");
-        }
+        let (got, _) = s.handle(&predict_at("m0", 8.5));
+        let after = shard_epoch(&s, "m0");
+        assert_ne!(after, before, "the query must rebuild the mix");
+        let Response::Prediction(got) = got else { panic!("want prediction") };
+        assert_eq!(got.decision, want.decision, "answer differs from a fresh service");
+        assert_eq!((got.p, got.stale, &got.forecaster), (want.p, want.stale, &want.forecaster));
+        assert!(!got.cache_hit, "a rebuilt mix starts with a cold cache");
         for i in 0..10 {
-            let now = 8.5 + f64::from(i) * 1e-2;
-            s.handle(&predict_at("m0", now));
-            s.handle_local(&predict_at("m0", now), &mut aff);
+            s.handle(&predict_at("m0", 8.5 + f64::from(i) * 1e-2));
         }
-        assert_eq!(shard_epoch(&s, "m0"), shard_after, "rebuilt more than once");
-        assert_eq!(replica_epoch(&aff, "m0"), replica_after, "rebuilt more than once");
+        assert_eq!(shard_epoch(&s, "m0"), after, "rebuilt more than once");
     }
 
     #[test]
@@ -1054,44 +840,40 @@ mod tests {
     }
 
     #[test]
-    fn diverged_replica_falls_back_to_the_shard_and_stays_correct() {
+    fn a_rejected_report_leaves_the_forecast_alone() {
         let s = svc();
-        let mut aff = Affinity::new();
-        for t in 0..3 {
-            s.handle_local(&report("m0", f64::from(t), 3.0), &mut aff);
-        }
-        assert_eq!(aff.replicas(), 1);
-        // Another core (no affinity) accepts a report: the shared
-        // counter moves past what the replica has seen.
-        s.handle(&report("m0", 3.0, 9.0));
-        let (resp, _) = s.handle_local(&predict_at("m0", 3.2), &mut aff);
-        let Response::Prediction(p) = resp else { panic!("want prediction") };
-        assert_eq!(p.p, 9, "fallback must see the report the replica missed");
-        assert_eq!(aff.replicas(), 0, "diverged replica must be dropped");
-        // The machine's next local report rebuilds the replica from the
-        // ground truth, including the missed history.
-        s.handle_local(&report("m0", 4.0, 9.0), &mut aff);
-        assert_eq!(aff.replicas(), 1);
-        let (resp, _) = s.handle_local(&predict_at("m0", 4.1), &mut aff);
-        let Response::Prediction(p) = resp else { panic!("want prediction") };
-        assert_eq!(p.p, 9);
-    }
-
-    #[test]
-    fn rejected_reports_do_not_desync_replicas() {
-        let s = svc();
-        let mut aff = Affinity::new();
-        s.handle_local(&report("m0", 5.0, 2.0), &mut aff);
-        // Time regression: rejected everywhere, version unmoved.
-        let (resp, _) = s.handle_local(&report("m0", 4.0, 7.0), &mut aff);
+        s.handle(&report("m0", 5.0, 2.0));
+        // Time regression: rejected, nothing moves.
+        let (resp, _) = s.handle(&report("m0", 4.0, 7.0));
         let Response::Ack(a) = resp else { panic!("want ack") };
         assert!(!a.accepted);
-        s.handle_local(&report("m0", 6.0, 2.0), &mut aff);
-        let (resp, _) = s.handle_local(&predict_at("m0", 6.1), &mut aff);
+        assert_eq!(a.p, 2, "the ack carries the unchanged forecast");
+        s.handle(&report("m0", 6.0, 2.0));
+        let (resp, _) = s.handle(&predict_at("m0", 6.1));
         let Response::Prediction(p) = resp else { panic!("want prediction") };
         assert_eq!(p.p, 2);
         assert!(!p.stale);
-        assert_eq!(aff.replicas(), 1, "rejected report must not drop the replica");
+    }
+
+    #[test]
+    fn the_affinity_stand_in_holds_nothing_and_handles_like_handle() {
+        let (plain, shimmed) = (svc(), svc());
+        let mut aff = Affinity::new();
+        let batch = Request::DecideBatch(DecideBatch {
+            machine: "m0".to_string(),
+            now: 3.5,
+            tasks: vec![task(), task()],
+            j_words: 500,
+        });
+        let requests = (0..4).map(|t| report("m0", f64::from(t), 3.0)).chain([
+            predict_at("m0", 3.0),
+            predict_at("m0", 3.2),
+            batch,
+        ]);
+        for req in requests {
+            assert_eq!(shimmed.handle_local(&req, &mut aff), plain.handle(&req), "{req:?}");
+        }
+        assert_eq!(aff.replicas(), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The daemon binary: the one TCP engine announces itself,
-//! `--engine evented` is still accepted, any other engine is refused
-//! with exit code 2, and the descriptor limit does not spin its loop.
+//! `--engine evented` is still accepted, any other engine and the
+//! removed `--window` flag are refused with exit code 2, and the
+//! descriptor limit does not spin its loop.
 
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
@@ -85,6 +86,17 @@ fn any_other_engine_is_refused() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("pooled engine was removed"), "{stderr}");
     }
+}
+
+/// `--window` is not a flag: the monitor keeps only its newest sample,
+/// so there is no window to size.
+#[test]
+fn the_removed_window_flag_is_refused_as_unknown() {
+    let out = predictd().args(["--window", "8"]).output().expect("run predictd");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag \"--window\""), "{stderr}");
+    assert!(!stderr.contains("[--window"), "the usage must not offer it: {stderr}");
 }
 
 /// CPU ticks (user + system) the process has used so far.

@@ -2,14 +2,17 @@
 //! allocation: the machine name its `Ack` carries. The machine's key is
 //! not copied again, the forecast's contender count is read without a
 //! forecaster name, and no workload mix is built — not even when the
-//! report changes the forecast shape. Pinned with a global allocator
+//! report changes the forecast shape. A new machine's first report
+//! costs three: its key, the `Ack`'s name, and the one-entry
+//! distribution of the empty placeholder mix; its monitor and
+//! forecaster bank are one inline value. Pinned with a global allocator
 //! that counts this thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use predictd::proto::{LoadReport, Request, Response};
-use predictd::{Affinity, Service, ServiceConfig};
+use predictd::{Service, ServiceConfig};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -49,14 +52,13 @@ fn report(machine: &str, at: f64, load: f64) -> Request {
 #[test]
 fn a_known_machines_report_allocates_only_the_acks_name() {
     let service = Service::with_default_predictor(ServiceConfig::default());
-    let mut aff = Affinity::new();
     let machines: Vec<String> = (0..8).map(|i| format!("alloc-m{i}")).collect();
     // Loads that move the forecast's contender count on most reports.
     let load = |t: u32| f64::from(t % 5) * 2.0;
-    // Warm every machine's window and forecaster buffers to capacity.
+    // Warm every machine's forecaster ring past capacity.
     for t in 0..200 {
         for m in &machines {
-            service.handle_local(&report(m, f64::from(t), load(t)), &mut aff);
+            service.handle(&report(m, f64::from(t), load(t)));
         }
     }
     let requests: Vec<Vec<Request>> = (200..300)
@@ -66,7 +68,7 @@ fn a_known_machines_report_allocates_only_the_acks_name() {
     let mut acked = 0u64;
     for round in &requests {
         for req in round {
-            let (resp, _) = service.handle_local(req, &mut aff);
+            let (resp, _) = service.handle(req);
             if matches!(resp, Response::Ack(ref a) if a.accepted) {
                 acked += 1;
             }
@@ -75,5 +77,23 @@ fn a_known_machines_report_allocates_only_the_acks_name() {
     let counted = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(acked, 800, "every report is accepted");
     assert_eq!(counted, acked, "{counted} allocations for {acked} reports");
-    assert_eq!(aff.replicas(), machines.len(), "every report went through the replica too");
+}
+
+#[test]
+fn a_new_machines_first_report_allocates_its_key_its_ack_and_an_empty_mix() {
+    // One shard, already holding a machine: the first sightings below
+    // land in the same map leaf, so no node allocation blurs the count.
+    let service =
+        Service::with_default_predictor(ServiceConfig { shards: 1, ..Default::default() });
+    service.handle(&report("alloc-warm", 0.0, 1.0));
+    let requests: Vec<Request> =
+        (0..8).map(|i| report(&format!("alloc-new{i}"), 1.0, f64::from(i))).collect();
+    let before = ALLOCATIONS.with(Cell::get);
+    for req in &requests {
+        let (resp, _) = service.handle(req);
+        assert!(matches!(resp, Response::Ack(ref a) if a.accepted), "{resp:?}");
+    }
+    let counted = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(service.machine_count(), 9);
+    assert_eq!(counted, 3 * 8, "{counted} allocations for 8 first sightings");
 }
