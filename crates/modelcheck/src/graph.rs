@@ -18,10 +18,9 @@
 //!
 //! Three rule families consume the graph: interprocedural wire-taint
 //! ([`crate::passes::taint`]), the lock-order deadlock detector
-//! ([`crate::passes::lock_order`]), and the transitive event-loop
-//! purity rule ([`crate::passes::event_loop`]). Their per-function
-//! summaries serialize to a deterministic text form via
-//! [`crate::dump_summaries`] (`--dump-summaries` on the CLI).
+//! ([`crate::passes::lock_order`], which also carries every per-body
+//! lock finding), and the transitive event-loop purity rule
+//! ([`crate::passes::event_loop`]).
 
 use crate::ast::{Ast, BlockId, FnDef, Span};
 use crate::lexer::{TokKind, Token};

@@ -8,11 +8,13 @@
 //! zero dependencies), parsed by a tolerant recursive-descent parser
 //! ([`ast`] — items, fns, blocks, let-bindings, calls, if/match arms,
 //! all with token spans), and a set of passes ([`passes`]) walks the
-//! tree: structural rules (lock discipline, atomics) as scope-tree
-//! walks, the wire-taint rule as a per-function dataflow over `let`
-//! bindings, and the event-loop purity rule as a crate-level
+//! tree: the atomics rule as a scope-tree walk, and over a workspace
+//! call graph ([`graph`]) the lock rule as one guard walk per function
+//! plus a lock-order closure, the wire-taint rule as a per-function
+//! dataflow over `let` bindings, and the event-loop purity rule as a
 //! reachability check ([`resolve`] holds the shared name/annotation
-//! helpers). The cheap `naked-f64` rule stays on the line path, and a
+//! helpers; [`passes::blocking`] is the one catalog of blocking
+//! shapes). The cheap `naked-f64` rule stays on the line path, and a
 //! cross-file pass checks the wire protocol for drift between
 //! `proto.rs`, `codec.rs`, and the DESIGN.md protocol table.
 //!
@@ -42,10 +44,9 @@
 //! | rule | family | what it rejects |
 //! |------|--------|-----------------|
 //! | `naked-f64` | style | `f64`/`f32` in a `pub fn` signature (`units.rs` exempt) |
-//! | `lock-discipline` | concurrency | `write()` in a `// modelcheck: read-path` fn; a second shard lock while a guard is live; a guard held across I/O |
 //! | `atomics` | concurrency | `SeqCst`/`AcqRel` without a justification; `store(load(..))` read-modify-write of an atomic |
 //! | `event-loop` | concurrency | a blocking call (`.lock(`, `write_lock(`, `sleep`, `read_to_end`, `write_all`, stdio macros) in a fn reachable from a `// modelcheck: event-loop` entry point, transitively through the workspace call graph |
-//! | `lock-order` | concurrency | a cycle in the workspace lock-order graph (including orders split across functions), or a guard held across a call whose callee (transitively) blocks on I/O |
+//! | `lock-order` | concurrency | an exclusive lock in a `// modelcheck: read-path` fn; a second lock while a guard is live; a cycle in the workspace lock-order graph (including orders split across functions); a guard held across a blocking call, directly or through a callee that (transitively) blocks |
 //! | `wire-taint` | dataflow | a wire-decoded value reaching `with_capacity`/`reserve`/`resize`/`vec![_; n]`, a slice index, or a loop bound without a dominating bounds check — in the decoding function or through any resolved call chain |
 //! | `float-env` | numeric | `to_bits`/`from_bits`/`EPSILON` outside `units.rs` |
 //! | `protocol-drift` | protocol | a wire kind present in `proto.rs`, `codec.rs`, or the DESIGN.md table but missing from another |
@@ -77,9 +78,6 @@ use std::path::{Path, PathBuf};
 pub enum Rule {
     /// Bare `f64`/`f32` in a `pub fn` signature of a pragma'd crate.
     NakedF64,
-    /// Shard-lock discipline: write locks in read paths, nested lock
-    /// acquisition, guards held across I/O.
-    LockDiscipline,
     /// Atomics ordering hygiene: unjustified `SeqCst`/`AcqRel`,
     /// non-atomic read-modify-write of relaxed counters.
     Atomics,
@@ -90,8 +88,9 @@ pub enum Rule {
     /// Event-loop purity: a blocking call in a fn reachable from a
     /// `// modelcheck: event-loop` entry point.
     EventLoop,
-    /// Lock-order hygiene: cycles in the workspace lock-order graph,
-    /// and guards held across calls into (transitively) blocking code.
+    /// Lock hygiene: write locks in read paths, nested acquisitions,
+    /// cycles in the workspace lock-order graph, and guards held across
+    /// blocking work, directly or through a callee.
     LockOrder,
     /// Bit-level float access (`to_bits`/`from_bits`/`EPSILON`) outside
     /// `units.rs`.
@@ -109,9 +108,8 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in the order `--list-rules` prints them.
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 10] = [
         Rule::NakedF64,
-        Rule::LockDiscipline,
         Rule::Atomics,
         Rule::EventLoop,
         Rule::LockOrder,
@@ -128,7 +126,6 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::NakedF64 => "naked-f64",
-            Rule::LockDiscipline => "lock-discipline",
             Rule::Atomics => "atomics",
             Rule::WireTaint => "wire-taint",
             Rule::EventLoop => "event-loop",
@@ -145,9 +142,6 @@ impl Rule {
     pub fn describe(self) -> &'static str {
         match self {
             Rule::NakedF64 => "bare `f64`/`f32` in a `pub fn` signature (units.rs exempt)",
-            Rule::LockDiscipline => {
-                "write locks in read paths, nested shard locks, guards held across I/O"
-            }
             Rule::Atomics => "unjustified `SeqCst`/`AcqRel`; `store(load(..))` read-modify-write",
             Rule::WireTaint => {
                 "wire-decoded value used as allocation size, index, or loop bound unchecked"
@@ -156,7 +150,8 @@ impl Rule {
                 "blocking call in a fn reachable from a `modelcheck: event-loop` entry point"
             }
             Rule::LockOrder => {
-                "lock-order cycle across functions, or a guard held across a blocking callee"
+                "write lock in a read path, nested lock, lock-order cycle, guard held across \
+                 blocking work"
             }
             Rule::FloatEnv => "`to_bits`/`from_bits`/`EPSILON` outside units.rs",
             Rule::ProtocolDrift => {
@@ -173,7 +168,6 @@ impl Rule {
     pub fn pragma_spelling(self) -> Option<&'static str> {
         match self {
             Rule::NakedF64
-            | Rule::LockDiscipline
             | Rule::Atomics
             | Rule::WireTaint
             | Rule::EventLoop
@@ -188,9 +182,7 @@ impl Rule {
     pub fn family(self) -> &'static str {
         match self {
             Rule::NakedF64 => "style",
-            Rule::LockDiscipline | Rule::Atomics | Rule::EventLoop | Rule::LockOrder => {
-                "concurrency"
-            }
+            Rule::Atomics | Rule::EventLoop | Rule::LockOrder => "concurrency",
             Rule::WireTaint => "dataflow",
             Rule::FloatEnv => "numeric",
             Rule::ProtocolDrift => "protocol",
@@ -298,8 +290,6 @@ fn escape_json(s: &str) -> String {
 pub struct FileScope {
     /// `naked-f64` applies.
     pub naked_f64: bool,
-    /// `lock-discipline` applies.
-    pub lock_discipline: bool,
     /// `atomics` applies.
     pub atomics: bool,
     /// `wire-taint` applies.
@@ -316,7 +306,6 @@ impl FileScope {
     /// No opt-in rules (only the always-on rules fire).
     pub const NONE: FileScope = FileScope {
         naked_f64: false,
-        lock_discipline: false,
         atomics: false,
         wire_taint: false,
         event_loop: false,
@@ -327,7 +316,6 @@ impl FileScope {
     /// Every opt-in rule enabled.
     pub const ALL: FileScope = FileScope {
         naked_f64: true,
-        lock_discipline: true,
         atomics: true,
         wire_taint: true,
         event_loop: true,
@@ -345,7 +333,6 @@ impl FileScope {
         for name in names {
             match name {
                 "naked-f64" => scope.naked_f64 = true,
-                "lock-discipline" => scope.lock_discipline = true,
                 "atomics" => scope.atomics = true,
                 "wire-taint" => scope.wire_taint = true,
                 "event-loop" => scope.event_loop = true,
@@ -387,8 +374,7 @@ pub fn parse_pragma(text: &str) -> Option<(usize, Vec<String>)> {
 /// Scans one file's text under an explicit rule scope; `rel` is the
 /// workspace-relative path used in diagnostics. ([`scan_workspace`]
 /// derives the scope from the owning crate's root pragma.) Runs the
-/// per-file passes (textual, numeric, lock discipline, atomics) and
-/// the graph passes (wire-taint, lock-order, event-loop purity) over a
+/// per-file passes (textual, numeric, atomics) and the graph passes (wire-taint, lock-order, event-loop purity) over a
 /// one-file call graph, so a lone file behaves exactly like a one-file
 /// workspace.
 pub fn scan_file(rel: &str, text: &str, scope: FileScope) -> Vec<Diagnostic> {
@@ -401,12 +387,11 @@ pub fn scan_file(rel: &str, text: &str, scope: FileScope) -> Vec<Diagnostic> {
     let toks = input.code_tokens();
     match parse_file(&input, &toks) {
         Ok(tree) => {
-            diags.extend(passes::lock::run(&input, &toks, &tree));
             diags.extend(passes::atomics::run(&input, &toks, &tree));
             let files =
                 [graph::FileCtx { input: &input, toks: &toks, ast: &tree, crate_dir: None }];
             let g = graph::CallGraph::build(&files);
-            diags.extend(run_graph_passes(&files, &g, false).0);
+            diags.extend(run_graph_passes(&files, &g));
         }
         Err(parse) => diags.push(parse),
     }
@@ -432,97 +417,14 @@ fn parse_file(
 }
 
 /// Runs the workspace graph passes (interprocedural wire-taint,
-/// lock-order, transitive event-loop purity) over the parsed files;
-/// returns the diagnostics plus, when asked, the serialized
-/// per-function summaries.
-fn run_graph_passes(
-    files: &[graph::FileCtx<'_, '_>],
-    g: &graph::CallGraph,
-    want_summaries: bool,
-) -> (Vec<Diagnostic>, Vec<String>) {
+/// lock-order, transitive event-loop purity) over the parsed files.
+fn run_graph_passes(files: &[graph::FileCtx<'_, '_>], g: &graph::CallGraph) -> Vec<Diagnostic> {
     let taint = passes::taint::summarize(files, g);
     let locks = passes::lock_order::harvest(files, g);
     let mut diags = passes::taint::emit(files, g, &taint);
     diags.extend(passes::lock_order::emit(files, g, &locks));
     diags.extend(passes::event_loop::run_workspace(files, g));
-    let summaries =
-        if want_summaries { render_summaries(files, g, &taint, &locks) } else { Vec::new() };
-    (diags, summaries)
-}
-
-/// Serializes the per-function summaries, one line per graph node in
-/// (file, line) order: taint flow (`ret=`, `sinks=`), lock behavior
-/// (`locks=`, `held=`, `returns-lock=`), and the first blocking site
-/// (`blocking=`). `-` marks an empty section. The format is consumed
-/// by `--dump-summaries` and pinned by the CLI tests.
-fn render_summaries(
-    files: &[graph::FileCtx<'_, '_>],
-    g: &graph::CallGraph,
-    taint: &[passes::taint::FnTaint],
-    locks: &[passes::lock_order::FnLocks],
-) -> Vec<String> {
-    let mut lines = Vec::with_capacity(g.nodes.len());
-    for (id, n) in g.nodes.iter().enumerate() {
-        let f = &files[n.file];
-        let ret = passes::taint::render_labels(taint[id].ret, &n.params);
-        let sinks = if taint[id].sinks.is_empty() {
-            "-".to_string()
-        } else {
-            taint[id]
-                .sinks
-                .iter()
-                .map(|s| {
-                    format!(
-                        "p{}({}):{}@{}",
-                        s.param,
-                        n.params.get(s.param).map(String::as_str).unwrap_or("?"),
-                        s.what,
-                        s.trace.join("->")
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let acq = if locks[id].acquires.is_empty() {
-            "-".to_string()
-        } else {
-            locks[id]
-                .acquires
-                .iter()
-                .map(|a| format!("{}:{}@{}", a.class, if a.write { "w" } else { "r" }, a.line))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let held = if locks[id].held_calls.is_empty() {
-            "-".to_string()
-        } else {
-            locks[id]
-                .held_calls
-                .iter()
-                .map(|h| format!("{}->{}@{}", h.class, g.nodes[h.callee].name, h.line))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let returns_lock = locks[id].returns_lock.as_deref().unwrap_or("-");
-        let blocking = locks[id]
-            .blocking
-            .as_ref()
-            .map_or("-".to_string(), |(what, line)| format!("{what}@{line}"));
-        lines.push(format!(
-            "{}:{} fn {}({}) ret={} sinks={} locks={} held={} returns-lock={} blocking={}",
-            f.input.rel,
-            n.line,
-            n.name,
-            n.params.join(","),
-            ret,
-            sinks,
-            acq,
-            held,
-            returns_lock,
-            blocking,
-        ));
-    }
-    lines
+    diags
 }
 
 /// Directory names never descended into.
@@ -622,24 +524,14 @@ pub fn scan_workspace(root: &Path) -> Vec<Diagnostic> {
 
 /// [`scan_workspace`] plus the call-graph size statistics.
 pub fn scan_workspace_with_stats(root: &Path) -> (Vec<Diagnostic>, ScanStats) {
-    let (diags, stats, _) = analyze(root, false);
-    (diags, stats)
-}
-
-/// Scans the workspace and returns the serialized per-function
-/// summaries (taint flow, lock behavior, blocking sites) instead of
-/// diagnostics; backs the CLI's `--dump-summaries`.
-pub fn dump_summaries(root: &Path) -> String {
-    let mut out = analyze(root, true).2.join("\n");
-    out.push('\n');
-    out
+    analyze(root)
 }
 
 /// The workspace pipeline: discover crates, lex + parse every file
 /// once, run the per-file passes from the shared inputs, build the
 /// workspace call graph over everything that parsed, and run the graph
 /// passes on top.
-fn analyze(root: &Path, want_summaries: bool) -> (Vec<Diagnostic>, ScanStats, Vec<String>) {
+fn analyze(root: &Path) -> (Vec<Diagnostic>, ScanStats) {
     let (crates, mut diags) = discover_crates(root);
     let mut files = Vec::new();
     walk_by(root, &mut |path| {
@@ -694,7 +586,6 @@ fn analyze(root: &Path, want_summaries: bool) -> (Vec<Diagnostic>, ScanStats, Ve
         diags.extend(passes::float_env::run(input));
         match parse_file(input, toks) {
             Ok(t) => {
-                diags.extend(passes::lock::run(input, toks, &t));
                 diags.extend(passes::atomics::run(input, toks, &t));
                 asts.push(Some(t));
             }
@@ -715,13 +606,12 @@ fn analyze(root: &Path, want_summaries: bool) -> (Vec<Diagnostic>, ScanStats, Ve
         })
         .collect();
     let g = graph::CallGraph::build(&ctxs);
-    let (gd, summaries) = run_graph_passes(&ctxs, &g, want_summaries);
-    diags.extend(gd);
+    diags.extend(run_graph_passes(&ctxs, &g));
     diags.extend(passes::drift::check_workspace(root));
     diags.sort_by(|a, b| (a.file.as_str(), a.line, a.col).cmp(&(b.file.as_str(), b.line, b.col)));
     let stats =
         ScanStats { files: loaded.len(), graph_nodes: g.nodes.len(), graph_edges: g.edge_count() };
-    (diags, stats, summaries)
+    (diags, stats)
 }
 
 #[cfg(test)]
@@ -752,18 +642,25 @@ mod tests {
         assert!(scope.naked_f64 && scope.float_env);
         assert!(!scope.lock_order && !scope.wire_taint);
         assert!(unknown.is_empty());
-        // A typo, and the rules that moved to rustc/clippy: a stale
-        // pragma naming them is reported, not silently accepted.
-        let stale = ["no-panick", "no-panic", "lossy-cast", "missing-docs", "no-todo-dbg"];
+        // A typo, the rules that moved to rustc/clippy, and the one
+        // folded into `lock-order`: a stale pragma naming them is
+        // reported, not silently accepted.
+        let stale = [
+            "no-panick",
+            "no-panic",
+            "lossy-cast",
+            "missing-docs",
+            "no-todo-dbg",
+            "lock-discipline",
+        ];
         let (_, unknown) = FileScope::from_rule_names(stale);
         assert_eq!(unknown, stale.map(String::from).to_vec());
     }
 
     #[test]
     fn new_rule_names_parse() {
-        let (scope, unknown) =
-            FileScope::from_rule_names(["lock-discipline", "atomics", "float-env"]);
-        assert!(scope.lock_discipline && scope.atomics && scope.float_env);
+        let (scope, unknown) = FileScope::from_rule_names(["lock-order", "atomics", "float-env"]);
+        assert!(scope.lock_order && scope.atomics && scope.float_env);
         assert!(!scope.naked_f64);
         assert!(unknown.is_empty());
     }

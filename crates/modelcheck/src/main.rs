@@ -5,7 +5,6 @@
 //! cargo run -p modelcheck -- --emit json       # machine-readable JSON array
 //! cargo run -p modelcheck -- --emit github     # GitHub Actions annotations
 //! cargo run -p modelcheck -- --list-rules      # every rule, one per line
-//! cargo run -p modelcheck -- --dump-summaries  # per-function summaries
 //! cargo run -p modelcheck -- <root>            # scan a different tree
 //! ```
 //!
@@ -30,7 +29,6 @@
 //!
 //! The schema is append-only: consumers may rely on these keys keeping
 //! their meaning, and must ignore keys they do not recognize.
-//! `--json` is a compatibility alias for `--emit json`.
 //!
 //! ## `--emit github` output format
 //!
@@ -49,15 +47,6 @@
 //! `name<TAB>family<TAB>pragma<TAB>description`, where `pragma` is the
 //! spelling to put in a `//! modelcheck:` header line to opt a file in
 //! (or `-` for always-on rules that no pragma controls).
-//!
-//! ## `--dump-summaries` output format
-//!
-//! One line per call-graph node (function definition with a body),
-//! sorted by (file, line): the signature, the interprocedural taint
-//! summary (`ret=` labels and `sinks=` reached by parameters), and the
-//! lock summary (`locks=` acquired, `held=` guards held across calls,
-//! `returns-lock=`, `blocking=`). A debugging view of exactly what the
-//! graph passes propagate — not a stable interface.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -83,12 +72,10 @@ fn gh_escape_prop(s: &str) -> String {
 
 fn main() -> ExitCode {
     let mut emit = Emit::Human;
-    let mut dump_summaries = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => emit = Emit::Json,
             "--emit" => match args.next().as_deref() {
                 Some("human") => emit = Emit::Human,
                 Some("json") => emit = Emit::Json,
@@ -114,11 +101,9 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            "--dump-summaries" => dump_summaries = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: modelcheck [--emit human|json|github] [--list-rules] \
-                     [--dump-summaries] [workspace-root]"
+                    "usage: modelcheck [--emit human|json|github] [--list-rules] [workspace-root]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -135,11 +120,6 @@ fn main() -> ExitCode {
     // the workspace root is two levels up.
     let root =
         root.unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join(".."));
-
-    if dump_summaries {
-        print!("{}", modelcheck::dump_summaries(&root));
-        return ExitCode::SUCCESS;
-    }
 
     let diags = modelcheck::scan_workspace(&root);
     match emit {

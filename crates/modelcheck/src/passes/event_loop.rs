@@ -12,26 +12,18 @@
 //! only emitted in files whose crate opted into the rule; helpers in
 //! other crates are traversed but report nothing themselves.
 //!
-//! Inside the reachable set, these shapes are findings:
-//!
-//! * `.lock(` / `write_lock(` — mutex or shard write-lock acquisition
-//!   parks the loop thread behind whoever holds it. (`read_lock` is
-//!   exempt: a warm query's shard read lock is the designed hot path,
-//!   shared by every loop and only waiting out a report's short write.)
-//! * `sleep(` — `std::thread::sleep` stalls every connection on the
-//!   core.
-//! * `.read_to_end(` / `.read_to_string(` / `.read_exact(` /
-//!   `.write_all(` — these retry until EOF/full read/full write,
-//!   defeating nonblocking registration.
-//! * `connect(` / `connect_timeout(` — a blocking TCP connect (or a
-//!   client built on one) waits out the handshake; connect through a
-//!   nonblocking socket and finish on `EPOLLOUT` instead.
-//! * `println!` / `eprintln!` / `print!` / `eprint!` — stdio locks and
-//!   blocks on a slow consumer; use the metrics path instead.
+//! Inside the reachable set, every [`Weight::Blocks`] and
+//! [`Weight::Lock`] shape of the [`super::blocking`] catalog is a
+//! finding: `sleep(`, blocking connects, `.write_all(`/`.read_exact(`/
+//! `.read_to_end(`/`.read_to_string(`, stdio macros, `.lock(` and
+//! `write_lock(` (`read_lock` is exempt: a warm query's shard read lock
+//! is the designed hot path, shared by every loop and only waiting out
+//! a report's short write).
 //!
 //! `modelcheck-allow: event-loop — <why>` suppresses a finding;
 //! `#[cfg(test)]` code is exempt.
 
+use super::blocking::{shape_at, Weight};
 use crate::graph::{CallGraph, FileCtx, NodeId};
 use crate::resolve::fn_annotated;
 use crate::{Diagnostic, Rule};
@@ -39,14 +31,6 @@ use std::collections::VecDeque;
 
 /// The annotation that marks an event-loop entry point.
 pub const MARKER: &str = "modelcheck: event-loop";
-
-/// Blocking method-call names.
-const BLOCKING_METHODS: [&str; 5] =
-    ["lock", "read_to_end", "read_to_string", "read_exact", "write_all"];
-/// Blocking free/path call names.
-const BLOCKING_CALLS: [&str; 4] = ["write_lock", "sleep", "connect", "connect_timeout"];
-/// Blocking macros.
-const BLOCKING_MACROS: [&str; 4] = ["println", "eprintln", "print", "eprint"];
 
 /// Runs the event-loop purity rule over the workspace: BFS from the
 /// annotated roots across the call graph, then check every reachable
@@ -86,17 +70,11 @@ pub fn run_workspace(files: &[FileCtx<'_, '_>], g: &CallGraph) -> Vec<Diagnostic
         }
         let block = &f.ast.blocks[node.body];
         for call in f.ast.calls_in((block.open, block.close + 1)) {
-            let name = f.toks[call.name_tok].text;
-            let shape = if call.is_macro && BLOCKING_MACROS.contains(&name) {
-                Some(format!("`{name}!`"))
-            } else if call.is_method && BLOCKING_METHODS.contains(&name) {
-                Some(format!("`.{name}(`"))
-            } else if !call.is_method && BLOCKING_CALLS.contains(&name) {
-                Some(format!("`{name}(`"))
-            } else {
-                None
+            let Some((Weight::Blocks | Weight::Lock, shape)) =
+                shape_at(f.toks, f.ast, call.name_tok)
+            else {
+                continue;
             };
-            let Some(shape) = shape else { continue };
             let t = f.toks[call.name_tok];
             if f.input.allowed(t.line - 1, Rule::EventLoop) || f.input.in_test(t.line) {
                 continue;

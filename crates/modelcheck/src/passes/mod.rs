@@ -11,10 +11,10 @@
 //! structural passes.
 
 pub mod atomics;
+pub mod blocking;
 pub mod drift;
 pub mod event_loop;
 pub mod float_env;
-pub mod lock;
 pub mod lock_order;
 pub mod taint;
 pub mod textual;

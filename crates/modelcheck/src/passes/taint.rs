@@ -100,23 +100,6 @@ pub struct ParamSink {
     pub trace: Vec<String>,
 }
 
-/// Renders a label mask for `--dump-summaries` (`-` when empty).
-pub fn render_labels(mask: u64, params: &[String]) -> String {
-    if mask == 0 {
-        return "-".to_string();
-    }
-    let mut parts = Vec::new();
-    if mask & WIRE != 0 {
-        parts.push("wire".to_string());
-    }
-    for (i, p) in params.iter().enumerate().take(PARAM_BITS) {
-        if mask & (1 << i) != 0 {
-            parts.push(format!("p{i}({p})"));
-        }
-    }
-    parts.join("|")
-}
-
 /// Computes the per-function summaries to a fixpoint (Jacobi rounds
 /// over a snapshot; summaries only grow, so the iteration converges).
 pub fn summarize(files: &[FileCtx<'_, '_>], g: &CallGraph) -> Vec<FnTaint> {

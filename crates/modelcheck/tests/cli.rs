@@ -27,9 +27,10 @@ fn seeded_violations_are_all_found() {
     assert_eq!(count(Rule::FloatEnv), 2, "{diags:?}");
     // The typo fixture's misspelled pragma is itself a diagnostic.
     assert_eq!(count(Rule::Pragma), 1, "{diags:?}");
-    // The conc crate seeds one of each lock shape (write-in-read-path,
-    // nested acquisition, guard across I/O) and both atomics shapes.
-    assert_eq!(count(Rule::LockDiscipline), 3, "{diags:?}");
+    // The conc crate seeds one of each per-body lock shape
+    // (write-in-read-path, nested acquisition, guard across I/O) and
+    // both atomics shapes.
+    assert_eq!(count(Rule::LockOrder), 3, "{diags:?}");
     assert_eq!(count(Rule::Atomics), 2, "{diags:?}");
     // The wire crate seeds every taint sink shape: with_capacity,
     // reserve, resize, repeat-count vec!, slice index, loop bound, and
@@ -65,11 +66,17 @@ fn seeded_violations_are_all_found() {
     // Opt-in rules must not leak into tests/ trees: the fixture's naked
     // signature and bit access there stay silent.
     assert!(!diags.iter().any(|d| d.file.contains("tests/")), "{diags:?}");
-    // The lock findings cover all three shapes, with spans.
-    let locks: Vec<_> = diags.iter().filter(|d| d.rule == Rule::LockDiscipline).collect();
-    assert!(locks.iter().any(|d| d.message.contains("read-path")), "{locks:?}");
-    assert!(locks.iter().any(|d| d.message.contains("second shard lock")), "{locks:?}");
-    assert!(locks.iter().any(|d| d.message.contains("write_all")), "{locks:?}");
+    // The lock findings cover all three shapes, each once at its own
+    // line, with spans.
+    let locks: Vec<_> = diags.iter().filter(|d| d.rule == Rule::LockOrder).collect();
+    let at = |line: usize, what: &str| {
+        locks.iter().any(|d| {
+            d.file == "crates/conc/src/lib.rs" && d.line == line && d.message.contains(what)
+        })
+    };
+    assert!(at(18, "read-path"), "{locks:?}");
+    assert!(at(25, "second lock"), "{locks:?}");
+    assert!(at(32, "write_all"), "{locks:?}");
     assert!(locks.iter().all(|d| d.col >= 1 && d.end_col > d.col), "{locks:?}");
     // Taint findings name the value, the sink, and the fix.
     let taints: Vec<_> = diags.iter().filter(|d| d.rule == Rule::WireTaint).collect();
@@ -106,7 +113,7 @@ fn binary_is_clean_on_the_shipped_tree() {
 #[test]
 fn json_output_is_machine_readable() {
     let out = Command::new(env!("CARGO_BIN_EXE_modelcheck"))
-        .arg("--json")
+        .args(["--emit", "json"])
         .arg(fixture_root())
         .output()
         .expect("spawn modelcheck");
@@ -114,15 +121,9 @@ fn json_output_is_machine_readable() {
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     let body = stdout.trim();
     assert!(body.starts_with('[') && body.ends_with(']'), "{body}");
-    for rule in [
-        "naked-f64",
-        "float-env",
-        "pragma",
-        "lock-discipline",
-        "atomics",
-        "wire-taint",
-        "event-loop",
-    ] {
+    for rule in
+        ["naked-f64", "float-env", "pragma", "lock-order", "atomics", "wire-taint", "event-loop"]
+    {
         assert!(body.contains(&format!("\"rule\":\"{rule}\"")), "missing {rule} in {body}");
     }
     // Family and span on every finding; no baseline status any more.
@@ -346,8 +347,14 @@ fn github_emit_renders_workflow_commands() {
     assert_eq!(stdout.lines().count(), 21, "{stdout}");
 
     // An unknown emit mode is a usage error, and so are the deleted
-    // baseline flags.
-    for args in [&["--emit", "sarif"][..], &["--fix-baseline"], &["--baseline", "b"]] {
+    // baseline, summary-dump and `--json` alias flags.
+    for args in [
+        &["--emit", "sarif"][..],
+        &["--fix-baseline"],
+        &["--baseline", "b"],
+        &["--dump-summaries"],
+        &["--json"],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_modelcheck"))
             .args(args)
             .arg(fixture_root())
@@ -361,23 +368,36 @@ fn github_emit_renders_workflow_commands() {
 /// with `files` under `crates/p/src/`, and returns the scan's exit
 /// code plus stdout.
 fn scan_temp_tree(tag: &str, rules: &str, files: &[(&str, &str)]) -> (i32, String) {
+    scan_temp_crates(tag, &[("p", rules, files)])
+}
+
+/// One temp crate: its name, its pragma's rules, and its `src/` files.
+type TempCrate<'a> = (&'a str, &'a str, &'a [(&'a str, &'a str)]);
+
+/// [`scan_temp_tree`] for several crates: each becomes `crates/<name>/`
+/// with its own root pragma.
+fn scan_temp_crates(tag: &str, crates: &[TempCrate<'_>]) -> (i32, String) {
     let dir = std::env::temp_dir().join(format!("modelcheck-inj-{tag}-{}", std::process::id()));
-    let src = dir.join("crates").join("p").join("src");
-    fs::create_dir_all(&src).expect("mkdir");
-    // A Cargo.toml marks the directory as a crate root, which is what
-    // makes the scanner read the lib.rs pragma for the whole crate.
-    fs::write(
-        dir.join("crates").join("p").join("Cargo.toml"),
-        "[package]\nname = \"p\"\nversion = \"0.1.0\"\nedition = \"2021\"\n",
-    )
-    .expect("write Cargo.toml");
-    let mut lib = format!("//! Injection fixture crate root.\n//!\n//! modelcheck: {rules}\n\n");
-    for (name, _) in files {
-        lib.push_str(&format!("pub mod {};\n", name.trim_end_matches(".rs")));
-    }
-    fs::write(src.join("lib.rs"), lib).expect("write lib.rs");
-    for (name, text) in files {
-        fs::write(src.join(name), text).expect("write module");
+    for (name, rules, files) in crates {
+        let root = dir.join("crates").join(name);
+        let src = root.join("src");
+        fs::create_dir_all(&src).expect("mkdir");
+        // A Cargo.toml marks the directory as a crate root, which is what
+        // makes the scanner read the lib.rs pragma for the whole crate.
+        fs::write(
+            root.join("Cargo.toml"),
+            format!("[package]\nname = \"{name}\"\nversion = \"0.1.0\"\nedition = \"2021\"\n"),
+        )
+        .expect("write Cargo.toml");
+        let mut lib =
+            format!("//! Injection fixture crate root.\n//!\n//! modelcheck: {rules}\n\n");
+        for (file, _) in *files {
+            lib.push_str(&format!("pub mod {};\n", file.trim_end_matches(".rs")));
+        }
+        fs::write(src.join("lib.rs"), lib).expect("write lib.rs");
+        for (file, text) in *files {
+            fs::write(src.join(file), text).expect("write module");
+        }
     }
     let out = Command::new(env!("CARGO_BIN_EXE_modelcheck"))
         .arg(&dir)
@@ -385,6 +405,191 @@ fn scan_temp_tree(tag: &str, rules: &str, files: &[(&str, &str)]) -> (i32, Strin
         .expect("spawn modelcheck");
     let _ = fs::remove_dir_all(&dir);
     (out.status.code().unwrap_or(-1), String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// One hazard planted in a real source file.
+struct Plant {
+    /// The rule that must catch it.
+    rule: &'static str,
+    /// The real file, relative to the repo root.
+    file: &'static str,
+    /// Where it goes: the first occurrence is replaced by `with`.
+    anchor: &'static str,
+    with: &'static str,
+    /// Planted text on the line the finding must name.
+    at: &'static str,
+    /// A fragment of the finding's message.
+    says: &'static str,
+}
+
+/// Every hazard rule with no other real-code test, and each shape the
+/// merged lock rule reports from its one guard walk.
+const PLANTS: [Plant; 9] = [
+    Plant {
+        rule: "atomics",
+        file: "crates/predictd/src/metrics.rs",
+        anchor: "self.count.fetch_add(1, Relaxed);",
+        with: "self.count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);",
+        at: "Ordering::SeqCst",
+        says: "`Ordering::SeqCst`",
+    },
+    Plant {
+        rule: "atomics",
+        file: "crates/predictd/src/metrics.rs",
+        anchor: "self.count.fetch_add(1, Relaxed);",
+        with: "self.count.store(self.count.load(Relaxed) + 1, Relaxed);",
+        at: "self.count.store(",
+        says: "fetch_add",
+    },
+    Plant {
+        rule: "float-env",
+        file: "crates/predictd/src/service.rs",
+        anchor: "let mut h: u64 = 0xcbf2_9ce4_8422_2325;",
+        with: "let mut h: u64 = 0xcbf2_9ce4_8422_2325;\n        h ^= 1.5f64.to_bits();",
+        at: "1.5f64.to_bits()",
+        says: "to_bits",
+    },
+    Plant {
+        rule: "naked-f64",
+        file: "crates/core/src/mix.rs",
+        anchor: "    /// Number of contending applications, `p`.",
+        with: "    /// Planted.\n    pub fn scaled(&self, by: f64) -> usize {\n        self.fracs.len()\n    \
+               }\n\n    /// Number of contending applications, `p`.",
+        at: "pub fn scaled",
+        says: "f64",
+    },
+    Plant {
+        rule: "lock-order",
+        file: "crates/predictd/src/service.rs",
+        anchor: "self.shards.iter().map(|s| read_lock(s).machines.len()).sum()",
+        with: "self.shards.iter().map(|s| s.write().unwrap_or_else(PoisonError::into_inner)\
+               .machines.len()).sum()",
+        at: "s.write()",
+        says: "read-path",
+    },
+    Plant {
+        rule: "lock-order",
+        file: "crates/predictd/src/service.rs",
+        anchor: "let guard = read_lock(shard);\n            machines +=",
+        with: "let guard = read_lock(shard);\n            let first = read_lock(&self.shards[0]);\n            \
+               machines +=",
+        at: "let first = read_lock",
+        says: "second lock",
+    },
+    Plant {
+        rule: "lock-order",
+        file: "crates/predictd/src/service.rs",
+        anchor: "let mut shard = write_lock(&self.shards[self.shard_of(&r.machine)]);",
+        with: "let mut shard = write_lock(&self.shards[self.shard_of(&r.machine)]);\n        \
+               std::thread::sleep(std::time::Duration::from_millis(1));",
+        at: "std::thread::sleep",
+        says: "`sleep(`",
+    },
+    Plant {
+        rule: "lock-order",
+        file: "crates/predictd/src/service.rs",
+        anchor: "let mut shard = write_lock(&self.shards[self.shard_of(&r.machine)]);",
+        with: "let mut shard = write_lock(&self.shards[self.shard_of(&r.machine)]);\n        \
+               eprintln!(\"planted\");",
+        at: "eprintln!(\"planted\")",
+        says: "`eprintln!`",
+    },
+    Plant {
+        rule: "lock-order",
+        file: "crates/predictd/src/service.rs",
+        anchor: "let mut shard = write_lock(&self.shards[self.shard_of(&r.machine)]);",
+        with: "let mut shard = write_lock(&self.shards[self.shard_of(&r.machine)]);\n        \
+               let _planted = std::fs::read(\"planted\");",
+        at: "std::fs::read",
+        says: "`fs::read`",
+    },
+];
+
+/// Each planted hazard fails the scan with exactly one finding, from
+/// its rule, at the planted line; the file scans clean without it.
+#[test]
+fn every_planted_hazard_is_found_once_at_its_line() {
+    for (i, p) in PLANTS.iter().enumerate() {
+        let text = fs::read_to_string(repo_root().join(p.file)).expect(p.file);
+        let name = p.file.rsplit('/').next().expect("file name");
+        let (code, stdout) = scan_temp_tree(&format!("plant{i}-clean"), p.rule, &[(name, &text)]);
+        assert_eq!(code, 0, "row {i}: shipped {} must scan clean:\n{stdout}", p.file);
+
+        let planted = text.replacen(p.anchor, p.with, 1);
+        assert_ne!(planted, text, "row {i}: the anchor moved; update this test");
+        let at = planted.find(p.at).expect("the planted text is in the file");
+        let line = planted[..at].matches('\n').count() + 1;
+        let (code, stdout) = scan_temp_tree(&format!("plant{i}"), p.rule, &[(name, &planted)]);
+        assert_eq!(code, 1, "row {i}: the plant must fail the scan:\n{stdout}");
+        let findings: Vec<&str> = stdout.lines().collect();
+        assert_eq!(findings.len(), 1, "row {i}: one finding:\n{stdout}");
+        let site = format!("crates/p/src/{name}:{line}:");
+        assert!(
+            findings[0].starts_with(&site)
+                && findings[0].contains(&format!("[{}]", p.rule))
+                && findings[0].contains(p.says),
+            "row {i}: want {site} [{}] …{}…, got:\n{stdout}",
+            p.rule,
+            p.says
+        );
+    }
+}
+
+/// Every `.rs` file under a real crate's `src/` but its `lib.rs`, as
+/// `(file name, text)` for [`scan_temp_crates`].
+fn crate_modules(rel: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    walk_by(&repo_root().join(rel).join("src"), &mut |path: &Path| {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string();
+        if name.ends_with(".rs") && name != "lib.rs" {
+            out.push((name, fs::read_to_string(path).expect("read module")));
+        }
+    });
+    out
+}
+
+/// A blocking backend round trip planted in the gateway's event loop is
+/// found through the call graph: `request` → `exchange` → the blocking
+/// connect in predictd's client, reported where it blocks.
+#[test]
+fn event_loop_fires_on_a_backend_round_trip_planted_in_the_gateway_loop() {
+    let gw = crate_modules("crates/predictgw");
+    let d = crate_modules("crates/predictd");
+    let scan = |tag: &str, server: &str| {
+        let gw: Vec<(&str, &str)> = gw
+            .iter()
+            .map(|(n, t)| (n.as_str(), if n == "server.rs" { server } else { t.as_str() }))
+            .collect();
+        let d: Vec<(&str, &str)> = d.iter().map(|(n, t)| (n.as_str(), t.as_str())).collect();
+        scan_temp_crates(tag, &[("gw", "event-loop", &gw), ("d", "event-loop", &d)])
+    };
+    let server = fs::read_to_string(repo_root().join("crates/predictgw/src/server.rs"))
+        .expect("predictgw server");
+    let (code, stdout) = scan("gwev-clean", &server);
+    assert_eq!(code, 0, "the shipped crates must scan clean:\n{stdout}");
+
+    let anchor = "let epoll = Epoll::new()?;";
+    let planted = server.replacen(
+        anchor,
+        &format!(
+            "{anchor}\n    BackendConn::new(String::new(), Duration::ZERO, None)\
+             .request(&Request::Stats).ok();"
+        ),
+        1,
+    );
+    assert_ne!(planted, server, "the epoll setup anchor moved; update this test");
+    let (code, stdout) = scan("gwev", &planted);
+    assert_eq!(code, 1, "a planted backend round trip must fail the scan:\n{stdout}");
+    let client = fs::read_to_string(repo_root().join("crates/predictd/src/client.rs"))
+        .expect("predictd client");
+    let connect = client.find("TcpStream::connect_timeout").expect("the blocking connect");
+    let line = client[..connect].matches('\n').count() + 1;
+    assert!(
+        stdout.lines().any(|l| l.starts_with(&format!("crates/d/src/client.rs:{line}:"))
+            && l.contains("[event-loop]")
+            && l.contains("called from `event_loop` through `request` -> `exchange`")),
+        "{stdout}"
+    );
 }
 
 /// The acceptance scenario for wire-taint: deleting the real bounds

@@ -1,7 +1,7 @@
 //! Fixture crate opting into the concurrency rules. Seeded violations:
-//! one of each lock-discipline shape plus both atomics shapes.
+//! one of each per-body lock-order shape plus both atomics shapes.
 //!
-//! modelcheck: lock-discipline, atomics
+//! modelcheck: lock-order, atomics
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::RwLock;

@@ -24,7 +24,7 @@
 //! Two binaries ship with the crate: `predictd` (the daemon) and
 //! `predictctl` (a thin command-line client used by tests and CI).
 //!
-//! modelcheck: lock-discipline, atomics, float-env, wire-taint, event-loop, lock-order
+//! modelcheck: atomics, float-env, wire-taint, event-loop, lock-order
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]

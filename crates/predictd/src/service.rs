@@ -44,8 +44,8 @@
 //! shard: there are no per-core replicas to keep in step, so a report is
 //! applied once and every event loop reads the same state through the
 //! shard lock. The monitor is a fixed-size value (see `loadcast`), so a
-//! machine's first report allocates only its key, the `Ack`'s name and
-//! the empty placeholder mix.
+//! machine's first report allocates only its key and the `Ack`'s name;
+//! it holds no mix until a query builds one.
 
 use std::collections::BTreeMap;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -89,23 +89,18 @@ impl Default for ServiceConfig {
 #[derive(Debug)]
 struct MachineState {
     monitor: LoadMonitor,
-    /// The mix the cache is keyed on; replaced only when a query finds
-    /// the forecast shape changed, so its epoch is stable across
-    /// same-shape queries and across reports.
-    mix: WorkloadMix,
-    /// Shape of `mix`: `(p, frac.to_bits())`.
-    shape: Option<(usize, u64)>,
+    /// The mix the cache is keyed on, with its shape
+    /// `(p, frac.to_bits())`; `None` until the first fresh query.
+    /// Replaced only when a query finds the forecast shape changed, so
+    /// its epoch is stable across same-shape queries and across
+    /// reports.
+    mix: Option<((usize, u64), WorkloadMix)>,
     cache: ProfileCache,
 }
 
 impl MachineState {
     fn new(cfg: MonitorConfig) -> Self {
-        MachineState {
-            monitor: LoadMonitor::new(cfg),
-            mix: WorkloadMix::new(),
-            shape: None,
-            cache: ProfileCache::new(),
-        }
+        MachineState { monitor: LoadMonitor::new(cfg), mix: None, cache: ProfileCache::new() }
     }
 
     /// The shape of a fresh forecast of `p` contenders: `p` and the
@@ -120,22 +115,26 @@ impl MachineState {
     /// since it was built. Keeping the mix (and its epoch) stable on
     /// same-shape forecasts is what lets the epoch-keyed cache hit, and
     /// skips the mix's allocations and `O(p²)` distribution on every
-    /// unchanged query.
-    fn sync_shape(&mut self, p: usize) {
+    /// unchanged query. Returns the mix with the cache keyed on it.
+    fn sync_shape(&mut self, p: usize) -> (&WorkloadMix, &mut ProfileCache) {
         let key = self.shape_of(p);
-        if self.shape != Some(key) {
-            self.mix = WorkloadMix::from_probs(&vec![self.monitor.frac(); p]);
-            self.shape = Some(key);
+        if self.mix.as_ref().is_some_and(|(shape, _)| *shape != key) {
+            self.mix = None;
         }
+        let frac = self.monitor.frac();
+        let (_, mix) =
+            self.mix.get_or_insert_with(|| (key, WorkloadMix::from_probs(&vec![frac; p])));
+        (mix, &mut self.cache)
     }
 
     /// The cached profile, if it answers a fresh forecast of `p`
     /// contenders as it stands: same shape, and current for the mix.
     fn current_profile(&self, p: usize) -> Option<&SlowdownProfile> {
-        if self.shape != Some(self.shape_of(p)) {
+        let (shape, mix) = self.mix.as_ref()?;
+        if *shape != self.shape_of(p) {
             return None;
         }
-        self.cache.peek().filter(|profile| profile.is_current(&self.mix))
+        self.cache.peek().filter(|profile| profile.is_current(mix))
     }
 }
 
@@ -446,8 +445,8 @@ impl Service {
             let meta = Resolved { p: 0, stale: true, forecaster: fc.forecaster, cache_hit: true };
             return f(&self.dedicated, meta);
         }
-        state.sync_shape(fc.p);
-        let hit = state.current_profile(fc.p).is_some();
+        let (mix, cache) = state.sync_shape(fc.p);
+        let hit = cache.peek().is_some_and(|profile| profile.is_current(mix));
         if hit {
             self.metrics.cache_hit();
         } else {
@@ -459,8 +458,7 @@ impl Service {
             forecaster: fc.forecaster,
             cache_hit: hit,
         };
-        let profile =
-            state.cache.profile_for(&state.mix, &self.pred.comm_delays, &self.pred.comp_delays);
+        let profile = cache.profile_for(mix, &self.pred.comm_delays, &self.pred.comp_delays);
         f(profile, meta)
     }
 
@@ -756,9 +754,10 @@ mod tests {
         }
     }
 
-    /// The mix epoch of `machine` on the shard, if it has reported.
+    /// The mix epoch of `machine` on the shard, if a query has built one.
     fn shard_epoch(s: &Service, machine: &str) -> Option<u64> {
-        read_lock(&s.shards[s.shard_of(machine)]).machines.get(machine).map(|m| m.mix.epoch())
+        let shard = read_lock(&s.shards[s.shard_of(machine)]);
+        shard.machines.get(machine)?.mix.as_ref().map(|(_, mix)| mix.epoch())
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! not copied again, the forecast's contender count is read without a
 //! forecaster name, and no workload mix is built — not even when the
 //! report changes the forecast shape. A new machine's first report
-//! costs three: its key, the `Ack`'s name, and the one-entry
-//! distribution of the empty placeholder mix; its monitor and
-//! forecaster bank are one inline value. Pinned with a global allocator
+//! costs two: its key and the `Ack`'s name; it holds no mix until a
+//! query needs one, and its monitor and forecaster bank are one inline
+//! value. Pinned with a global allocator
 //! that counts this thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -80,7 +80,7 @@ fn a_known_machines_report_allocates_only_the_acks_name() {
 }
 
 #[test]
-fn a_new_machines_first_report_allocates_its_key_its_ack_and_an_empty_mix() {
+fn a_new_machines_first_report_allocates_its_key_and_its_ack() {
     // One shard, already holding a machine: the first sightings below
     // land in the same map leaf, so no node allocation blurs the count.
     let service =
@@ -95,5 +95,5 @@ fn a_new_machines_first_report_allocates_its_key_its_ack_and_an_empty_mix() {
     }
     let counted = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(service.machine_count(), 9);
-    assert_eq!(counted, 3 * 8, "{counted} allocations for 8 first sightings");
+    assert_eq!(counted, 2 * 8, "{counted} allocations for 8 first sightings");
 }

@@ -34,7 +34,7 @@
 //! JSON client's request is encoded once on the way in and its reply
 //! decoded once on the way out.
 //!
-//! modelcheck: lock-discipline, atomics, float-env, wire-taint, event-loop, lock-order
+//! modelcheck: atomics, float-env, wire-taint, event-loop, lock-order
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]

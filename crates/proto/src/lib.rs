@@ -24,7 +24,7 @@
 //!
 //! [`predictgw`]: ../predictgw/index.html
 //!
-//! modelcheck: lock-discipline, atomics, float-env, wire-taint
+//! modelcheck: atomics, float-env, wire-taint
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
