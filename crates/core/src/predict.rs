@@ -222,18 +222,30 @@ impl ParagonPredictor {
         profile: &SlowdownProfile,
         j_words: u64,
     ) -> Vec<PlacementDecision> {
+        let mut decisions = Vec::new();
+        self.decide_batch_into(tasks, profile, j_words, &mut decisions);
+        decisions
+    }
+
+    /// [`decide_batch`](Self::decide_batch) into `out`, replacing its
+    /// contents and reusing its capacity.
+    pub fn decide_batch_into(
+        &self,
+        tasks: &[ParagonTask],
+        profile: &SlowdownProfile,
+        j_words: u64,
+        out: &mut Vec<PlacementDecision>,
+    ) {
         let comp_slowdown = profile.comp_slowdown(j_words);
-        tasks
-            .iter()
-            .map(|task| {
-                PlacementDecision::decide(
-                    task.dcomp_sun * comp_slowdown,
-                    task.t_paragon,
-                    self.comm_cost_to_with(&task.to_backend, profile),
-                    self.comm_cost_from_with(&task.from_backend, profile),
-                )
-            })
-            .collect()
+        out.clear();
+        out.extend(tasks.iter().map(|task| {
+            PlacementDecision::decide(
+                task.dcomp_sun * comp_slowdown,
+                task.t_paragon,
+                self.comm_cost_to_with(&task.to_backend, profile),
+                self.comm_cost_from_with(&task.from_backend, profile),
+            )
+        }));
     }
 }
 
@@ -387,6 +399,10 @@ mod tests {
         for (task, got) in tasks.iter().zip(&batch) {
             assert_eq!(*got, pred.decide(task, &mix, 512));
         }
+        // Into a longer, reused vector: its old contents are replaced.
+        let mut reused = batch.repeat(2);
+        pred.decide_batch_into(&tasks[..3], &profile, 512, &mut reused);
+        assert_eq!(reused, batch[..3]);
     }
 
     #[test]

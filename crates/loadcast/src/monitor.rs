@@ -60,7 +60,7 @@ pub struct LoadForecast {
     pub age: Option<Seconds>,
     /// Name of the forecaster that produced the value (`"dedicated"`
     /// when stale).
-    pub forecaster: String,
+    pub forecaster: &'static str,
 }
 
 /// A [`LoadForecast`] materialized as the model's workload-mix input.
@@ -122,50 +122,23 @@ impl LoadMonitor {
 
     /// The forecast load as of `now`, subject to the staleness policy.
     /// The forecast itself was chosen by the last accepted report; `now`
-    /// only decides whether it is still fresh.
+    /// only decides whether it is still fresh. Allocates nothing: the
+    /// forecaster's name is static.
     pub fn forecast(&self, now: Seconds) -> LoadForecast {
         let age = self.age(now);
-        match self.fresh_prediction(age) {
+        let fresh = age.is_some_and(|a| a <= self.cfg.horizon);
+        match self.selector.predict().filter(|_| fresh) {
             Some((raw, name)) => {
                 let load = raw.max(0.0);
-                LoadForecast {
-                    load,
-                    p: contenders(load),
-                    stale: false,
-                    age,
-                    forecaster: name.to_string(),
-                }
+                LoadForecast { load, p: contenders(load), stale: false, age, forecaster: name }
             }
-            None => LoadForecast {
-                load: 0.0,
-                p: 0,
-                stale: true,
-                age,
-                forecaster: "dedicated".to_string(),
-            },
+            None => LoadForecast { load: 0.0, p: 0, stale: true, age, forecaster: "dedicated" },
         }
-    }
-
-    /// The forecast contender count as of `now`, or `None` when the
-    /// staleness policy fires: `forecast(now).p` and `.stale`, without
-    /// building the forecaster's name — so it allocates nothing.
-    pub fn contenders_at(&self, now: Seconds) -> Option<usize> {
-        self.fresh_prediction(self.age(now)).map(|(raw, _)| contenders(raw.max(0.0)))
     }
 
     /// Time since the newest sample, `None` before the first.
     fn age(&self, now: Seconds) -> Option<Seconds> {
         self.newest.map(|at| secs((now.get() - at.get()).max(0.0)))
-    }
-
-    /// The stored winner's raw prediction and name, if a sample this
-    /// `age` old is still within the horizon.
-    fn fresh_prediction(&self, age: Option<Seconds>) -> Option<(f64, &str)> {
-        if age.is_some_and(|a| a <= self.cfg.horizon) {
-            self.selector.predict()
-        } else {
-            None
-        }
     }
 
     /// The forecast materialized as a [`WorkloadMix`]: `p` contenders,

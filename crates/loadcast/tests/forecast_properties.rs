@@ -4,8 +4,9 @@
 //! that forecast yields placement decisions **bit-identical** to a
 //! direct `decide()` call with the true mix.
 //!
-//! The cheap-count property: `LoadMonitor::contenders_at` agrees with
-//! the full forecast's contender count and staleness.
+//! The staleness property: a forecast is stale, and counts no
+//! contenders, exactly when no sample was accepted or the newest one is
+//! older than the horizon.
 //!
 //! The inline-bank property: the selector holds the default bank in
 //! plain fields, and after every sample it must agree to the bit with a
@@ -169,7 +170,7 @@ fn steps(raw: &[(u8, f64)]) -> Vec<Step> {
 /// `(load bits, forecaster)`.
 fn fresh_forecast(m: &LoadMonitor, newest: f64) -> (u64, String) {
     let f = m.forecast(secs(newest));
-    (f.load.to_bits(), f.forecaster)
+    (f.load.to_bits(), f.forecaster.to_string())
 }
 
 #[test]
@@ -257,26 +258,33 @@ proptest! {
         }
     }
 
-    /// `contenders_at` is `forecast(now)` without the forecaster's
-    /// name: the same contender count when fresh, `None` exactly when
-    /// the forecast is stale — before any sample, inside the horizon,
-    /// on it, and past it.
-    fn contenders_at_is_the_forecasts_count_and_staleness(
+    /// A forecast is stale exactly when no report was accepted or the
+    /// newest accepted one is older than the horizon — checked inside
+    /// the horizon, on it, and past it — and a stale forecast counts no
+    /// contenders.
+    fn forecasts_are_stale_exactly_past_the_horizon(
         loads in prop::collection::vec(-2.0f64..3000.0, 0..30),
         ages in prop::collection::vec(0.0f64..25.0, 1..8),
     ) {
         let mut monitor = LoadMonitor::new(MonitorConfig::default());
+        let horizon = monitor.horizon().get();
         let mut queries: Vec<f64> = ages.clone();
-        queries.push(monitor.horizon().get());
+        queries.push(horizon);
         for (i, &load) in loads.iter().enumerate() {
             monitor.report(secs(i as f64), load, None);
         }
+        // Negative loads are refused, so the newest accepted sample is
+        // the last non-negative one.
+        let accepted = loads.iter().rposition(|&l| l >= 0.0).map(|i| i as f64);
         let newest = loads.len().saturating_sub(1) as f64;
         for age in queries {
-            let now = secs(newest + age);
-            let f = monitor.forecast(now);
-            let want = if f.stale { None } else { Some(f.p) };
-            prop_assert_eq!(monitor.contenders_at(now), want, "age {}", age);
+            let now = newest + age;
+            let f = monitor.forecast(secs(now));
+            let want = accepted.is_none_or(|at| now - at > horizon);
+            prop_assert_eq!(f.stale, want, "age {}", age);
+            if f.stale {
+                prop_assert_eq!(f.p, 0);
+            }
         }
     }
 

@@ -1,8 +1,9 @@
 //! A load monitor is one fixed-size value: building it and ingesting
 //! reports allocates nothing — no sample buffer, no boxed forecasters,
-//! no formatted names — and neither does the allocation-free contender
-//! count a query reads. Pinned with a global allocator that counts this
-//! thread's allocations.
+//! no formatted names — and neither does a query, whether it reads the
+//! contender count or the whole forecast with its forecaster's static
+//! name. Pinned with a global allocator that counts this thread's
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -42,11 +43,11 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 #[test]
-fn a_monitor_and_a_thousand_reports_allocate_nothing() {
+fn a_monitor_a_thousand_reports_and_their_forecasts_allocate_nothing() {
     let before = ALLOCATIONS.with(Cell::get);
     let mut monitor = LoadMonitor::new(MonitorConfig::default());
-    let mut accepted = 0u32;
-    let mut fresh = 0u32;
+    let (mut accepted, mut fresh, mut stale) = (0u32, 0u32, 0u32);
+    let mut names = 0usize;
     for t in 0..1000u32 {
         // A sawtooth with a fractional step, so every forecaster's
         // window and every EWMA keeps moving, and a tracked fraction.
@@ -54,11 +55,19 @@ fn a_monitor_and_a_thousand_reports_allocate_nothing() {
         if monitor.report(secs(f64::from(t)), load, Some(prob(0.25))) {
             accepted += 1;
         }
-        if monitor.contenders_at(secs(f64::from(t) + 0.5)).is_some() {
-            fresh += 1;
+        // One query inside the 10 s horizon, one past it.
+        for age in [0.5, 100.0] {
+            let f = monitor.forecast(secs(f64::from(t) + age));
+            names += f.forecaster.len();
+            if f.stale {
+                stale += 1;
+            } else {
+                fresh += 1;
+            }
         }
     }
     let counted = ALLOCATIONS.with(Cell::get) - before;
-    assert_eq!((accepted, fresh), (1000, 1000));
-    assert_eq!(counted, 0, "{counted} allocations for a monitor and 1000 reports");
+    assert_eq!((accepted, fresh, stale), (1000, 1000, 1000));
+    assert!(names > 0);
+    assert_eq!(counted, 0, "{counted} allocations for a monitor, 1000 reports, 2000 forecasts");
 }

@@ -45,7 +45,7 @@ pub use client::{Client, ClientError};
 pub use metrics::{LatencyHistogram, Metrics, ReqKind};
 pub use proto::{Request, Response};
 pub use server::{serve_stdio, EventedServer, ServerConfig};
-pub use service::{Affinity, Service, ServiceConfig};
+pub use service::{Affinity, Service, ServiceConfig, Slots};
 
 use contention_model::comm::{LinearCommModel, PiecewiseCommModel};
 use contention_model::delay::{CommDelayTable, CompDelayTable};

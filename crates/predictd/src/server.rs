@@ -43,7 +43,7 @@ use crate::poll::{
     bind_reuseport, Epoll, EpollEvent, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::proto::Response;
-use crate::service::Service;
+use crate::service::{Service, Slots};
 
 /// Transport-level tuning for the TCP server. The event-loop count is
 /// not here: it is the `workers` argument of [`EventedServer::bind`].
@@ -67,6 +67,14 @@ impl Default for ServerConfig {
 
 /// Reads per readiness wakeup go through this per-loop scratch buffer.
 const SCRATCH_BYTES: usize = 64 * 1024;
+
+/// What one event loop reuses for every connection it serves: the read
+/// buffer, the JSON reply buffer, and the request and reply [`Slots`].
+struct Scratch {
+    read: Vec<u8>,
+    json: String,
+    slots: Slots,
+}
 
 /// Stop reading from a connection whose unsent response backlog grows
 /// past this; reading resumes once the peer drains below it. This is
@@ -251,7 +259,8 @@ fn event_loop(
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-    let mut scratch = vec![0u8; SCRATCH_BYTES];
+    let mut scratch =
+        Scratch { read: vec![0u8; SCRATCH_BYTES], json: String::new(), slots: Slots::new() };
     // After `stop`, linger briefly to flush pending responses (most
     // importantly the `ok` reply to the shutdown request itself).
     let mut drain_deadline: Option<Instant> = None;
@@ -402,7 +411,7 @@ fn on_readable(
     conn: &mut Conn,
     service: &Service,
     cfg: &ServerConfig,
-    scratch: &mut [u8],
+    scratch: &mut Scratch,
     stop: &AtomicBool,
     all_wakers: &[Waker],
 ) -> bool {
@@ -415,7 +424,7 @@ fn on_readable(
         if conn.pending_write() > HIGH_WATER_BYTES {
             break;
         }
-        match conn.stream.read(scratch) {
+        match conn.stream.read(&mut scratch.read) {
             Ok(0) => {
                 // Peer closed its writing half; serve what is buffered,
                 // flush, then close.
@@ -423,8 +432,8 @@ fn on_readable(
                 break;
             }
             Ok(n) => {
-                conn.rbuf.extend_from_slice(&scratch[..n]);
-                if n < scratch.len() {
+                conn.rbuf.extend_from_slice(&scratch.read[..n]);
+                if n < scratch.read.len() {
                     break;
                 }
             }
@@ -433,7 +442,7 @@ fn on_readable(
             Err(_) => return false,
         }
     }
-    process_rbuf(conn, service, cfg, stop, all_wakers);
+    process_rbuf(conn, service, cfg, scratch, stop, all_wakers);
     true
 }
 
@@ -444,6 +453,7 @@ fn process_rbuf(
     conn: &mut Conn,
     service: &Service,
     cfg: &ServerConfig,
+    scratch: &mut Scratch,
     stop: &AtomicBool,
     all_wakers: &[Waker],
 ) {
@@ -469,8 +479,8 @@ fn process_rbuf(
     }
     let shutdown = match conn.mode {
         Mode::Sniff => false,
-        Mode::Json => process_json(conn, service, cfg),
-        Mode::Binary => process_binary(conn, service, cfg),
+        Mode::Json => process_json(conn, service, cfg, &mut scratch.json, &mut scratch.slots),
+        Mode::Binary => process_binary(conn, service, cfg, &mut scratch.slots),
     };
     if shutdown {
         conn.closing = true;
@@ -481,12 +491,18 @@ fn process_rbuf(
     }
 }
 
-/// JSON mode: handle every complete line in `rbuf`. Returns the
-/// shutdown flag.
-fn process_json(conn: &mut Conn, service: &Service, cfg: &ServerConfig) -> bool {
+/// JSON mode: handle every complete line in `rbuf`, building the reply
+/// lines in the loop's `out` buffer. Returns the shutdown flag.
+fn process_json(
+    conn: &mut Conn,
+    service: &Service,
+    cfg: &ServerConfig,
+    out: &mut String,
+    slots: &mut Slots,
+) -> bool {
     let mut shutdown = false;
     let mut consumed = 0;
-    let mut out = String::new();
+    out.clear();
     while let Some(nl) = conn.rbuf[consumed..].iter().position(|&b| b == b'\n') {
         let line_end = consumed + nl;
         if conn.json_discard {
@@ -499,24 +515,20 @@ fn process_json(conn: &mut Conn, service: &Service, cfg: &ServerConfig) -> bool 
         let line = &conn.rbuf[consumed..line_end];
         consumed = line_end + 1;
         if line.len() > cfg.max_line_bytes {
-            append_json_error(
-                &mut out,
-                &format!("request line exceeds {} bytes", cfg.max_line_bytes),
-            );
+            append_json_error(out, &format!("request line exceeds {} bytes", cfg.max_line_bytes));
         } else {
             match std::str::from_utf8(line) {
                 Ok(text) => {
                     let text = text.trim();
-                    if !text.is_empty() && service.handle_line_into(text, &mut out) {
+                    if !text.is_empty() && slots.handle_line_into(service, text, out) {
                         shutdown = true;
                         break;
                     }
                 }
-                Err(_) => append_json_error(&mut out, "request line is not valid UTF-8"),
+                Err(_) => append_json_error(out, "request line is not valid UTF-8"),
             }
         }
     }
-    conn.wbuf.extend_from_slice(out.as_bytes());
     conn.rbuf.drain(..consumed);
     if conn.json_discard {
         // Still inside an over-long line: keep dropping its bytes.
@@ -524,18 +536,22 @@ fn process_json(conn: &mut Conn, service: &Service, cfg: &ServerConfig) -> bool 
     } else if conn.rbuf.len() > cfg.max_line_bytes {
         // A partial line already past the cap: reject now, discard the
         // rest as it streams in.
-        let mut err = String::new();
-        append_json_error(&mut err, &format!("request line exceeds {} bytes", cfg.max_line_bytes));
-        conn.wbuf.extend_from_slice(err.as_bytes());
+        append_json_error(out, &format!("request line exceeds {} bytes", cfg.max_line_bytes));
         conn.rbuf.clear();
         conn.json_discard = true;
     }
+    conn.wbuf.extend_from_slice(out.as_bytes());
     shutdown
 }
 
 /// Binary mode: handle every complete frame in `rbuf`. Returns the
 /// shutdown flag.
-fn process_binary(conn: &mut Conn, service: &Service, cfg: &ServerConfig) -> bool {
+fn process_binary(
+    conn: &mut Conn,
+    service: &Service,
+    cfg: &ServerConfig,
+    slots: &mut Slots,
+) -> bool {
     let mut shutdown = false;
     let mut consumed = 0;
     loop {
@@ -576,7 +592,7 @@ fn process_binary(conn: &mut Conn, service: &Service, cfg: &ServerConfig) -> boo
         if rest.len() < 4 + len {
             break; // partial frame: wait for more bytes
         }
-        let done = service.handle_frame_into(&rest[4..4 + len], &mut conn.wbuf);
+        let done = slots.handle_frame_into(service, &rest[4..4 + len], &mut conn.wbuf);
         consumed += 4 + len;
         if done {
             shutdown = true;
@@ -638,12 +654,13 @@ pub fn serve_stdio(service: &Service) -> io::Result<()> {
     let stdin = io::stdin();
     let mut stdout = io::stdout().lock();
     let mut out = String::new();
+    let mut slots = Slots::new();
     for line in stdin.lock().lines() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        let shutdown = service.handle_line_into(line.trim(), &mut out);
+        let shutdown = slots.handle_line_into(service, line.trim(), &mut out);
         stdout.write_all(out.as_bytes())?;
         stdout.flush()?;
         out.clear();

@@ -76,8 +76,9 @@ fn mixed_fleet_agrees_across_codecs() {
         }
     });
 
-    // Same machine, both codecs: identical answers (cache_hit is
-    // per-core replica metadata and may differ; the decision may not).
+    // Same machine, both codecs: identical answers (cache_hit may differ:
+    // it depends on request order in the machine's one shard cache, as
+    // the first query fills it; the decision may not).
     let mut json = Client::connect(addr).expect("json connect");
     let mut bin = Client::connect_binary(addr).expect("binary connect");
     for t in 0..4 {

@@ -329,6 +329,24 @@ impl Response {
     }
 }
 
+/// The payload of variant `$variant` held in the enum slot `$slot` (a
+/// `&mut Request` or `&mut Response`), for a caller that reuses one
+/// value's `String`/`Vec` capacity from message to message. A slot that
+/// holds another variant is first replaced by `$variant($empty)`.
+#[macro_export]
+macro_rules! reuse_slot {
+    ($slot:expr, $variant:path, $empty:expr) => {{
+        let slot = $slot;
+        if !matches!(slot, $variant(_)) {
+            *slot = $variant($empty);
+        }
+        match slot {
+            $variant(payload) => payload,
+            _ => unreachable!("the slot was just set to this variant"),
+        }
+    }};
+}
+
 /// Splices `payload` (a map) into a map that leads with the kind tag.
 fn tagged(kind: &str, payload: Value) -> Value {
     let mut entries = vec![("kind".to_string(), Value::Str(kind.to_string()))];
