@@ -11,7 +11,7 @@ use contention_model::units::secs;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetsched::eval::{
     best_chain_dp, best_exhaustive, best_exhaustive_oracle, best_exhaustive_with, rank_all,
-    rank_all_oracle, SearchScratch,
+    rank_all_oracle, rank_top, SearchScratch,
 };
 use hetsched::example;
 use hetsched::task::{Environment, Matrix, Task, Workflow};
@@ -21,6 +21,15 @@ fn tab_intro(c: &mut Criterion) {
     let wf = example::workflow();
     let env = example::env_cpu_and_link_contention();
     c.bench_function("tab1-4/rank_all", |b| b.iter(|| rank_all(black_box(&wf), black_box(&env))));
+    // predictd's rank shape: the 5 best of a 3-machine, 5-task chain's
+    // 243 schedules, against ranking them all.
+    let (chain, chain_env) = chain_instance(3, 5);
+    c.bench_function("3m5t/rank_top5", |b| {
+        b.iter(|| rank_top(black_box(&chain), black_box(&chain_env), 5))
+    });
+    c.bench_function("3m5t/rank_all", |b| {
+        b.iter(|| rank_all(black_box(&chain), black_box(&chain_env)))
+    });
     c.bench_function("tab1-4/best_exhaustive", |b| {
         b.iter(|| best_exhaustive(black_box(&wf), black_box(&env)))
     });

@@ -11,7 +11,7 @@
 //!
 //! Naive enumeration re-evaluates all `k` exec terms and `k−1` edge terms
 //! of every schedule, `O(k)` per candidate. [`best_exhaustive`] and
-//! [`rank_all`] instead walk the `mᵏ` assignments in **mixed-radix
+//! [`rank_top`] instead walk the `mᵏ` assignments in **mixed-radix
 //! reflected Gray-code order**, where consecutive schedules differ in a
 //! single task's machine by ±1. Moving one task only changes its own exec
 //! term and the two edges adjacent to it, so the running makespan is
@@ -20,6 +20,24 @@
 //! full [`evaluate`] every [`RESYNC_INTERVAL`] steps, and the winning
 //! schedule is always re-evaluated exactly before being returned.
 //!
+//! ## Bounded ranking
+//!
+//! [`rank_top`] keeps only the `limit` best schedules while it walks:
+//! each visited schedule is offered to a max-heap of at most `limit`
+//! entries keyed by `(makespan.total_cmp, visit index)`, where the visit
+//! index is the schedule's position in the Gray walk. Once the heap is
+//! full, a schedule with a strictly smaller makespan than the heap's
+//! worst overwrites that entry's assignment in place; a tie never
+//! displaces anything, because the later visit loses it. The survivors
+//! are sorted by the same key at the end. So equal makespans come out in
+//! visit order, exactly as a stable sort of all `mᵏ` schedules would
+//! leave them, and the answer equals [`rank_all`] truncated to `limit`,
+//! bit for bit. It costs `O(mᵏ log limit)` time and `limit` assignment
+//! vectors plus a constant number of allocations (the heap, the walk's
+//! two digit vectors, the result), against one vector per schedule for
+//! materializing and sorting them all. [`rank_all`] is the unbounded
+//! case, `limit == 0`, of the same walk.
+//!
 //! The seed's full-re-evaluation enumeration survives as
 //! [`best_exhaustive_oracle`] / [`rank_all_oracle`]: slower, but
 //! trivially correct, and pinned against the Gray-code walk by unit and
@@ -27,6 +45,9 @@
 
 use crate::task::{Environment, Workflow};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 #[cfg(feature = "par")]
 use rayon::prelude::*;
@@ -336,29 +357,100 @@ pub fn best_chain_dp(wf: &Workflow, env: &Environment) -> Schedule {
 }
 
 /// Ranks every schedule of a small instance, best first — useful for
-/// inspecting how contention reorders the candidates. Enumerates via the
-/// Gray-code walk, so each makespan costs `O(1)` instead of `O(k)`.
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "the task count fits u32; the size guard caps mᵏ at 100k"
-)]
+/// inspecting how contention reorders the candidates. The unbounded case
+/// of [`rank_top`].
 pub fn rank_all(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
-    let m = wf.machines();
-    let k = wf.len();
-    let combos = (m as u64).pow(k as u32);
+    rank_top(wf, env, 0)
+}
+
+/// The `limit` best schedules of a small instance, best first; `limit ==
+/// 0` ranks them all. Equal to [`rank_all`] truncated to `limit`, bit for
+/// bit, ties included (see the module docs). Walks the Gray code once and
+/// keeps at most `limit` schedules on the way: `O(mᵏ log limit)` time and
+/// `limit` assignment vectors plus a constant number of allocations.
+#[expect(clippy::cast_possible_truncation, reason = "the size guard caps mᵏ at 100k")]
+pub fn rank_top(wf: &Workflow, env: &Environment, limit: usize) -> Vec<Schedule> {
+    let combos = rank_space(wf);
+    let keep = if limit == 0 { combos as usize } else { limit.min(combos as usize) };
+    let mut kept = select(wf, env, 0..combos, keep);
+    kept.sort_unstable();
+    kept.into_iter().map(|k| k.schedule).collect()
+}
+
+/// `mᵏ` for a rankable instance; panics past the 100k ranking cap.
+#[expect(clippy::cast_possible_truncation, reason = "the task count fits u32")]
+fn rank_space(wf: &Workflow) -> u64 {
+    let combos = (wf.machines() as u64).checked_pow(wf.len() as u32).unwrap_or(u64::MAX);
     assert!(combos <= 100_000, "too many schedules to rank");
-    let mut all = Vec::with_capacity(combos as usize);
-    let mut scratch = SearchScratch::default();
-    let SearchScratch { digits, dirs, .. } = &mut scratch;
-    let mut walker = DeltaWalker::start(wf, env, digits, dirs);
-    loop {
-        all.push(Schedule { assignment: walker.assignment().to_vec(), makespan: walker.cost() });
-        if !walker.step() {
-            break;
-        }
+    combos
+}
+
+/// A schedule kept by the bounded selection, ordered by makespan
+/// (`total_cmp`) and then by its rank in the Gray walk, so equal
+/// makespans keep the order the walk met them in.
+#[derive(Debug)]
+struct Kept {
+    schedule: Schedule,
+    visit: u64,
+}
+
+impl Ord for Kept {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.schedule
+            .makespan
+            .total_cmp(&other.schedule.makespan)
+            .then(self.visit.cmp(&other.visit))
     }
-    all.sort_by(|a, b| a.makespan.total_cmp(&b.makespan));
-    all
+}
+
+impl PartialOrd for Kept {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Kept {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Kept {}
+
+/// Walks the Gray ranks `ranks` and keeps the `keep` least of them,
+/// unsorted. The first `keep` schedules are kept as they come and then
+/// heaped; from there a schedule that beats the heap's worst overwrites
+/// that entry's assignment in place, so the walk allocates nothing more.
+fn select(wf: &Workflow, env: &Environment, ranks: Range<u64>, keep: usize) -> Vec<Kept> {
+    let (mut digits, mut dirs) = (Vec::with_capacity(wf.len()), Vec::with_capacity(wf.len()));
+    let mut walker = DeltaWalker::start_at_rank(wf, env, ranks.start, &mut digits, &mut dirs);
+    let mut visits = ranks;
+    let mut kept = Vec::with_capacity(keep);
+    for visit in visits.by_ref().take(keep) {
+        let schedule =
+            Schedule { assignment: walker.assignment().to_vec(), makespan: walker.cost() };
+        kept.push(Kept { schedule, visit });
+        walker.step();
+    }
+    if visits.is_empty() {
+        // Everything walked is kept (the unbounded case): no heap needed.
+        return kept;
+    }
+    let mut heap = BinaryHeap::from(kept);
+    for visit in visits {
+        let makespan = walker.cost();
+        if let Some(mut worst) = heap.peek_mut() {
+            // A later visit loses every tie, so only a strictly smaller
+            // makespan displaces the worst kept schedule.
+            if makespan.total_cmp(&worst.schedule.makespan) == Ordering::Less {
+                worst.schedule.assignment.copy_from_slice(walker.assignment());
+                worst.schedule.makespan = makespan;
+                worst.visit = visit;
+            }
+        }
+        walker.step();
+    }
+    heap.into_vec()
 }
 
 /// The seed's full-re-evaluation ranking, retained as the test oracle for
@@ -391,43 +483,29 @@ pub fn rank_all_oracle(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
 /// Parallel [`rank_all`]: splits the Gray sequence into disjoint rank
 /// ranges, decodes each range's starting state directly from its rank
 /// (see [`DeltaWalker::start_at_rank`]), and walks the ranges on separate
-/// threads. Chunk boundaries pay one full evaluation each; everything
-/// else stays `O(1)` per schedule.
+/// threads with the same selection as [`rank_top`]. Chunk boundaries pay
+/// one full evaluation each; everything else stays `O(1)` per schedule.
 #[cfg(feature = "par")]
 #[expect(
     clippy::cast_possible_truncation,
-    reason = "the task count fits u32; the size guard caps mᵏ, so chunks and ranges fit a usize"
+    reason = "the size guard caps mᵏ, so chunks and ranges fit a usize"
 )]
 pub fn rank_all_par(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
-    let m = wf.machines();
-    let k = wf.len();
-    let combos = (m as u64).pow(k as u32);
-    assert!(combos <= 100_000, "too many schedules to rank");
+    let combos = rank_space(wf);
     // Enough chunks to feed every core without paying a resync per handful
     // of schedules.
     let chunk = combos.div_ceil(64).max(64);
     let starts: Vec<u64> = (0..combos).step_by(chunk as usize).collect();
-    let per_chunk: Vec<Vec<Schedule>> = starts
+    let per_chunk: Vec<Vec<Kept>> = starts
         .into_par_iter()
         .map(|start| {
             let end = (start + chunk).min(combos);
-            let mut scratch = SearchScratch::default();
-            let SearchScratch { digits, dirs, .. } = &mut scratch;
-            let mut walker = DeltaWalker::start_at_rank(wf, env, start, digits, dirs);
-            let mut out = Vec::with_capacity((end - start) as usize);
-            for _ in start..end {
-                out.push(Schedule {
-                    assignment: walker.assignment().to_vec(),
-                    makespan: walker.cost(),
-                });
-                walker.step();
-            }
-            out
+            select(wf, env, start..end, (end - start) as usize)
         })
         .collect();
-    let mut all: Vec<Schedule> = per_chunk.into_iter().flatten().collect();
-    all.sort_by(|a, b| a.makespan.total_cmp(&b.makespan));
-    all
+    let mut all: Vec<Kept> = per_chunk.into_iter().flatten().collect();
+    all.sort_unstable();
+    all.into_iter().map(|k| k.schedule).collect()
 }
 
 #[cfg(test)]
@@ -644,6 +722,47 @@ mod tests {
             assert_eq!(fast.len(), oracle.len());
             for (f, o) in fast.iter().zip(&oracle) {
                 assert!((f.makespan - o.makespan).abs() < 1e-9, "{} vs {}", f.makespan, o.makespan);
+            }
+        }
+    }
+
+    /// Every schedule of the Gray walk, stably sorted by makespan: the
+    /// materialize-and-sort ranking the bounded selection replaced.
+    fn materialized(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
+        let mut scratch = SearchScratch::new();
+        let SearchScratch { digits, dirs, .. } = &mut scratch;
+        let mut walker = DeltaWalker::start(wf, env, digits, dirs);
+        let mut all = Vec::new();
+        loop {
+            all.push(Schedule {
+                assignment: walker.assignment().to_vec(),
+                makespan: walker.cost(),
+            });
+            if !walker.step() {
+                break;
+            }
+        }
+        all.sort_by(|a, b| a.makespan.total_cmp(&b.makespan));
+        all
+    }
+
+    #[test]
+    fn rank_top_equals_materialized_stable_sort() {
+        let mut cases = random_instances();
+        // Identical exec columns and links in a dedicated environment:
+        // most makespans tie, so the visit order decides.
+        let comm = Matrix::filled(3, 1.0);
+        let flat = Workflow::new(vec![
+            Task::with_edge("a", vec![1.0, 1.0, 2.0], comm.clone()),
+            Task::with_edge("b", vec![1.0, 1.0, 2.0], comm),
+            Task::terminal("c", vec![1.0, 1.0, 2.0]),
+        ]);
+        cases.push((flat, Environment::dedicated(3)));
+        for (wf, env) in cases {
+            let all = materialized(&wf, &env);
+            assert_eq!(rank_all(&wf, &env), all);
+            for limit in [1, 2, 5, all.len() - 1, all.len() + 1] {
+                assert_eq!(rank_top(&wf, &env, limit), all[..limit.min(all.len())], "{limit}");
             }
         }
     }

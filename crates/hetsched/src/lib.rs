@@ -6,9 +6,10 @@
 //! introductory example (Tables 1–4, reproduced in [`example`]).
 //!
 //! * [`task`] — workflows, per-machine dedicated costs, environments;
-//! * [`eval`] — schedule evaluation, exhaustive search, and an exact
-//!   `O(k·m²)` chain dynamic program (the paper's "straightforward"
-//!   generalization to more than two machines);
+//! * [`eval`] — schedule evaluation, exhaustive search, ranking of the
+//!   best `limit` schedules, and an exact `O(k·m²)` chain dynamic
+//!   program (the paper's "straightforward" generalization to more than
+//!   two machines);
 //! * [`adapt`] — building environments from contention-model outputs;
 //! * [`forecast`] — building environments from *forecasted* contention
 //!   ([`SlowdownProfile`]s produced by the loadcast/predictd pipeline);
@@ -43,7 +44,7 @@ pub mod prelude {
     pub use crate::eval::rank_all_par;
     pub use crate::eval::{
         best_chain_dp, best_exhaustive, best_exhaustive_oracle, best_exhaustive_with, evaluate,
-        rank_all, rank_all_oracle, Schedule, SearchScratch,
+        rank_all, rank_all_oracle, rank_top, Schedule, SearchScratch,
     };
     pub use crate::forecast::{best_forecast, environment_from_profile, rank_all_forecast};
     pub use crate::migrate::{decide as decide_migration, InFlightTask, MigrationDecision};

@@ -31,7 +31,9 @@
 //! queries against different machines (or the same warm machine) never
 //! serialize. The *write* lock is taken only when state actually moves:
 //! every `load_report`, and the slow resolve path when the shape
-//! changed or the cache went stale. Metrics are relaxed atomics (see
+//! changed or the cache went stale. A `rank` holds either lock only to
+//! copy its profile's two slowdowns into an environment; the walk over
+//! its schedules runs after the guard drops. Metrics are relaxed atomics (see
 //! [`Metrics`]), so `stats` never takes a shard lock beyond a brief
 //! read per shard for the machine counts.
 //!
@@ -64,7 +66,8 @@ use contention_model::mix::WorkloadMix;
 use contention_model::predict::ParagonPredictor;
 use contention_model::profile::{ProfileCache, SlowdownProfile};
 use contention_model::units::{Prob, Seconds};
-use hetsched::forecast::rank_all_forecast;
+use hetsched::eval::rank_top;
+use hetsched::forecast::environment_from_profile;
 use loadcast::{LoadMonitor, MonitorConfig};
 
 use crate::binproto;
@@ -630,18 +633,20 @@ impl Service {
                 ))
             }
         };
-        self.with_profile(&q.machine, now, |profile, r| {
-            let mut schedules = rank_all_forecast(&q.workflow, q.front_end, profile, q.j_words);
-            if q.limit > 0 {
-                schedules.truncate(q.limit);
-            }
-            Response::Ranked(Ranked {
-                machine: q.machine.clone(),
-                p: r.p,
-                stale: r.stale,
-                total,
-                schedules,
-            })
+        // Only the environment is built under the shard lock; the walk
+        // over all mᵏ schedules runs after the guard drops, so a rank
+        // never holds up the shard's reports.
+        let (env, r) = self.with_profile(&q.machine, now, |profile, r| {
+            let machines = q.workflow.machines();
+            (environment_from_profile(machines, q.front_end, profile, q.j_words), r)
+        });
+        let schedules = rank_top(&q.workflow, &env, q.limit);
+        Response::Ranked(Ranked {
+            machine: q.machine.clone(),
+            p: r.p,
+            stale: r.stale,
+            total,
+            schedules,
         })
     }
 }
@@ -779,6 +784,19 @@ mod tests {
         assert_eq!(r.schedules.len(), 4);
         let direct = hetsched::eval::rank_all(&wf, &hetsched::task::Environment::dedicated(2));
         assert_eq!(r.schedules, direct);
+
+        // A limit keeps the first schedules of the full answer, exactly.
+        let (resp, _) = s.handle(&Request::Rank(Rank {
+            machine: "m0".to_string(),
+            now: 0.0,
+            workflow: wf.clone(),
+            front_end: 0,
+            j_words: 500,
+            limit: 3,
+        }));
+        let Response::Ranked(top) = resp else { panic!("want ranked, got {resp:?}") };
+        assert_eq!(top.total, r.total);
+        assert_eq!(top.schedules, r.schedules[..3]);
 
         // front_end out of range is rejected, not a panic.
         let (resp, _) = s.handle(&Request::Rank(Rank {
