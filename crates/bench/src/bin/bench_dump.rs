@@ -166,10 +166,10 @@ fn main() {
 }
 
 /// Wall time, finding counts, and call-graph size of a full
-/// `modelcheck` workspace scan (lex + AST + graph passes + the
-/// cross-file drift check), so the analyzer's own cost — and how much
-/// structure the interprocedural passes see — is tracked per commit
-/// alongside the model numbers.
+/// `modelcheck` workspace scan (lex + AST + per-file and graph passes),
+/// so the analyzer's own cost — and how much structure the
+/// interprocedural passes see — is tracked per commit alongside the
+/// model numbers.
 fn modelcheck_report() -> Value {
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let start = Instant::now();

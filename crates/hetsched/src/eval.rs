@@ -58,6 +58,11 @@ use rayon::prelude::*;
 /// callers — and the final winner is re-evaluated exactly regardless.
 pub const RESYNC_INTERVAL: u64 = 4096;
 
+/// The most schedules (`mᵏ`) [`rank_all`], [`rank_top`] and
+/// [`rank_all_oracle`] will rank; a larger instance panics, so a caller
+/// holding an untrusted workflow checks it against this first.
+pub const MAX_RANK_SCHEDULES: u64 = 100_000;
+
 /// A schedule with its predicted end-to-end time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Schedule {
@@ -377,11 +382,11 @@ pub fn rank_top(wf: &Workflow, env: &Environment, limit: usize) -> Vec<Schedule>
     kept.into_iter().map(|k| k.schedule).collect()
 }
 
-/// `mᵏ` for a rankable instance; panics past the 100k ranking cap.
+/// `mᵏ` for a rankable instance; panics past [`MAX_RANK_SCHEDULES`].
 #[expect(clippy::cast_possible_truncation, reason = "the task count fits u32")]
 fn rank_space(wf: &Workflow) -> u64 {
     let combos = (wf.machines() as u64).checked_pow(wf.len() as u32).unwrap_or(u64::MAX);
-    assert!(combos <= 100_000, "too many schedules to rank");
+    assert!(combos <= MAX_RANK_SCHEDULES, "too many schedules to rank");
     combos
 }
 
@@ -463,7 +468,7 @@ pub fn rank_all_oracle(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
     let m = wf.machines();
     let k = wf.len();
     let combos = (m as u64).pow(k as u32);
-    assert!(combos <= 100_000, "too many schedules to rank");
+    assert!(combos <= MAX_RANK_SCHEDULES, "too many schedules to rank");
     let mut all = Vec::with_capacity(combos as usize);
     let mut assignment = vec![0usize; k];
     for mut code in 0..combos {

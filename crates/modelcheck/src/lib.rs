@@ -14,9 +14,7 @@
 //! dataflow over `let` bindings, and the event-loop purity rule as a
 //! reachability check ([`resolve`] holds the shared name/annotation
 //! helpers; [`passes::blocking`] is the one catalog of blocking
-//! shapes). The cheap `naked-f64` rule stays on the line path, and a
-//! cross-file pass checks the wire protocol for drift between
-//! `proto.rs`, `codec.rs`, and the DESIGN.md protocol table.
+//! shapes). The cheap `naked-f64` rule stays on the line path.
 //!
 //! Rules the toolchain already has are left to it: panics
 //! (`clippy::{unwrap_used, expect_used, panic}`) and lossy casts
@@ -24,7 +22,11 @@
 //! cast_sign_loss}`) are crate-root `cfg_attr(not(test), warn(…))`
 //! lines, `todo!`/`dbg!` are workspace `[lints]`, and undocumented
 //! public items are rustc's `missing_docs`. CI's
-//! `cargo clippy -- -D warnings` makes all of them errors.
+//! `cargo clippy -- -D warnings` makes all of them errors. The wire
+//! protocol's agreement with itself is left to rustc and to tests: the
+//! codecs are wildcard-free `match`es over `Request`/`Response`, and
+//! `crates/proto/tests/wire_table.rs` and a `journal.rs` unit test hold
+//! the DESIGN.md §8 and §9 tables to the values the code produces.
 //!
 //! **Crates opt in via a root pragma.** Each crate declares the rules
 //! it holds itself to with a doc line in its crate root (`src/lib.rs`,
@@ -49,7 +51,6 @@
 //! | `lock-order` | concurrency | an exclusive lock in a `// modelcheck: read-path` fn; a second lock while a guard is live; a cycle in the workspace lock-order graph (including orders split across functions); a guard held across a blocking call, directly or through a callee that (transitively) blocks |
 //! | `wire-taint` | dataflow | a wire-decoded value reaching `with_capacity`/`reserve`/`resize`/`vec![_; n]`, a slice index, or a loop bound without a dominating bounds check — in the decoding function or through any resolved call chain |
 //! | `float-env` | numeric | `to_bits`/`from_bits`/`EPSILON` outside `units.rs` |
-//! | `protocol-drift` | protocol | a wire kind present in `proto.rs`, `codec.rs`, or the DESIGN.md table but missing from another |
 //! | `pragma` | config | a `modelcheck:` pragma naming an unknown rule |
 //! | `lex` | lexer | a file the lexer cannot tokenize |
 //! | `parse` | parser | a file with mismatched delimiters the parser cannot structure |
@@ -95,9 +96,6 @@ pub enum Rule {
     /// Bit-level float access (`to_bits`/`from_bits`/`EPSILON`) outside
     /// `units.rs`.
     FloatEnv,
-    /// Wire-protocol drift between `proto.rs`, `codec.rs`, and the
-    /// DESIGN.md protocol table.
-    ProtocolDrift,
     /// A crate-root `modelcheck:` pragma naming an unknown rule.
     Pragma,
     /// A file the lexer failed to tokenize.
@@ -108,14 +106,13 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in the order `--list-rules` prints them.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 9] = [
         Rule::NakedF64,
         Rule::Atomics,
         Rule::EventLoop,
         Rule::LockOrder,
         Rule::WireTaint,
         Rule::FloatEnv,
-        Rule::ProtocolDrift,
         Rule::Pragma,
         Rule::Lex,
         Rule::Parse,
@@ -131,7 +128,6 @@ impl Rule {
             Rule::EventLoop => "event-loop",
             Rule::LockOrder => "lock-order",
             Rule::FloatEnv => "float-env",
-            Rule::ProtocolDrift => "protocol-drift",
             Rule::Pragma => "pragma",
             Rule::Lex => "lex",
             Rule::Parse => "parse",
@@ -154,9 +150,6 @@ impl Rule {
                  blocking work"
             }
             Rule::FloatEnv => "`to_bits`/`from_bits`/`EPSILON` outside units.rs",
-            Rule::ProtocolDrift => {
-                "wire kind present in proto.rs, codec.rs, or DESIGN.md but missing elsewhere"
-            }
             Rule::Pragma => "a crate-root `modelcheck:` pragma naming an unknown rule",
             Rule::Lex => "a file the lexer cannot tokenize",
             Rule::Parse => "a file with mismatched delimiters the parser cannot structure",
@@ -173,7 +166,7 @@ impl Rule {
             | Rule::EventLoop
             | Rule::LockOrder
             | Rule::FloatEnv => Some(self.name()),
-            Rule::ProtocolDrift | Rule::Pragma | Rule::Lex | Rule::Parse => None,
+            Rule::Pragma | Rule::Lex | Rule::Parse => None,
         }
     }
 
@@ -185,7 +178,6 @@ impl Rule {
             Rule::Atomics | Rule::EventLoop | Rule::LockOrder => "concurrency",
             Rule::WireTaint => "dataflow",
             Rule::FloatEnv => "numeric",
-            Rule::ProtocolDrift => "protocol",
             Rule::Pragma => "config",
             Rule::Lex => "lexer",
             Rule::Parse => "parser",
@@ -516,8 +508,7 @@ pub struct ScanStats {
 
 /// Scans every `.rs` file under `root` (skipping `vendor/`, `target/`,
 /// `.git/`, and `fixtures/`), scoping each file by its owning crate's
-/// root pragma, runs the cross-file protocol-drift pass, and returns
-/// all diagnostics ordered by path and line.
+/// root pragma, and returns all diagnostics ordered by path and line.
 pub fn scan_workspace(root: &Path) -> Vec<Diagnostic> {
     scan_workspace_with_stats(root).0
 }
@@ -607,7 +598,6 @@ fn analyze(root: &Path) -> (Vec<Diagnostic>, ScanStats) {
         .collect();
     let g = graph::CallGraph::build(&ctxs);
     diags.extend(run_graph_passes(&ctxs, &g));
-    diags.extend(passes::drift::check_workspace(root));
     diags.sort_by(|a, b| (a.file.as_str(), a.line, a.col).cmp(&(b.file.as_str(), b.line, b.col)));
     let stats =
         ScanStats { files: loaded.len(), graph_nodes: g.nodes.len(), graph_edges: g.edge_count() };

@@ -23,7 +23,7 @@
 //! end_col    number  1-based column one past the flagged token
 //! rule       string  rule name as printed by --list-rules
 //! family     string  rule family (style, concurrency, dataflow,
-//!                    numeric, protocol, config, lexer, parser)
+//!                    numeric, config, lexer, parser)
 //! message    string  human-readable explanation with the fix hint
 //! ```
 //!

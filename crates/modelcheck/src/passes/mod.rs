@@ -12,7 +12,6 @@
 
 pub mod atomics;
 pub mod blocking;
-pub mod drift;
 pub mod event_loop;
 pub mod float_env;
 pub mod lock_order;

@@ -21,7 +21,9 @@
 //! parallelism, clamped to 8); `--shards` sizes the machine-state shard
 //! count (default 8). `--workers 1` serves every connection from one
 //! thread. `--max-frame-bytes` caps a single binary frame (default
-//! 1 MiB), as `--max-line-bytes` caps a JSON line. `--engine evented`
+//! 1 MiB), as `--max-line-bytes` caps a JSON line. `--max-rank` (default
+//! and ceiling 100,000) caps the `machines^tasks` a `rank` may ask
+//! for; a larger value exits 2. `--engine evented`
 //! is accepted for callers that still pass it and changes nothing; any
 //! other `--engine` value exits 2.
 
@@ -35,6 +37,7 @@ use std::net::ToSocketAddrs;
 use std::process::ExitCode;
 
 use contention_model::units::{Prob, Seconds};
+use hetsched::eval::MAX_RANK_SCHEDULES;
 use predictd::{serve_stdio, EventedServer, ServerConfig, Service, ServiceConfig};
 
 struct Args {
@@ -112,6 +115,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--max-rank" => {
                 args.cfg.max_rank_schedules = parse_num(&value("--max-rank")?, "--max-rank")?;
+                if args.cfg.max_rank_schedules > MAX_RANK_SCHEDULES {
+                    return Err(format!(
+                        "--max-rank must be at most {MAX_RANK_SCHEDULES}, the most schedules \
+                         a rank can enumerate"
+                    ));
+                }
             }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),

@@ -66,7 +66,7 @@ use contention_model::mix::WorkloadMix;
 use contention_model::predict::ParagonPredictor;
 use contention_model::profile::{ProfileCache, SlowdownProfile};
 use contention_model::units::{Prob, Seconds};
-use hetsched::eval::rank_top;
+use hetsched::eval::{rank_top, MAX_RANK_SCHEDULES};
 use hetsched::forecast::environment_from_profile;
 use loadcast::{LoadMonitor, MonitorConfig};
 
@@ -83,7 +83,8 @@ pub struct ServiceConfig {
     /// Monitor configuration applied to every newly seen machine.
     pub monitor: MonitorConfig,
     /// Upper bound on `machines^tasks` a `rank` request may ask for;
-    /// larger workflows are rejected instead of evaluated.
+    /// larger workflows are rejected instead of evaluated. Values above
+    /// [`MAX_RANK_SCHEDULES`], the ranking's own cap, act as that cap.
     pub max_rank_schedules: u64,
     /// Number of machine-state shards (clamped to at least 1). More
     /// shards means less lock contention between machines; results are
@@ -94,7 +95,11 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig { monitor: MonitorConfig::default(), max_rank_schedules: 100_000, shards: 8 }
+        ServiceConfig {
+            monitor: MonitorConfig::default(),
+            max_rank_schedules: MAX_RANK_SCHEDULES,
+            shards: 8,
+        }
     }
 }
 
@@ -624,12 +629,12 @@ impl Service {
         }
         let m = u64::try_from(q.workflow.machines()).unwrap_or(u64::MAX);
         let k = u32::try_from(q.workflow.len()).unwrap_or(u32::MAX);
+        let cap = self.cfg.max_rank_schedules.min(MAX_RANK_SCHEDULES);
         let total = match m.checked_pow(k) {
-            Some(t) if t <= self.cfg.max_rank_schedules => t,
+            Some(t) if t <= cap => t,
             _ => {
                 return Response::error(format!(
-                    "rank space {m}^{k} exceeds the limit of {} schedules",
-                    self.cfg.max_rank_schedules
+                    "rank space {m}^{k} exceeds the limit of {cap} schedules"
                 ))
             }
         };
@@ -821,6 +826,32 @@ mod tests {
             limit: 0,
         }));
         assert_eq!(resp.kind(), "error");
+    }
+
+    /// A configured limit above the ranking's own cap acts as that cap:
+    /// 2¹⁷ = 131,072 schedules are refused with an `error` reply, not
+    /// handed to a ranking that panics on them.
+    #[test]
+    fn rank_above_the_ranking_cap_is_an_error_at_any_configured_limit() {
+        use hetsched::task::{Matrix, Task, Workflow};
+        let mut s = svc();
+        s.cfg.max_rank_schedules = 200_000;
+        let edge = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
+        let mut tasks: Vec<Task> = (0..16)
+            .map(|i| Task::with_edge(format!("t{i}"), vec![1.0, 2.0], edge.clone()))
+            .collect();
+        tasks.push(Task::terminal("t16", vec![1.0, 2.0]));
+        let chain = Workflow::new(tasks);
+        let (resp, _) = s.handle(&Request::Rank(Rank {
+            machine: "m0".to_string(),
+            now: 0.0,
+            workflow: chain,
+            front_end: 0,
+            j_words: 500,
+            limit: 5,
+        }));
+        let Response::Error(e) = resp else { panic!("want error, got {resp:?}") };
+        assert!(e.message.contains("2^17 exceeds the limit of 100000"), "{}", e.message);
     }
 
     #[test]

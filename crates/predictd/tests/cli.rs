@@ -1,7 +1,8 @@
 //! The daemon binary: the one TCP engine announces itself,
-//! `--engine evented` is still accepted, any other engine and the
-//! removed `--window` flag are refused with exit code 2, and the
-//! descriptor limit does not spin its loop.
+//! `--engine evented` is still accepted, any other engine, the removed
+//! `--window` flag and a `--max-rank` past the ranking's cap are
+//! refused with exit code 2, and the descriptor limit does not spin
+//! its loop.
 
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
@@ -97,6 +98,18 @@ fn the_removed_window_flag_is_refused_as_unknown() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag \"--window\""), "{stderr}");
     assert!(!stderr.contains("[--window"), "the usage must not offer it: {stderr}");
+}
+
+/// `--max-rank` past the ranking's own cap of 100,000 schedules is
+/// refused at startup rather than let through to a `rank` that would
+/// panic the event loop. (`--stdio` on an empty stdin: a daemon that
+/// accepted the flag would exit 0 instead of serving forever.)
+#[test]
+fn a_max_rank_above_the_ranking_cap_is_refused() {
+    let out = predictd().args(["--stdio", "--max-rank", "200000"]).output().expect("run predictd");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--max-rank must be at most 100000"), "{stderr}");
 }
 
 /// CPU ticks (user + system) the process has used so far.

@@ -934,4 +934,33 @@ mod tests {
         assert!(Journal::open(&path, 1).is_err());
         let _ = std::fs::remove_file(&path);
     }
+
+    /// DESIGN.md §9's record table lists exactly this file's `REC_*`
+    /// constants, each with its tag byte. The constants are read from
+    /// the source, so a new one without a row fails here.
+    #[test]
+    fn design_record_table_matches_the_rec_constants() {
+        let mut consts: Vec<(String, String)> = include_str!("journal.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("pub const REC_"))
+            .map(|rest| {
+                let (name, tag) = rest.split_once(": u8 = ").expect("a u8 record tag");
+                (format!("REC_{name}"), tag.trim_end_matches(';').to_string())
+            })
+            .collect();
+        let mut rows: Vec<(String, String)> = include_str!("../../../DESIGN.md")
+            .lines()
+            .skip_while(|l| l.trim() != "| tag | record | payload |")
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| {
+                let cells: Vec<&str> = l.split('|').map(|c| c.trim().trim_matches('`')).collect();
+                (cells[2].to_string(), cells[1].to_string())
+            })
+            .collect();
+        consts.sort();
+        rows.sort();
+        assert!(!rows.is_empty(), "no §9 record table in DESIGN.md");
+        assert_eq!(rows, consts, "DESIGN.md §9 rows vs the REC_* constants");
+    }
 }

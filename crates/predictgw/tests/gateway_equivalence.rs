@@ -82,25 +82,52 @@ fn fresh_case() -> usize {
 }
 
 /// One step of a replayed session, decoded from a generated tuple of
-/// `(kind, machine, dt, load, frac, scale, n)` — the same 3:3:1:1
-/// report/predict/batch/rank mix as the shard-equivalence test.
+/// `(pick, machine, dt, load, frac, scale, n)`: `pick` falls in
+/// `0..DRAWS` and picks a kind by its [`draw_weight`].
 type RawOp = (usize, usize, f64, f64, f64, f64, usize);
 
+/// The sum of every kind's [`draw_weight`].
+const DRAWS: usize = 8;
+
+/// How many of the `DRAWS` picks land on `req`'s kind: the same 3:3:1:1
+/// report/predict/batch/rank mix as the shard-equivalence test. The
+/// `match` has no wildcard, so a new request kind does not compile
+/// until this replay draws it or says why it cannot.
+fn draw_weight(req: &Request) -> usize {
+    match req {
+        Request::LoadReport(_) | Request::Predict(_) => 3,
+        Request::DecideBatch(_) | Request::Rank(_) => 1,
+        // A gateway answers `stats` with its own `gw_stats`, and
+        // `shutdown` would end the shared federation.
+        Request::Stats | Request::Shutdown => 0,
+    }
+}
+
 fn request_for(raw: &RawOp, case: usize, now: f64) -> Request {
-    let (kind, machine, _dt, load, frac, scale, n) = *raw;
+    let (mut pick, machine, _dt, load, frac, scale, n) = *raw;
     let machine = format!("eq{case}-m{machine}");
-    match kind {
-        0..=2 => Request::LoadReport(LoadReport { machine, at: now, load, comm_frac: frac }),
-        3..=5 => Request::Predict(Predict { machine, now, task: task(scale), j_words: 500 }),
-        6 => Request::DecideBatch(DecideBatch {
-            machine,
+    let candidates = [
+        Request::LoadReport(LoadReport {
+            machine: machine.clone(),
+            at: now,
+            load,
+            comm_frac: frac,
+        }),
+        Request::Predict(Predict {
+            machine: machine.clone(),
+            now,
+            task: task(scale),
+            j_words: 500,
+        }),
+        Request::DecideBatch(DecideBatch {
+            machine: machine.clone(),
             now,
             // ≥ 2 tasks with 2 healthy backends takes the fan-out/merge
             // path; n == 1 exercises the single-route fallback.
             tasks: (0..n).map(|i| task(i as f64)).collect(),
             j_words: 500,
         }),
-        _ => Request::Rank(Rank {
+        Request::Rank(Rank {
             machine,
             now,
             workflow: hetsched::example::workflow(),
@@ -108,7 +135,15 @@ fn request_for(raw: &RawOp, case: usize, now: f64) -> Request {
             j_words: 500,
             limit: n,
         }),
+    ];
+    assert_eq!(candidates.iter().map(draw_weight).sum::<usize>(), DRAWS);
+    for req in candidates {
+        if pick < draw_weight(&req) {
+            return req;
+        }
+        pick -= draw_weight(&req);
     }
+    panic!("pick {} is outside 0..{DRAWS}", raw.0)
 }
 
 /// Strips replica metadata that legitimately differs between a fanned-
@@ -174,7 +209,7 @@ proptest! {
     #[test]
     fn federation_is_bit_identical_to_a_monolith(
         ops in proptest::collection::vec(
-            (0..8usize, 0..5usize, 0.0..1.5f64, 0.0..6.0f64, -0.5..1.0f64, 0.0..20.0f64, 1..5usize),
+            (0..DRAWS, 0..5usize, 0.0..1.5f64, 0.0..6.0f64, -0.5..1.0f64, 0.0..20.0f64, 1..5usize),
             1..30,
         )
     ) {
@@ -186,7 +221,7 @@ proptest! {
     #[test]
     fn federation_is_bit_identical_to_a_monolith_over_json(
         ops in proptest::collection::vec(
-            (0..8usize, 0..5usize, 0.0..1.5f64, 0.0..6.0f64, -0.5..1.0f64, 0.0..20.0f64, 1..5usize),
+            (0..DRAWS, 0..5usize, 0.0..1.5f64, 0.0..6.0f64, -0.5..1.0f64, 0.0..20.0f64, 1..5usize),
             1..30,
         )
     ) {

@@ -62,9 +62,8 @@
 //! error for every body.
 //!
 //! Byte-offset layouts per kind are documented in DESIGN.md §8; this
-//! module is the machine-checked source of truth (modelcheck's
-//! protocol-drift pass cross-checks the tag table against `proto.rs`
-//! and the DESIGN table).
+//! module is the source of truth, and `tests/wire_table.rs` holds the
+//! DESIGN table's tag bytes to the frames it encodes.
 
 use crate::proto::{
     Ack, BackendStats, CacheStats, DecideBatch, Decisions, ErrorReply, GwStatsReply,

@@ -294,10 +294,6 @@ pub fn parse_request(line: &str) -> Option<Request> {
         })),
         "stats" => Some(Request::Stats),
         "shutdown" => Some(Request::Shutdown),
-        // Explicit decline: `rank` carries nested schedule arrays the
-        // flat scanner cannot mirror byte-exactly; the generic serde
-        // path owns it.
-        "rank" => None,
         _ => None,
     }
 }

@@ -4,10 +4,10 @@
 //! predictd without *being* predictd. The daemon, the gateway tier
 //! ([`predictgw`]), the client library, the `loadgen` traffic
 //! generator, and the tests all meet here, so a wire change is one
-//! diff reviewed in one place — and the `modelcheck` protocol-drift
-//! pass (which cross-references [`proto`], [`codec`], [`binproto`],
-//! and the DESIGN.md §8 wire table) follows these files, not the
-//! daemon's.
+//! diff reviewed in one place. The codecs are wildcard-free `match`es
+//! over [`Request`]/[`Response`], so a new kind does not compile until
+//! each codec handles or declines it; `tests/wire_table.rs` holds the
+//! DESIGN.md §8 wire table to what the codecs do with every kind.
 //!
 //! Three modules, split by cost model:
 //!

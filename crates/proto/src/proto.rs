@@ -369,14 +369,14 @@ fn kind_of(v: &Value) -> Result<&str, serde::Error> {
 
 impl Serialize for Request {
     fn to_value(&self) -> Value {
-        match self {
-            Request::LoadReport(p) => tagged("load_report", p.to_value()),
-            Request::Predict(p) => tagged("predict", p.to_value()),
-            Request::DecideBatch(p) => tagged("decide_batch", p.to_value()),
-            Request::Rank(p) => tagged("rank", p.to_value()),
-            Request::Stats => tagged("stats", Value::Map(Vec::new())),
-            Request::Shutdown => tagged("shutdown", Value::Map(Vec::new())),
-        }
+        let payload = match self {
+            Request::LoadReport(p) => p.to_value(),
+            Request::Predict(p) => p.to_value(),
+            Request::DecideBatch(p) => p.to_value(),
+            Request::Rank(p) => p.to_value(),
+            Request::Stats | Request::Shutdown => Value::Map(Vec::new()),
+        };
+        tagged(self.kind(), payload)
     }
 }
 
@@ -396,16 +396,17 @@ impl Deserialize for Request {
 
 impl Serialize for Response {
     fn to_value(&self) -> Value {
-        match self {
-            Response::Ack(p) => tagged("ack", p.to_value()),
-            Response::Prediction(p) => tagged("prediction", p.to_value()),
-            Response::Decisions(p) => tagged("decisions", p.to_value()),
-            Response::Ranked(p) => tagged("ranked", p.to_value()),
-            Response::Stats(p) => tagged("stats", p.to_value()),
-            Response::GwStats(p) => tagged("gw_stats", p.to_value()),
-            Response::Ok => tagged("ok", Value::Map(Vec::new())),
-            Response::Error(p) => tagged("error", p.to_value()),
-        }
+        let payload = match self {
+            Response::Ack(p) => p.to_value(),
+            Response::Prediction(p) => p.to_value(),
+            Response::Decisions(p) => p.to_value(),
+            Response::Ranked(p) => p.to_value(),
+            Response::Stats(p) => p.to_value(),
+            Response::GwStats(p) => p.to_value(),
+            Response::Ok => Value::Map(Vec::new()),
+            Response::Error(p) => p.to_value(),
+        };
+        tagged(self.kind(), payload)
     }
 }
 
