@@ -184,21 +184,25 @@ struct Row {
 }
 
 fn table() -> Vec<Row> {
-    let mut lines = DESIGN.lines().skip_while(|l| l.trim() != HEADER).skip(2);
-    let mut rows = Vec::new();
-    while let Some(line) = lines.next().filter(|l| l.starts_with('|')) {
-        let cells: Vec<&str> =
-            line.trim_matches('|').split('|').map(|c| c.trim().trim_matches('`')).collect();
-        let [kind, direction, _payload, fast_path, tag] = cells[..] else {
-            panic!("a §8 row without five cells: {line}");
-        };
-        rows.push(Row {
-            kind: kind.to_string(),
-            direction: direction.to_string(),
-            fast_path: fast_path.to_string(),
-            tag: tag.to_string(),
-        });
-    }
+    let rows: Vec<Row> = DESIGN
+        .lines()
+        .skip_while(|l| l.trim() != HEADER)
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|line| {
+            let cells: Vec<&str> =
+                line.trim_matches('|').split('|').map(|c| c.trim().trim_matches('`')).collect();
+            let [kind, direction, _payload, fast_path, tag] = cells[..] else {
+                panic!("a §8 row without five cells: {line}");
+            };
+            Row {
+                kind: kind.to_string(),
+                direction: direction.to_string(),
+                fast_path: fast_path.to_string(),
+                tag: tag.to_string(),
+            }
+        })
+        .collect();
     assert!(!rows.is_empty(), "no rows under {HEADER:?} in DESIGN.md");
     rows
 }
@@ -254,8 +258,7 @@ fn observe_response(resp: &Response) -> Observed {
 }
 
 fn observed() -> Vec<Observed> {
-    let requests = requests().iter().map(observe_request).collect::<Vec<_>>();
-    requests.into_iter().chain(responses().iter().map(observe_response)).collect()
+    requests().iter().map(observe_request).chain(responses().iter().map(observe_response)).collect()
 }
 
 #[test]
