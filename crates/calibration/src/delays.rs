@@ -153,7 +153,11 @@ fn rel_delay(contended: f64, dedicated: f64) -> f64 {
 }
 
 /// Measures `delay_compⁱ` and `delay_commⁱ` for `i = 1..=p_max`.
-pub fn measure_comm_delays(cfg: PlatformConfig, spec: &DelaySpec, seed: u64) -> CommDelayTable {
+pub(crate) fn measure_comm_delays(
+    cfg: PlatformConfig,
+    spec: &DelaySpec,
+    seed: u64,
+) -> CommDelayTable {
     let none: &dyn Fn() -> Vec<Box<dyn AppProcess>> = &Vec::new;
     let t0 = run_comm_probe(cfg, none, spec, seed);
     let mut by_computing = Vec::with_capacity(spec.p_max);
@@ -173,7 +177,11 @@ pub fn measure_comm_delays(cfg: PlatformConfig, spec: &DelaySpec, seed: u64) -> 
 }
 
 /// Measures `delay_commⁱʲ` for every bucket and `i = 1..=p_max`.
-pub fn measure_comp_delays(cfg: PlatformConfig, spec: &DelaySpec, seed: u64) -> CompDelayTable {
+pub(crate) fn measure_comp_delays(
+    cfg: PlatformConfig,
+    spec: &DelaySpec,
+    seed: u64,
+) -> CompDelayTable {
     let t0 = run_comp_probe(cfg, Vec::new(), spec, seed);
     let mut delays = Vec::with_capacity(spec.buckets.len());
     for &j in &spec.buckets {

@@ -30,7 +30,8 @@ use contention_model::predict::ParagonPredictor;
 use hetplat::config::PlatformConfig;
 
 pub use cm2::{calibrate_cm2, Cm2CalibrationSpec};
-pub use delays::{measure_comm_delays, measure_comp_delays, DelaySpec};
+pub use delays::DelaySpec;
+use delays::{measure_comm_delays, measure_comp_delays};
 pub use paragon::{calibrate_paragon_comm, fit_piecewise, measure_pingpong, PingPongSpec};
 
 /// Runs the full Sun/Paragon calibration suite and assembles a predictor.

@@ -66,23 +66,6 @@ impl Cm2TaskCosts {
     pub fn t_cm2(&self, p: u32) -> Seconds {
         (self.dcomp_cm2 + self.didle_cm2).max(self.dserial_cm2 * slowdown(p))
     }
-
-    /// Smallest `p` at which the slowed serial stream, rather than the CM2
-    /// pipeline, dominates `T_cm2` — i.e. where contention starts to hurt
-    /// the back-end execution. `None` if the serial part is zero.
-    #[expect(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "ratio is a small non-negative count"
-    )]
-    pub fn contention_onset(&self) -> Option<u32> {
-        if self.dserial_cm2 <= Seconds::ZERO {
-            return None;
-        }
-        let ratio = (self.dcomp_cm2 + self.didle_cm2) / self.dserial_cm2;
-        // Need (p+1) > ratio, so p = ceil(ratio - 1), clamped at 0.
-        Some(((ratio - 1.0).max(0.0)).ceil() as u32)
-    }
 }
 
 /// `C = dcomm × (p + 1)` — non-dedicated communication cost on the
@@ -123,16 +106,6 @@ mod tests {
         let serial_heavy = costs(0.0, 10.0, 2.0, 8.0);
         assert_eq!(serial_heavy.t_cm2(0).get(), 12.0); // 10+2 > 8
         assert_eq!(serial_heavy.t_cm2(3).get(), 32.0); // 8*4 > 12
-    }
-
-    #[test]
-    fn contention_onset_threshold() {
-        let c = costs(0.0, 10.0, 2.0, 4.0);
-        // ratio = 12/4 = 3 → need p+1 > 3 → onset at p = 2.
-        assert_eq!(c.contention_onset(), Some(2));
-        assert!(c.t_cm2(1).get() == 12.0 && c.t_cm2(2).get() == 12.0 && c.t_cm2(3).get() > 12.0);
-        let pure = costs(0.0, 10.0, 0.0, 0.0);
-        assert_eq!(pure.contention_onset(), None);
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl LinearCommModel {
     }
 
     /// Dedicated time for one data set.
-    pub fn dataset_time(&self, set: DataSet) -> Seconds {
+    pub(crate) fn dataset_time(&self, set: DataSet) -> Seconds {
         f64_from_u64(set.messages) * self.message_time(Words::new(set.words))
     }
 
@@ -129,7 +129,7 @@ impl PiecewiseCommModel {
     }
 
     /// Dedicated time for one data set (all messages share one piece).
-    pub fn dataset_time(&self, set: DataSet) -> Seconds {
+    pub(crate) fn dataset_time(&self, set: DataSet) -> Seconds {
         f64_from_u64(set.messages) * self.message_time(Words::new(set.words))
     }
 

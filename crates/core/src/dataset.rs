@@ -39,23 +39,6 @@ impl DataSet {
     pub const fn burst(count: u64, words: u64) -> Self {
         DataSet { messages: count, words }
     }
-
-    /// Total words across the whole group.
-    pub const fn total_words(&self) -> u64 {
-        self.messages * self.words
-    }
-}
-
-/// Total words across a slice of data sets.
-pub fn total_words(sets: &[DataSet]) -> u64 {
-    sets.iter().map(|s| s.total_words()).sum()
-}
-
-/// The largest message size (in words) appearing in `sets`; 0 when empty.
-/// The paper uses the *maximum message size used in the system* to pick the
-/// `j` parameter of the computation slowdown.
-pub fn max_message_words(sets: &[DataSet]) -> u64 {
-    sets.iter().map(|s| s.words).max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -65,15 +48,7 @@ mod tests {
     #[test]
     fn constructors() {
         assert_eq!(DataSet::single(10), DataSet { messages: 1, words: 10 });
-        assert_eq!(DataSet::matrix_rows(4, 5).total_words(), 20);
+        assert_eq!(DataSet::matrix_rows(4, 5), DataSet { messages: 4, words: 5 });
         assert_eq!(DataSet::burst(1000, 200).messages, 1000);
-    }
-
-    #[test]
-    fn totals_and_max() {
-        let sets = [DataSet::new(3, 100), DataSet::new(2, 500)];
-        assert_eq!(total_words(&sets), 1300);
-        assert_eq!(max_message_words(&sets), 500);
-        assert_eq!(max_message_words(&[]), 0);
     }
 }

@@ -52,11 +52,6 @@ impl CommDelayTable {
         CommDelayTable { by_computing, by_communicating }
     }
 
-    /// Largest `i` with a measured entry.
-    pub fn max_i(&self) -> usize {
-        self.by_computing.len().min(self.by_communicating.len())
-    }
-
     /// `delay_compⁱ`; 0 for `i = 0`, saturating at the last measured entry.
     // modelcheck-allow: naked-f64 — dimensionless relative-delay coefficient
     pub fn computing(&self, i: usize) -> f64 {
@@ -110,7 +105,7 @@ impl CompDelayTable {
 
     /// `delay_commⁱʲ` using an explicit bucket index (ablation hook).
     // modelcheck-allow: naked-f64 — dimensionless relative-delay coefficient
-    pub fn delay_at_bucket(&self, i: usize, bucket: usize) -> f64 {
+    pub(crate) fn delay_at_bucket(&self, i: usize, bucket: usize) -> f64 {
         lookup_saturating(&self.delays[bucket], i)
     }
 }
@@ -120,7 +115,7 @@ impl CompDelayTable {
 /// to `j_words`, except that the `j = 1` bucket is only eligible for
 /// messages under [`SMALL_MESSAGE_CUTOFF_WORDS`]; ties go to the larger
 /// bucket (the conservative choice: delays grow with message size).
-pub fn select_bucket(buckets: &[u64], j_words: u64) -> usize {
+pub(crate) fn select_bucket(buckets: &[u64], j_words: u64) -> usize {
     let eligible = |idx: usize| buckets[idx] != 1 || j_words < SMALL_MESSAGE_CUTOFF_WORDS;
     let mut best: Option<(usize, u64)> = None;
     for idx in 0..buckets.len() {
@@ -163,7 +158,6 @@ mod tests {
         assert_eq!(t.computing(3), 3.0);
         assert_eq!(t.computing(10), 3.0); // saturates
         assert_eq!(t.communicating(2), 1.0);
-        assert_eq!(t.max_i(), 3);
     }
 
     #[test]

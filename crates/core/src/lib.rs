@@ -76,22 +76,20 @@ pub mod units;
 pub mod prelude {
     pub use crate::cm2::{comm_cost as cm2_comm_cost, slowdown as cm2_slowdown, Cm2TaskCosts};
     pub use crate::comm::{LinearCommModel, PiecewiseCommModel};
-    pub use crate::dataset::{max_message_words, total_words, DataSet};
+    pub use crate::dataset::DataSet;
     pub use crate::delay::{CommDelayTable, CompDelayTable, SMALL_MESSAGE_CUTOFF_WORDS};
     pub use crate::memory::MemoryModel;
     pub use crate::mix::WorkloadMix;
     pub use crate::paragon::{
         comm_cost as paragon_comm_cost, comm_slowdown as paragon_comm_slowdown,
-        comp_cost as paragon_comp_cost, comp_slowdown as paragon_comp_slowdown,
+        comp_slowdown as paragon_comp_slowdown,
     };
     pub use crate::phased::{cm2_timeline, LoadPhase, LoadTimeline};
     pub use crate::predict::{
         Cm2Predictor, Cm2Task, ParagonPredictor, ParagonTask, Placement, PlacementDecision,
     };
     pub use crate::profile::{ProfileCache, SlowdownProfile};
-    pub use crate::units::{
-        prob, secs, words, BytesPerSec, Prob, Seconds, Slowdown, Words, WORD_BYTES,
-    };
+    pub use crate::units::{prob, secs, words, BytesPerSec, Prob, Seconds, Slowdown, Words};
 }
 
 pub use prelude::*;

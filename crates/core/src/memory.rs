@@ -37,7 +37,7 @@ impl MemoryModel {
     }
 
     /// Total working-set demand of a set of applications, in words.
-    pub fn total_demand(working_sets: &[u64]) -> u64 {
+    pub(crate) fn total_demand(working_sets: &[u64]) -> u64 {
         working_sets.iter().sum()
     }
 

@@ -20,7 +20,7 @@
 //! a globally unique [`epoch`](WorkloadMix::epoch), which downstream
 //! caches (see [`crate::profile`]) use to detect staleness in O(1).
 
-use crate::units::{f64_from_usize, Prob};
+use crate::units::Prob;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -228,12 +228,6 @@ impl WorkloadMix {
     pub fn comm_dist(&self) -> &[f64] {
         &self.comm_dist
     }
-
-    /// Expected number of communicating contenders (diagnostic).
-    // modelcheck-allow: naked-f64 — dimensionless expectation, may exceed 1
-    pub fn expected_communicating(&self) -> f64 {
-        self.comm_dist.iter().enumerate().map(|(i, &c)| f64_from_usize(i) * c).sum()
-    }
 }
 
 // The epoch is process-local, so it is excluded from the wire format and
@@ -354,13 +348,6 @@ mod tests {
         for i in 0..=m.p() {
             assert!(close(m.pcomm(i), snapshot.pcomm(i).get()));
         }
-    }
-
-    #[test]
-    fn expected_value_is_sum_of_fracs() {
-        let fracs = [0.2, 0.3, 0.5];
-        let m = WorkloadMix::from_fracs(&fracs);
-        assert!((m.expected_communicating() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub fn comm_cost(dcomm: Seconds, mix: &WorkloadMix, delays: &CommDelayTable) -> 
 }
 
 /// `T_sun = dcomp_sun × slowdown` — non-dedicated front-end execution time.
-pub fn comp_cost(
+pub(crate) fn comp_cost(
     dcomp_sun: Seconds,
     mix: &WorkloadMix,
     delays: &CompDelayTable,

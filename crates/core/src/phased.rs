@@ -71,7 +71,7 @@ impl LoadTimeline {
     /// The slowdown in effect at wall-clock offset `t` from the start of
     /// the timeline. (An empty timeline — only constructible via
     /// `Default` — reads as dedicated.)
-    pub fn slowdown_at(&self, t: Seconds) -> Slowdown {
+    pub(crate) fn slowdown_at(&self, t: Seconds) -> Slowdown {
         let mut elapsed = Seconds::ZERO;
         let mut last = Slowdown::ONE;
         for ph in &self.phases {

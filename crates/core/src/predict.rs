@@ -176,17 +176,21 @@ impl ParagonPredictor {
     }
 
     /// `C_sun→p` using cached slowdown factors.
-    pub fn comm_cost_to_with(&self, sets: &[DataSet], profile: &SlowdownProfile) -> Seconds {
+    pub(crate) fn comm_cost_to_with(&self, sets: &[DataSet], profile: &SlowdownProfile) -> Seconds {
         self.comm_to.dcomm(sets) * profile.comm_slowdown()
     }
 
     /// `C_p→sun` using cached slowdown factors.
-    pub fn comm_cost_from_with(&self, sets: &[DataSet], profile: &SlowdownProfile) -> Seconds {
+    pub(crate) fn comm_cost_from_with(
+        &self,
+        sets: &[DataSet],
+        profile: &SlowdownProfile,
+    ) -> Seconds {
         self.comm_from.dcomm(sets) * profile.comm_slowdown()
     }
 
     /// `T_sun` using cached slowdown factors.
-    pub fn t_sun_with(
+    pub(crate) fn t_sun_with(
         &self,
         dcomp_sun: Seconds,
         profile: &SlowdownProfile,

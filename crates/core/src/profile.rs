@@ -65,11 +65,6 @@ impl SlowdownProfile {
         }
     }
 
-    /// Epoch of the mix this profile reflects.
-    pub fn mix_epoch(&self) -> u64 {
-        self.mix_epoch
-    }
-
     /// Number of contenders in the profiled mix.
     pub fn p(&self) -> usize {
         self.p
@@ -134,11 +129,6 @@ impl ProfileCache {
         self.slot.get_or_insert_with(|| SlowdownProfile::compute(mix, comm_delays, comp_delays))
     }
 
-    /// Drops the cached profile (e.g. after swapping delay tables).
-    pub fn invalidate(&mut self) {
-        self.slot = None;
-    }
-
     /// The cached profile, if any — without validating freshness.
     pub fn peek(&self) -> Option<&SlowdownProfile> {
         self.slot.as_ref()
@@ -186,7 +176,7 @@ mod tests {
         let mut mix = WorkloadMix::from_fracs(&[0.4]);
         let profile = SlowdownProfile::compute(&mix, &comm_table(), &comp_table());
         assert!(profile.is_current(&mix));
-        assert_eq!(profile.mix_epoch(), mix.epoch());
+        assert_eq!(profile.mix_epoch, mix.epoch());
         mix.add(prob(0.2));
         assert!(!profile.is_current(&mix));
     }
@@ -197,27 +187,15 @@ mod tests {
         let (comm, comp) = (comm_table(), comp_table());
         let mut cache = ProfileCache::new();
 
-        let first_epoch = cache.profile_for(&mix, &comm, &comp).mix_epoch();
+        let first_epoch = cache.profile_for(&mix, &comm, &comp).mix_epoch;
         // Hit: same epoch back, no recompute observable via the stamp.
-        assert_eq!(cache.profile_for(&mix, &comm, &comp).mix_epoch(), first_epoch);
+        assert_eq!(cache.profile_for(&mix, &comm, &comp).mix_epoch, first_epoch);
 
         mix.remove(0);
         let refreshed = cache.profile_for(&mix, &comm, &comp);
-        assert_eq!(refreshed.mix_epoch(), mix.epoch());
-        assert_ne!(refreshed.mix_epoch(), first_epoch);
+        assert_eq!(refreshed.mix_epoch, mix.epoch());
+        assert_ne!(refreshed.mix_epoch, first_epoch);
         assert_eq!(refreshed.p(), 1);
-    }
-
-    #[test]
-    fn cache_invalidate_forces_recompute() {
-        let mix = WorkloadMix::from_fracs(&[0.5]);
-        let (comm, comp) = (comm_table(), comp_table());
-        let mut cache = ProfileCache::new();
-        cache.profile_for(&mix, &comm, &comp);
-        assert!(cache.peek().is_some());
-        cache.invalidate();
-        assert!(cache.peek().is_none());
-        assert!(cache.profile_for(&mix, &comm, &comp).is_current(&mix));
     }
 
     #[test]

@@ -48,7 +48,7 @@ macro_rules! fmt_delegate {
 
 /// Bytes per word on the modeled platforms (32-bit words, as on the
 /// SPARC front-ends and the Paragon's NX message units).
-pub const WORD_BYTES: u32 = 4;
+pub(crate) const WORD_BYTES: u32 = 4;
 
 /// Largest integer magnitude exactly representable in an `f64` (2⁵³).
 const MAX_EXACT_IN_F64: u64 = 1 << 53;
@@ -340,11 +340,6 @@ impl Prob {
     pub fn get(self) -> f64 {
         self.0
     }
-
-    /// `1 − p`, the probability of the complementary event.
-    pub fn complement(self) -> Prob {
-        Prob(1.0 - self.0)
-    }
 }
 
 /// Joint probability of independent events.
@@ -533,7 +528,6 @@ mod tests {
     #[test]
     fn prob_domain() {
         assert_eq!(prob(0.25).get(), 0.25);
-        assert_eq!(prob(0.25).complement().get(), 0.75);
         assert_eq!((prob(0.5) * prob(0.5)).get(), 0.25);
         assert_eq!(prob(0.5) * 3.0, 1.5);
         assert!(Prob::try_new(-0.1).is_none());

@@ -38,33 +38,3 @@ pub mod scenarios;
 pub mod setup;
 pub mod synthetic;
 pub mod tables_intro;
-
-use report::Experiment;
-use setup::Scale;
-
-/// Runs every experiment at the given scale, in paper order.
-///
-/// With the `par` feature the experiments themselves fan out across
-/// threads (on top of each sweep's own per-point fan-out); the returned
-/// order and every number in it are identical to the sequential build.
-pub fn run_all(scale: Scale) -> Vec<Experiment> {
-    type Job = Box<dyn Fn() -> Experiment + Send + Sync>;
-    let jobs: Vec<Job> = vec![
-        Box::new(tables_intro::run),
-        Box::new(move || fig1::run(scale)),
-        Box::new(fig2::run),
-        Box::new(move || fig3::run(scale)),
-        Box::new(move || fig4::run(scale)),
-        Box::new(move || fig56::run_fig5(scale)),
-        Box::new(move || fig56::run_fig6(scale)),
-        Box::new(move || fig78::run_fig7(scale)),
-        Box::new(move || fig78::run_fig8(scale)),
-        Box::new(move || synthetic::run_cm2(scale)),
-        Box::new(move || synthetic::run_paragon(scale)),
-        Box::new(load_chars::run),
-        Box::new(phased_load::run),
-        Box::new(move || ranking::run(scale)),
-        Box::new(forecast_replay::run),
-    ];
-    par::ordered_map(jobs, |job| job())
-}

@@ -15,7 +15,7 @@
 /// sequentially otherwise. The `Send`/`Sync` bounds are required in both
 /// builds so that whatever compiles single-threaded also compiles — and
 /// behaves identically — under `--features par`.
-pub fn ordered_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
+pub(crate) fn ordered_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,

@@ -85,7 +85,7 @@ impl Experiment {
     }
 
     /// Adds a series.
-    pub fn push_series(&mut self, s: Series) {
+    pub(crate) fn push_series(&mut self, s: Series) {
         self.series.push(s);
     }
 

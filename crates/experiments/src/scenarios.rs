@@ -8,10 +8,10 @@ use simcore::ids::ProcId;
 use simcore::time::{SimDuration, SimTime};
 
 /// Head start given to contenders before the probe begins.
-pub const WARMUP: SimDuration = SimDuration::from_secs(2);
+pub(crate) const WARMUP: SimDuration = SimDuration::from_secs(2);
 
 /// Runs `probe` against `p` CPU hogs; returns the platform (probe done).
-pub fn run_with_hogs(
+pub(crate) fn run_with_hogs(
     cfg: PlatformConfig,
     probe: ScriptedApp,
     p: usize,
@@ -29,7 +29,7 @@ pub fn run_with_hogs(
 }
 
 /// Runs `probe` against a set of communication generators.
-pub fn run_with_generators(
+pub(crate) fn run_with_generators(
     cfg: PlatformConfig,
     probe: ScriptedApp,
     generators: Vec<CommGenerator>,
@@ -48,7 +48,7 @@ pub fn run_with_generators(
 }
 
 /// Sum of a probe's transfer-phase times (Send + Recv), seconds.
-pub fn transfer_seconds(plat: &Platform, id: ProcId) -> f64 {
+pub(crate) fn transfer_seconds(plat: &Platform, id: ProcId) -> f64 {
     (plat.phase_time(id, PhaseKind::Send) + plat.phase_time(id, PhaseKind::Recv)).as_secs_f64()
 }
 

@@ -10,7 +10,7 @@ use hetplat::config::PlatformConfig;
 use std::sync::OnceLock;
 
 /// Root seed for all experiments (scenario seeds derive from it).
-pub const SEED: u64 = 19_960_806; // the conference date
+pub(crate) const SEED: u64 = 19_960_806; // the conference date
 
 /// Experiment sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +39,7 @@ impl Scale {
 /// as an ablation (`bench/scheduler_ablation`). "Actual" runs also carry
 /// a daemon-noise process (see `scenarios`), so measurements deviate from
 /// the model the way production systems do.
-pub fn platform_config() -> PlatformConfig {
+pub(crate) fn platform_config() -> PlatformConfig {
     PlatformConfig {
         frontend: hetplat::config::FrontendParams::processor_sharing(),
         ..Default::default()
@@ -47,14 +47,14 @@ pub fn platform_config() -> PlatformConfig {
 }
 
 /// The 2-HOPS variant.
-pub fn platform_config_two_hops() -> PlatformConfig {
+pub(crate) fn platform_config_two_hops() -> PlatformConfig {
     let mut c = platform_config();
     c.paragon.path = hetplat::config::CommPath::TwoHops;
     c
 }
 
 /// Calibration sizes per scale.
-pub fn pingpong_spec(scale: Scale) -> PingPongSpec {
+pub(crate) fn pingpong_spec(scale: Scale) -> PingPongSpec {
     match scale {
         Scale::Quick => {
             PingPongSpec { sizes: vec![1, 64, 256, 512, 768, 1024, 1536, 2048, 4096], burst: 100 }
@@ -64,7 +64,7 @@ pub fn pingpong_spec(scale: Scale) -> PingPongSpec {
 }
 
 /// Delay-measurement sizes per scale.
-pub fn delay_spec(scale: Scale) -> DelaySpec {
+pub(crate) fn delay_spec(scale: Scale) -> DelaySpec {
     match scale {
         Scale::Quick => DelaySpec {
             p_max: 3,

@@ -27,7 +27,7 @@ impl Default for MachineRates {
 
 impl MachineRates {
     /// Front-end CPU demand for `flops` floating-point operations.
-    pub fn sun_demand(&self, flops: u64) -> SimDuration {
+    pub(crate) fn sun_demand(&self, flops: u64) -> SimDuration {
         SimDuration::from_secs_f64(f64_from_u64(flops) / self.sun_flops)
     }
 
@@ -73,17 +73,17 @@ impl Default for Cm2ProgramParams {
 impl Cm2ProgramParams {
     /// CM2 execution time for one parallel instruction over `elements`
     /// elements at `rate` elements/s.
-    pub fn instr_time(&self, elements: u64, rate: f64) -> SimDuration {
+    pub(crate) fn instr_time(&self, elements: u64, rate: f64) -> SimDuration {
         self.instr_alpha + SimDuration::from_secs_f64(f64_from_u64(elements) / rate)
     }
 
     /// Elimination-instruction time over `elements` elements.
-    pub fn elim_time(&self, elements: u64) -> SimDuration {
+    pub(crate) fn elim_time(&self, elements: u64) -> SimDuration {
         self.instr_time(elements, self.elim_rate)
     }
 
     /// Reduction-instruction time over `elements` elements.
-    pub fn reduce_time(&self, elements: u64) -> SimDuration {
+    pub(crate) fn reduce_time(&self, elements: u64) -> SimDuration {
         self.instr_time(elements, self.reduce_rate)
     }
 }

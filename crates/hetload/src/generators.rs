@@ -176,7 +176,7 @@ pub enum GenDirection {
 /// Estimated dedicated marginal time per message in a pipelined burst —
 /// the bottleneck stage of the transfer pipeline. Used to size generator
 /// bursts so they occupy a target fraction of time.
-pub fn message_estimate(cfg: &PlatformConfig, words: u64, dir: Direction) -> SimDuration {
+pub(crate) fn message_estimate(cfg: &PlatformConfig, words: u64, dir: Direction) -> SimDuration {
     match dir {
         Direction::ToCm2 => cfg.cm2.xfer_alpha_to + cfg.cm2.xfer_per_word_to * words,
         Direction::FromCm2 => cfg.cm2.xfer_alpha_from + cfg.cm2.xfer_per_word_from * words,
@@ -254,20 +254,8 @@ impl CommGenerator {
         }
     }
 
-    /// Overrides the duty-cycle length.
-    pub fn with_cycle(mut self, cycle: SimDuration) -> Self {
-        self.cycle = cycle;
-        self
-    }
-
-    /// Overrides the jitter fraction (0 disables).
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
     /// Messages per burst for the current parameters.
-    pub fn burst_count(&self) -> u64 {
+    pub(crate) fn burst_count(&self) -> u64 {
         let comm_time = self.cycle.as_secs_f64() * self.comm_frac;
         let per = self.per_message.as_secs_f64().max(1e-9);
         sat_u64_from_f64((comm_time / per).round().max(1.0))
@@ -366,8 +354,8 @@ mod tests {
     #[test]
     fn alternate_direction_flips() {
         let cfg = ps_cfg();
-        let mut g =
-            CommGenerator::new("g", 0.5, 200, GenDirection::Alternate, &cfg).with_jitter(0.0);
+        let mut g = CommGenerator::new("g", 0.5, 200, GenDirection::Alternate, &cfg);
+        g.jitter = 0.0;
         let mut rng = root_rng(2);
         let _ = g.next_phase(SimTime::ZERO, &mut rng); // sleep
         let mut dirs = Vec::new();
@@ -388,8 +376,8 @@ mod tests {
         let cfg = ps_cfg();
         for target in [0.25, 0.5, 0.76] {
             let mut p = Platform::new(cfg, 7);
-            let g =
-                CommGenerator::new("g", target, 200, GenDirection::Outbound, &cfg).with_jitter(0.0);
+            let mut g = CommGenerator::new("g", target, 200, GenDirection::Outbound, &cfg);
+            g.jitter = 0.0;
             let id = p.spawn(Box::new(g));
             p.run_until(SimTime::ZERO + SimDuration::from_secs(60));
             let comm = p.phase_time(id, PhaseKind::Send).as_secs_f64();

@@ -5,8 +5,6 @@
 //! pivoting plus back substitution) supplies correctness tests and the
 //! operation counts that size the simulated workloads.
 
-use simcore::num::{f64_from_u64, f64_from_usize};
-
 /// Dense augmented system `A·x = b` stored as an `m × (m+1)` row-major
 /// matrix (column `m` is `b`).
 #[derive(Debug, Clone)]
@@ -24,23 +22,6 @@ impl Augmented {
         for r in rows {
             assert_eq!(r.len(), m + 1, "row width must be m+1");
             a.extend_from_slice(r);
-        }
-        Augmented { m, a }
-    }
-
-    /// A well-conditioned random-ish test system of size `m`, filled from
-    /// a deterministic recurrence with a dominant diagonal.
-    pub fn test_system(m: usize) -> Self {
-        let mut a = vec![0.0; m * (m + 1)];
-        let mut s = 0x9e37_79b9_u64;
-        for i in 0..m {
-            for j in 0..=m {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let v = (f64_from_u64(s >> 33) / f64_from_u64(1 << 31)) - 1.0; // [-1, 1)
-                a[i * (m + 1) + j] = v;
-            }
-            // Diagonal dominance keeps the system well conditioned.
-            a[i * (m + 1) + i] += f64_from_usize(m);
         }
         Augmented { m, a }
     }
@@ -114,18 +95,31 @@ impl Augmented {
 
 /// Total floating-point operations for elimination plus back substitution
 /// on an `m × (m+1)` system: `≈ 2m³/3 + 3m²/2`.
-pub fn flops(m: u64) -> u64 {
+pub(crate) fn flops(m: u64) -> u64 {
     (2 * m * m * m) / 3 + (3 * m * m) / 2
-}
-
-/// Words of the augmented matrix.
-pub fn matrix_words(m: u64) -> u64 {
-    m * (m + 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::num::{f64_from_u64, f64_from_usize};
+
+    /// A well-conditioned random-ish test system of size `m`, filled from
+    /// a deterministic recurrence with a dominant diagonal.
+    fn test_system(m: usize) -> Augmented {
+        let mut a = vec![0.0; m * (m + 1)];
+        let mut s = 0x9e37_79b9_u64;
+        for i in 0..m {
+            for j in 0..=m {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let v = (f64_from_u64(s >> 33) / f64_from_u64(1 << 31)) - 1.0; // [-1, 1)
+                a[i * (m + 1) + j] = v;
+            }
+            // Diagonal dominance keeps the system well conditioned.
+            a[i * (m + 1) + i] += f64_from_usize(m);
+        }
+        Augmented { m, a }
+    }
 
     #[test]
     fn solves_known_system() {
@@ -154,7 +148,7 @@ mod tests {
     #[test]
     fn random_systems_have_tiny_residuals() {
         for m in [5usize, 20, 100] {
-            let sys = Augmented::test_system(m);
+            let sys = test_system(m);
             let x = sys.solve().expect("well-conditioned system");
             let r = sys.residual(&x);
             let max = r.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
@@ -170,7 +164,6 @@ mod tests {
         // Doubling m scales work by ≈ 8.
         let ratio = f200 as f64 / f100 as f64;
         assert!((ratio - 8.0).abs() < 0.3, "ratio {ratio}");
-        assert_eq!(matrix_words(200), 200 * 201);
     }
 
     #[test]

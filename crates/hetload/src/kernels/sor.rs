@@ -37,11 +37,6 @@ impl SorGrid {
         self.m
     }
 
-    /// Relaxation factor in use.
-    pub fn omega(&self) -> f64 {
-        self.omega
-    }
-
     /// Value at `(row, col)`.
     pub fn get(&self, row: usize, col: usize) -> f64 {
         self.u[row * self.m + col]
@@ -101,14 +96,9 @@ impl SorGrid {
 
 /// Floating-point operations per red-black sweep of an `m × m` grid
 /// (≈ 6 per interior point: 3 adds, a scale, a subtract, an AXPY).
-pub fn flops_per_sweep(m: u64) -> u64 {
+pub(crate) fn flops_per_sweep(m: u64) -> u64 {
     let interior = m.saturating_sub(2);
     6 * interior * interior
-}
-
-/// Words of state for an `m × m` grid.
-pub fn grid_words(m: u64) -> u64 {
-    m * m
 }
 
 #[cfg(test)]
@@ -164,7 +154,7 @@ mod tests {
     fn omega_in_valid_range() {
         for m in [3usize, 10, 100, 1000] {
             let g = SorGrid::new(m);
-            assert!((1.0..2.0).contains(&g.omega()), "omega {}", g.omega());
+            assert!((1.0..2.0).contains(&g.omega), "omega {}", g.omega);
         }
     }
 
@@ -172,7 +162,6 @@ mod tests {
     fn flop_count_scales_quadratically() {
         assert_eq!(flops_per_sweep(3), 6);
         assert_eq!(flops_per_sweep(102), 6 * 100 * 100);
-        assert_eq!(grid_words(200), 40_000);
     }
 
     #[test]

@@ -27,11 +27,11 @@ pub mod prelude {
     };
     pub use crate::costs::{Cm2ProgramParams, MachineRates};
     pub use crate::generators::{
-        message_estimate, CommGenerator, CpuHog, DaemonNoise, GenDirection, IoHog, TimedCpuHog,
+        CommGenerator, CpuHog, DaemonNoise, GenDirection, IoHog, TimedCpuHog,
     };
     pub use crate::kernels::gauss::{self, Augmented};
     pub use crate::kernels::sor::{self, SorGrid};
-    pub use crate::programs::{gauss_program, sor_program};
+    pub use crate::programs::gauss_program;
     pub use crate::synthetic::{
         build_generators, random_cm2_program, random_generator_specs, GeneratorSpec,
     };

@@ -34,27 +34,6 @@ pub fn gauss_program(m: u64, p: &Cm2ProgramParams) -> Cm2Program {
     Cm2Program::new(instrs)
 }
 
-/// Red-black SOR on an `m × m` grid for `sweeps` sweeps, checking
-/// convergence (a scalar reduction the host waits on) every
-/// `check_every` sweeps.
-pub fn sor_program(m: u64, sweeps: u64, check_every: u64, p: &Cm2ProgramParams) -> Cm2Program {
-    assert!(check_every > 0, "check_every must be positive");
-    let interior = m.saturating_sub(2) * m.saturating_sub(2);
-    let half = interior / 2;
-    let mut instrs = Vec::new();
-    for s in 1..=sweeps {
-        instrs.push(Cm2Instr::Serial(p.serial_per_step));
-        instrs.push(Cm2Instr::Parallel(p.elim_time(half))); // red half-sweep
-        instrs.push(Cm2Instr::Parallel(p.elim_time(interior - half))); // black
-        if s % check_every == 0 || s == sweeps {
-            instrs.push(Cm2Instr::Parallel(p.reduce_time(interior)));
-            instrs.push(Cm2Instr::Sync);
-            instrs.push(Cm2Instr::Serial(p.serial_per_step));
-        }
-    }
-    Cm2Program::new(instrs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,23 +64,5 @@ mod tests {
         let s100 = gauss_program(100, &p).serial_total(dispatch).as_secs_f64();
         let s200 = gauss_program(200, &p).serial_total(dispatch).as_secs_f64();
         assert!((s200 / s100 - 2.0).abs() < 0.02);
-    }
-
-    #[test]
-    fn sor_program_checks_periodically() {
-        let p = Cm2ProgramParams::default();
-        let prog = sor_program(100, 10, 5, &p);
-        let syncs = prog.instrs.iter().filter(|i| matches!(i, Cm2Instr::Sync)).count();
-        assert_eq!(syncs, 2); // sweeps 5 and 10
-                              // Every sweep has two half-sweeps + per-check reductions.
-        assert_eq!(prog.parallel_count(), 22);
-    }
-
-    #[test]
-    fn sor_final_sweep_always_checked() {
-        let p = Cm2ProgramParams::default();
-        let prog = sor_program(50, 7, 5, &p);
-        let syncs = prog.instrs.iter().filter(|i| matches!(i, Cm2Instr::Sync)).count();
-        assert_eq!(syncs, 2); // sweeps 5 and 7
     }
 }

@@ -180,12 +180,6 @@ impl Default for ParagonParams {
 }
 
 impl ParagonParams {
-    /// The 2-HOPS (service-node bridge) variant of these parameters.
-    pub fn two_hops(mut self) -> Self {
-        self.path = CommPath::TwoHops;
-        self
-    }
-
     /// Wire service time for one message of `words` words.
     pub fn wire_service(&self, words: u64) -> SimDuration {
         if words <= self.eager_limit_words {
@@ -263,13 +257,6 @@ impl PlatformConfig {
     pub fn sun_paragon() -> Self {
         PlatformConfig::default()
     }
-
-    /// The Sun/Paragon preset with the 2-HOPS path.
-    pub fn sun_paragon_two_hops() -> Self {
-        let mut c = PlatformConfig::default();
-        c.paragon.path = CommPath::TwoHops;
-        c
-    }
 }
 
 #[cfg(test)]
@@ -301,15 +288,6 @@ mod tests {
         let marginal_small = (p.conv_demand_in(500) - p.conv_demand_in(400)).as_secs_f64();
         let marginal_large = (p.conv_demand_in(1100) - p.conv_demand_in(1000)).as_secs_f64();
         assert!(marginal_large > 2.0 * marginal_small);
-    }
-
-    #[test]
-    fn presets_differ_only_in_path() {
-        let one = PlatformConfig::sun_paragon();
-        let two = PlatformConfig::sun_paragon_two_hops();
-        assert_eq!(one.paragon.path, CommPath::OneHop);
-        assert_eq!(two.paragon.path, CommPath::TwoHops);
-        assert_eq!(one.paragon.wire_latency, two.paragon.wire_latency);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub enum Direction {
 
 impl Direction {
     /// True for the CM2 channel directions.
-    pub fn is_cm2(self) -> bool {
+    pub(crate) fn is_cm2(self) -> bool {
         matches!(self, Direction::ToCm2 | Direction::FromCm2)
     }
 

@@ -159,8 +159,6 @@ struct ProcState {
     rng: SimRng,
     /// Bumped at each burst start; stale NodeEmit events are dropped.
     burst_gen: u64,
-    /// Accumulated CM2 execution time attributed to this process.
-    cm2_busy: SimDuration,
 }
 
 /// The simulated world state (the [`Model`] of the engine).
@@ -288,7 +286,6 @@ impl PlatformModel {
                 records: Vec::new(),
                 rng,
                 burst_gen: 0,
-                cm2_busy: SimDuration::ZERO,
             },
         );
         id
@@ -737,7 +734,6 @@ impl PlatformModel {
         self.trace_proc(id, "cm2", "execute", exec_start, now);
         let resume = {
             let st = self.procs.get_mut(&id).expect("unknown process");
-            st.cm2_busy += exec;
             let Activity::RunningCm2(cm2) = &mut st.current else {
                 panic!("CM2 completion outside program");
             };
@@ -966,11 +962,6 @@ impl Platform {
             .fold(SimDuration::ZERO, |a, b| a + b)
     }
 
-    /// Total CM2 execution time attributed to a process.
-    pub fn cm2_busy(&self, id: ProcId) -> SimDuration {
-        self.eng.model.procs.get(&id).map(|s| s.cm2_busy).unwrap_or(SimDuration::ZERO)
-    }
-
     /// Number of events processed so far (diagnostics).
     pub fn events_processed(&self) -> u64 {
         self.eng.events_processed()
@@ -1081,7 +1072,6 @@ mod tests {
         let end = p.run_until_done(probe).expect("probe ran to completion");
         // 10 (serial) + 30 (parallel) + 10 (serial) = 50ms.
         assert!((end.as_secs_f64() - 0.050).abs() < 1e-9, "end {end}");
-        assert!((secs(p.cm2_busy(probe)) - 0.030).abs() < 1e-9);
     }
 
     #[test]

@@ -5,21 +5,9 @@
 //! is the time-shared front-end and machine 1 the back-end.
 
 use crate::task::{Environment, Matrix};
-use contention_model::cm2;
 use contention_model::delay::{CommDelayTable, CompDelayTable};
 use contention_model::mix::WorkloadMix;
 use contention_model::paragon;
-
-/// Environment for a Sun/CM2 platform with `p` extra CPU-bound processes
-/// on the front-end: computation and the (CPU-driven) link both slow by
-/// `p + 1`; the CM2 itself is unaffected.
-pub fn cm2_environment(p: u32) -> Environment {
-    let s = cm2::slowdown(p).get();
-    let mut link = Matrix::filled(2, 1.0);
-    link.set(0, 1, s);
-    link.set(1, 0, s);
-    Environment { comp_slowdown: vec![s, 1.0], link_slowdown: link }
-}
 
 /// Environment for a Sun/Paragon platform under a workload mix:
 /// front-end computation slows by the computation slowdown (with
@@ -42,15 +30,6 @@ pub fn paragon_environment(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cm2_environment_scales_frontend_only() {
-        let env = cm2_environment(3);
-        env.validate();
-        assert_eq!(env.comp_slowdown, vec![4.0, 1.0]);
-        assert_eq!(env.link_slowdown.get(0, 1), 4.0);
-        assert_eq!(env.link_slowdown.get(1, 0), 4.0);
-    }
 
     #[test]
     fn paragon_environment_uses_model_slowdowns() {

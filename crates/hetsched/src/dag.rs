@@ -156,7 +156,7 @@ impl Dag {
 
     /// HEFT upward ranks: `rank(i) = w̄ᵢ + max over successors of
     /// (c̄ᵢⱼ + rank(j))`.
-    pub fn upward_ranks(&self, env: &Environment) -> Vec<f64> {
+    pub(crate) fn upward_ranks(&self, env: &Environment) -> Vec<f64> {
         let n = self.tasks.len();
         let mut rank = vec![0.0f64; n];
         for i in (0..n).rev() {
@@ -214,24 +214,6 @@ impl Dag {
         }
         let makespan = finish.iter().copied().fold(0.0, f64::max);
         (assignment, makespan)
-    }
-
-    /// Lower bound on any schedule: the critical path with every cost at
-    /// its per-task minimum and free communication.
-    pub fn critical_path_bound(&self, env: &Environment) -> f64 {
-        let n = self.tasks.len();
-        let mut longest = vec![0.0f64; n];
-        for (i, t) in self.tasks.iter().enumerate() {
-            let min_exec = t
-                .exec
-                .iter()
-                .zip(&env.comp_slowdown)
-                .map(|(e, s)| e * s)
-                .fold(f64::INFINITY, f64::min);
-            let ready = t.deps.iter().map(|&(dep, _)| longest[dep]).fold(0.0, f64::max);
-            longest[i] = ready + min_exec;
-        }
-        longest.iter().copied().fold(0.0, f64::max)
     }
 }
 
@@ -314,10 +296,8 @@ mod tests {
         for cost in [0.0, 1.0, 5.0] {
             let dag = fork_join(cost);
             let env = Environment::dedicated(2);
-            let bound = dag.critical_path_bound(&env);
             let (_, best) = dag.best_exhaustive(&env);
             let (_, heft) = dag.schedule_heft(&env);
-            assert!(best >= bound - 1e-9);
             assert!(heft >= best - 1e-9);
         }
     }

@@ -47,16 +47,12 @@ use crate::task::{Environment, Workflow};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::ops::Range;
-
-#[cfg(feature = "par")]
-use rayon::prelude::*;
 
 /// Steps between exact resynchronizations of the incrementally maintained
 /// makespan. Each delta touches ≤ 3 terms, so drift over a window is a few
 /// thousand rounding errors — far below the 1e-9 tolerances used by
 /// callers — and the final winner is re-evaluated exactly regardless.
-pub const RESYNC_INTERVAL: u64 = 4096;
+pub(crate) const RESYNC_INTERVAL: u64 = 4096;
 
 /// The most schedules (`mᵏ`) [`rank_all`], [`rank_top`] and
 /// [`rank_all_oracle`] will rank; a larger instance panics, so a caller
@@ -128,48 +124,10 @@ impl<'a> DeltaWalker<'a> {
         assignment: &'a mut Vec<usize>,
         dirs: &'a mut Vec<i8>,
     ) -> Self {
-        Self::start_at_rank(wf, env, 0, assignment, dirs)
-    }
-
-    /// Starts the walk at an arbitrary `rank` of the Gray sequence.
-    ///
-    /// Writing `rank` in base `m` as digits `b₀ (least significant) …
-    /// b₍ₖ₋₁₎`, the Gray digit is `gᵢ = bᵢ` when the suffix sum
-    /// `Σ_{j>i} bⱼ` is even and `m−1−bᵢ` when odd, and the walk direction
-    /// at coordinate `i` is `+1`/`−1` on the same parity. This lets
-    /// disjoint rank ranges be walked independently (see
-    /// [`rank_all_par`](crate::eval)).
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "each base-m digit is below m, a usize machine count"
-    )]
-    fn start_at_rank(
-        wf: &'a Workflow,
-        env: &'a Environment,
-        rank: u64,
-        assignment: &'a mut Vec<usize>,
-        dirs: &'a mut Vec<i8>,
-    ) -> Self {
-        let m = wf.machines() as u64;
-        let k = wf.len();
         assignment.clear();
+        assignment.resize(wf.len(), 0);
         dirs.clear();
-        let mut r = rank;
-        for _ in 0..k {
-            assignment.push((r % m) as usize);
-            r /= m;
-        }
-        dirs.resize(k, 1);
-        // Reflect digits by suffix parity, most significant first.
-        let mut parity = 0u64;
-        for i in (0..k).rev() {
-            let b = assignment[i] as u64;
-            if !parity.is_multiple_of(2) {
-                assignment[i] = (m - 1 - b) as usize;
-                dirs[i] = -1;
-            }
-            parity += b;
-        }
+        dirs.resize(wf.len(), 1);
         let cost = evaluate(wf, assignment, env);
         DeltaWalker { wf, env, machines: wf.machines(), assignment, dirs, cost, since_resync: 0 }
     }
@@ -377,7 +335,7 @@ pub fn rank_all(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
 pub fn rank_top(wf: &Workflow, env: &Environment, limit: usize) -> Vec<Schedule> {
     let combos = rank_space(wf);
     let keep = if limit == 0 { combos as usize } else { limit.min(combos as usize) };
-    let mut kept = select(wf, env, 0..combos, keep);
+    let mut kept = select(wf, env, combos, keep);
     kept.sort_unstable();
     kept.into_iter().map(|k| k.schedule).collect()
 }
@@ -422,14 +380,14 @@ impl PartialEq for Kept {
 
 impl Eq for Kept {}
 
-/// Walks the Gray ranks `ranks` and keeps the `keep` least of them,
+/// Walks all `combos` Gray ranks and keeps the `keep` least of them,
 /// unsorted. The first `keep` schedules are kept as they come and then
 /// heaped; from there a schedule that beats the heap's worst overwrites
 /// that entry's assignment in place, so the walk allocates nothing more.
-fn select(wf: &Workflow, env: &Environment, ranks: Range<u64>, keep: usize) -> Vec<Kept> {
+fn select(wf: &Workflow, env: &Environment, combos: u64, keep: usize) -> Vec<Kept> {
     let (mut digits, mut dirs) = (Vec::with_capacity(wf.len()), Vec::with_capacity(wf.len()));
-    let mut walker = DeltaWalker::start_at_rank(wf, env, ranks.start, &mut digits, &mut dirs);
-    let mut visits = ranks;
+    let mut walker = DeltaWalker::start(wf, env, &mut digits, &mut dirs);
+    let mut visits = 0..combos;
     let mut kept = Vec::with_capacity(keep);
     for visit in visits.by_ref().take(keep) {
         let schedule =
@@ -483,34 +441,6 @@ pub fn rank_all_oracle(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
     }
     all.sort_by(|a, b| a.makespan.total_cmp(&b.makespan));
     all
-}
-
-/// Parallel [`rank_all`]: splits the Gray sequence into disjoint rank
-/// ranges, decodes each range's starting state directly from its rank
-/// (see [`DeltaWalker::start_at_rank`]), and walks the ranges on separate
-/// threads with the same selection as [`rank_top`]. Chunk boundaries pay
-/// one full evaluation each; everything else stays `O(1)` per schedule.
-#[cfg(feature = "par")]
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "the size guard caps mᵏ, so chunks and ranges fit a usize"
-)]
-pub fn rank_all_par(wf: &Workflow, env: &Environment) -> Vec<Schedule> {
-    let combos = rank_space(wf);
-    // Enough chunks to feed every core without paying a resync per handful
-    // of schedules.
-    let chunk = combos.div_ceil(64).max(64);
-    let starts: Vec<u64> = (0..combos).step_by(chunk as usize).collect();
-    let per_chunk: Vec<Vec<Kept>> = starts
-        .into_par_iter()
-        .map(|start| {
-            let end = (start + chunk).min(combos);
-            select(wf, env, start..end, (end - start) as usize)
-        })
-        .collect();
-    let mut all: Vec<Kept> = per_chunk.into_iter().flatten().collect();
-    all.sort_unstable();
-    all.into_iter().map(|k| k.schedule).collect()
 }
 
 #[cfg(test)]
@@ -619,32 +549,6 @@ mod tests {
             prev = cur;
         }
         assert_eq!(seen.len(), 27, "all 3³ assignments visited");
-    }
-
-    #[test]
-    fn start_at_rank_matches_sequential_walk() {
-        let comm = Matrix::filled(3, 2.0);
-        let wf = Workflow::new(vec![
-            Task::with_edge("a", vec![1.0, 2.0, 3.0], comm.clone()),
-            Task::with_edge("b", vec![2.0, 1.0, 4.0], comm),
-            Task::terminal("c", vec![3.0, 2.0, 1.0]),
-        ]);
-        let env = Environment::dedicated(3);
-        // Collect the sequence from rank 0.
-        let mut scratch = SearchScratch::new();
-        let SearchScratch { digits, dirs, .. } = &mut scratch;
-        let mut walker = DeltaWalker::start(&wf, &env, digits, dirs);
-        let mut seq = vec![walker.assignment().to_vec()];
-        while walker.step() {
-            seq.push(walker.assignment().to_vec());
-        }
-        // Every rank must decode to the same assignment the walk reaches.
-        for (rank, expect) in seq.iter().enumerate() {
-            let mut s2 = SearchScratch::new();
-            let SearchScratch { digits, dirs, .. } = &mut s2;
-            let w = DeltaWalker::start_at_rank(&wf, &env, rank as u64, digits, dirs);
-            assert_eq!(w.assignment(), expect.as_slice(), "rank {rank}");
-        }
     }
 
     #[test]
@@ -768,19 +672,6 @@ mod tests {
             assert_eq!(rank_all(&wf, &env), all);
             for limit in [1, 2, 5, all.len() - 1, all.len() + 1] {
                 assert_eq!(rank_top(&wf, &env, limit), all[..limit.min(all.len())], "{limit}");
-            }
-        }
-    }
-
-    #[cfg(feature = "par")]
-    #[test]
-    fn rank_all_par_matches_serial() {
-        for (wf, env) in random_instances() {
-            let par = rank_all_par(&wf, &env);
-            let serial = rank_all(&wf, &env);
-            assert_eq!(par.len(), serial.len());
-            for (p, s) in par.iter().zip(&serial) {
-                assert!((p.makespan - s.makespan).abs() < 1e-9);
             }
         }
     }

@@ -8,7 +8,7 @@
 //! (one time-shared front-end, space-shared back-ends) generalized to
 //! any machine count.
 
-use crate::eval::{best_exhaustive, rank_all, Schedule};
+use crate::eval::{rank_all, Schedule};
 use crate::task::{Environment, Matrix, Workflow};
 use contention_model::profile::SlowdownProfile;
 
@@ -48,16 +48,6 @@ pub fn rank_all_forecast(
     rank_all(wf, &environment_from_profile(wf.machines(), front_end, profile, j_words))
 }
 
-/// The best schedule of `wf` under the forecast contention profile.
-pub fn best_forecast(
-    wf: &Workflow,
-    front_end: usize,
-    profile: &SlowdownProfile,
-    j_words: u64,
-) -> Schedule {
-    best_exhaustive(wf, &environment_from_profile(wf.machines(), front_end, profile, j_words))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,7 +83,6 @@ mod tests {
         let ranked = rank_all_forecast(&wf, 0, &profile, 500);
         let direct = rank_all(&wf, &Environment::dedicated(2));
         assert_eq!(ranked, direct);
-        assert_eq!(best_forecast(&wf, 0, &profile, 500), direct[0].clone());
     }
 
     #[test]

@@ -38,15 +38,13 @@ pub mod task;
 
 /// Commonly used items, re-exported.
 pub mod prelude {
-    pub use crate::adapt::{cm2_environment, paragon_environment};
+    pub use crate::adapt::paragon_environment;
     pub use crate::dag::{Dag, DagTask};
-    #[cfg(feature = "par")]
-    pub use crate::eval::rank_all_par;
     pub use crate::eval::{
         best_chain_dp, best_exhaustive, best_exhaustive_oracle, best_exhaustive_with, evaluate,
         rank_all, rank_all_oracle, rank_top, Schedule, SearchScratch,
     };
-    pub use crate::forecast::{best_forecast, environment_from_profile, rank_all_forecast};
+    pub use crate::forecast::{environment_from_profile, rank_all_forecast};
     pub use crate::migrate::{decide as decide_migration, InFlightTask, MigrationDecision};
     pub use crate::task::{Environment, Matrix, Task, Workflow};
 }

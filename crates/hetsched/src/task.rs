@@ -52,12 +52,12 @@ impl Matrix {
     /// True when the backing storage matches the declared size — always
     /// holds for constructed matrices, but deserialized ones (e.g. from
     /// a network peer) must be checked before indexing.
-    pub fn is_consistent(&self) -> bool {
+    pub(crate) fn is_consistent(&self) -> bool {
         self.v.len() == self.n * self.n
     }
 
     /// True when every entry is finite and at least `min`.
-    pub fn entries_at_least(&self, min: f64) -> bool {
+    pub(crate) fn entries_at_least(&self, min: f64) -> bool {
         self.v.iter().all(|x| x.is_finite() && *x >= min)
     }
 }

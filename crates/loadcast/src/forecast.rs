@@ -105,7 +105,7 @@ impl Forecaster for WindowedMean {
 
 /// Largest window a [`WindowedMedian`] accepts: `predict` sorts the
 /// window in a stack array of this many values instead of allocating.
-pub const MAX_MEDIAN_WINDOW: usize = 64;
+pub(crate) const MAX_MEDIAN_WINDOW: usize = 64;
 
 /// Predicts the median of the last `k` observations (robust to spikes).
 #[derive(Debug, Clone)]

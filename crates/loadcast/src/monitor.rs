@@ -21,10 +21,6 @@ use crate::selector::SelectivePredictor;
 use contention_model::mix::WorkloadMix;
 use contention_model::units::{secs, Prob, Seconds};
 
-/// Hard cap on the contender count derived from a forecast, bounding the
-/// cost of mix construction no matter what a reporter claims.
-pub const MAX_CONTENDERS: usize = 1024;
-
 /// Tuning knobs of a [`LoadMonitor`].
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorConfig {
@@ -50,8 +46,8 @@ impl Default for MonitorConfig {
 pub struct LoadForecast {
     /// Forecast contender load (≥ 0; exactly 0 when stale).
     pub load: f64,
-    /// The load rounded to a whole contender count, capped at
-    /// [`MAX_CONTENDERS`].
+    /// The load rounded to a whole contender count, capped at 1024
+    /// (see [`contenders`]).
     pub p: usize,
     /// True when the staleness policy fired: the answer is the
     /// dedicated-machine fallback, not a forecast.
@@ -176,8 +172,9 @@ impl std::fmt::Debug for LoadMonitor {
     }
 }
 
-/// Rounds a forecast load to a whole contender count, capped at
-/// [`MAX_CONTENDERS`]. Exact for integer-valued loads.
+/// Rounds a forecast load to a whole contender count, capped at 1024 to
+/// bound the cost of mix construction no matter what a reporter claims.
+/// Exact for integer-valued loads.
 #[expect(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
@@ -269,6 +266,6 @@ mod tests {
         assert_eq!(contenders(0.0), 0);
         assert_eq!(contenders(2.4), 2);
         assert_eq!(contenders(2.5), 3);
-        assert_eq!(contenders(1e18), MAX_CONTENDERS);
+        assert_eq!(contenders(1e18), 1024);
     }
 }

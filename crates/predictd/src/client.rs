@@ -114,11 +114,6 @@ impl Client {
         })))
     }
 
-    /// True when this connection negotiated the binary codec.
-    pub fn is_binary(&self) -> bool {
-        self.binary
-    }
-
     /// Sends one request and decodes the response, using whichever
     /// codec the connection negotiated.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {

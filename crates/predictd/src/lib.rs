@@ -18,7 +18,7 @@
 //! (request/response types, JSON fast path, binary codec) lives in the
 //! shared [`proto`] crate and is re-exported here under its historical
 //! paths; see [`service`] for the request handler and sharding,
-//! [`server`]/[`client`] for transport, and [`metrics`] for the
+//! [`edge`]/[`server`]/[`client`] for transport, and [`metrics`] for the
 //! per-request bookkeeping behind `stats`.
 //!
 //! Two binaries ship with the crate: `predictd` (the daemon) and
@@ -34,6 +34,7 @@
 )]
 
 pub mod client;
+pub mod edge;
 pub mod metrics;
 pub mod poll;
 pub mod server;
@@ -42,9 +43,10 @@ pub mod service;
 pub use ::proto::{binproto, codec, proto};
 
 pub use client::{Client, ClientError};
+pub use edge::ServerConfig;
 pub use metrics::{LatencyHistogram, Metrics, ReqKind};
 pub use proto::{Request, Response};
-pub use server::{serve_stdio, EventedServer, ServerConfig};
+pub use server::{serve_stdio, EventedServer};
 pub use service::{Affinity, Service, ServiceConfig, Slots};
 
 use contention_model::comm::{LinearCommModel, PiecewiseCommModel};

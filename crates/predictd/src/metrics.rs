@@ -174,12 +174,12 @@ impl Metrics {
     }
 
     /// Counts one request of `kind`.
-    pub fn count_request(&self, kind: ReqKind) {
+    pub(crate) fn count_request(&self, kind: ReqKind) {
         self.counts[kind.index()].fetch_add(1, Relaxed);
     }
 
     /// Records one request latency.
-    pub fn record_latency_us(&self, us: u64) {
+    pub(crate) fn record_latency_us(&self, us: u64) {
         self.hist.record(us);
     }
 
@@ -189,7 +189,7 @@ impl Metrics {
     }
 
     /// Counts a profile recompute.
-    pub fn cache_miss(&self) {
+    pub(crate) fn cache_miss(&self) {
         self.cache_misses.fetch_add(1, Relaxed);
     }
 

@@ -5,7 +5,7 @@
 //!
 //! Everything unsafe is confined to this module; the surface it exports
 //! ([`Epoll`], [`Waker`], [`bind_reuseport`], [`connect_nonblocking`],
-//! the buffer-size setters, [`batch_scheduling`]) is safe: file descriptors are owned
+//! [`set_recv_buf`], [`batch_scheduling`]) is safe: file descriptors are owned
 //! [`OwnedFd`]s closed on drop, and every syscall result is translated
 //! into [`std::io::Error`].
 //!
@@ -42,7 +42,6 @@ const SOCK_NONBLOCK: i32 = 0x800;
 const SOCK_CLOEXEC: i32 = 0x80000;
 const SOL_SOCKET: i32 = 1;
 const SO_REUSEADDR: i32 = 2;
-const SO_SNDBUF: i32 = 7;
 const SO_RCVBUF: i32 = 8;
 const SO_REUSEPORT: i32 = 15;
 const EINPROGRESS: i32 = 115;
@@ -245,7 +244,7 @@ const SOCKADDR_IN_LEN: u32 = 16;
 /// Binds a nonblocking IPv4 listener with `SO_REUSEPORT` set, so every
 /// event-loop thread can bind the same address and let the kernel
 /// load-balance accepts across them.
-pub fn bind_reuseport(addr: SocketAddrV4) -> io::Result<TcpListener> {
+pub(crate) fn bind_reuseport(addr: SocketAddrV4) -> io::Result<TcpListener> {
     // SAFETY: plain syscall; the returned fd is immediately owned.
     let fd = check(unsafe { socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
     // SAFETY: fd was just returned by the kernel and is unowned.
@@ -293,12 +292,6 @@ pub fn batch_scheduling() -> io::Result<()> {
     // SAFETY: `param` outlives the call; pid 0 is the calling thread.
     check(unsafe { sched_setscheduler(0, SCHED_BATCH, &param) })?;
     Ok(())
-}
-
-/// Shrinks (or grows) the kernel send buffer of a connected stream —
-/// used by tests to provoke partial writes.
-pub fn set_send_buf(stream: &TcpStream, bytes: usize) -> io::Result<()> {
-    set_opt(stream.as_raw_fd(), SOL_SOCKET, SO_SNDBUF, i32::try_from(bytes).unwrap_or(i32::MAX))
 }
 
 /// Shrinks (or grows) the kernel receive buffer of a connected stream.
@@ -444,10 +437,9 @@ mod tests {
     }
 
     #[test]
-    fn send_buf_can_be_shrunk() {
+    fn recv_buf_can_be_shrunk() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let s = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        set_send_buf(&s, 4096).expect("sndbuf");
         set_recv_buf(&s, 4096).expect("rcvbuf");
     }
 }

@@ -260,7 +260,12 @@ impl Slots {
     /// response line (with trailing newline) to `out`. Malformed input
     /// yields an `error` response, never a dropped connection. Returns
     /// the shutdown flag.
-    pub fn handle_line_into(&mut self, service: &Service, line: &str, out: &mut String) -> bool {
+    pub(crate) fn handle_line_into(
+        &mut self,
+        service: &Service,
+        line: &str,
+        out: &mut String,
+    ) -> bool {
         let (resp, shutdown) = match crate::codec::parse_line(line) {
             Ok(req) => {
                 let resp = self.replies.slot(&req);
@@ -357,7 +362,7 @@ impl Service {
     /// the `String`/`Vec` capacity of the response already there when it
     /// is of the kind this request is answered with. Returns true when
     /// the daemon should stop (after sending the response).
-    pub fn handle_into(&self, req: &Request, resp: &mut Response) -> bool {
+    pub(crate) fn handle_into(&self, req: &Request, resp: &mut Response) -> bool {
         let started = Instant::now();
         self.metrics.count_request(match req {
             Request::LoadReport(_) => ReqKind::LoadReport,

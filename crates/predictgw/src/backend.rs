@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use predictd::server::IDLE_TIMEOUT;
+use predictd::edge::IDLE_TIMEOUT;
 use predictd::{Client, ClientError};
 use proto::{binproto, Request, Response};
 

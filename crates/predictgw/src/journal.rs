@@ -356,6 +356,12 @@ impl Journal {
             return Ok(0);
         }
         let tmp = self.path.with_extension("compact.tmp");
+        // A crash before the rename leaves the last attempt's file here;
+        // appending behind its records would resurrect them.
+        match std::fs::remove_file(&tmp) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         {
             let mut next = Journal::open(&tmp, usize::MAX)?;
             next.stage(REC_TRUNCATE, &cutoff_at.to_le_bytes())?;
@@ -366,6 +372,9 @@ impl Journal {
             next.sync()?;
         }
         std::fs::rename(&tmp, &self.path)?;
+        // The rename is durable only once the directory entry is.
+        let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
         // Reopen the compacted file so the append handle and counters
         // track the new contents (the old sync thread stops with the
         // old handle; the compacted file is already synced).
@@ -809,6 +818,27 @@ mod tests {
         std::fs::rename(&away, &path).expect("move back");
         assert_eq!(j.truncate_before(6.5).expect("truncate"), 2, "at 5 and 6 dropped");
         assert_eq!(j.reports(), 3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn compaction_ignores_a_stale_temp_file_from_a_crashed_compaction() {
+        let path = tmp("stale.j");
+        let stale = path.with_extension("compact.tmp");
+        let _ = std::fs::remove_file(&stale);
+        let mut ghost = Journal::open(&stale, 1).expect("plant the stale temp file");
+        ghost.append_report(&report("ghost", 8.0)).expect("append");
+        drop(ghost);
+        let mut j = Journal::open(&path, 1).expect("open");
+        for (i, at) in [1.0, 6.0, 2.0, 7.0].into_iter().enumerate() {
+            j.append_report(&report(&format!("m{i}"), at)).expect("append");
+        }
+        assert_eq!(j.truncate_before(5.0).expect("truncate"), 2);
+        let kept: Vec<String> =
+            read_reports(&path).expect("read").into_iter().map(|r| r.machine).collect();
+        assert_eq!(kept, ["m1", "m3"], "exactly the kept reports");
+        assert_eq!(j.reports(), 2);
+        assert!(!stale.exists(), "the temp file was renamed into place");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -6,7 +6,9 @@
 //! in an outbox the event loop flushes once per event batch, and keeps
 //! a FIFO of the requests in flight. predictd answers each connection's
 //! requests in order, so the oldest in-flight entry owns the next reply
-//! frame — no correlation id on the wire.
+//! frame — no correlation id on the wire. Its socket I/O is the client
+//! edge's: the same read and write loops and the same frame splitter
+//! ([`predictd::edge`]).
 //!
 //! **Relay.** A lane carries frames and never touches a codec. A
 //! request frame — a client's, one the gateway encoded from a JSON
@@ -17,20 +19,21 @@
 //! its `bad reply: …` error.
 //!
 //! A lane *breaks* when its transport fails (connect error, reset, EOF,
-//! a malformed or unsolicited reply) and *times out* when its oldest
-//! in-flight request has waited longer than the gateway's I/O timeout
-//! (or its connect longer than the connect timeout). Either way the
-//! event loop calls [`Lane::fail`], which closes the socket and hands
-//! back every in-flight request so the routing step can fail it over;
-//! the next request reconnects from scratch.
+//! a reply frame over [`MAX_REPLY_FRAME_BYTES`], a malformed or
+//! unsolicited reply) and *times out* when its oldest in-flight request
+//! has waited longer than the gateway's I/O timeout (or its connect
+//! longer than the connect timeout). Either way the event loop calls
+//! [`Lane::fail`], which closes the socket and hands back every
+//! in-flight request so the routing step can fail it over; the next
+//! request reconnects from scratch.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
 use std::net::{SocketAddrV4, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use predictd::client::MAX_REPLY_FRAME_BYTES;
+use predictd::edge::{read_until_blocked, rearm_interest, split_frame, write_until_blocked, Split};
 use predictd::poll::{
     connect_nonblocking, Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -159,25 +162,10 @@ impl Lane {
         if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) == 0 {
             return;
         }
-        loop {
-            match stream.read(scratch) {
-                Ok(0) => {
-                    self.broken = Some("backend closed the connection".to_string());
-                    break;
-                }
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&scratch[..n]);
-                    if n < scratch.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.broken = Some(e.to_string());
-                    break;
-                }
-            }
+        match read_until_blocked(stream, &mut self.inbuf, scratch) {
+            Ok(false) => {}
+            Ok(true) => self.broken = Some("backend closed the connection".to_string()),
+            Err(e) => self.broken = Some(e.to_string()),
         }
         self.parse_replies(replies);
     }
@@ -187,14 +175,16 @@ impl Lane {
     /// request and breaks the lane.
     fn parse_replies(&mut self, replies: &mut Vec<Reply>) {
         let mut at = 0;
-        while let Some(rest) = self.inbuf.get(at..) {
-            let Some(len4) = rest.first_chunk::<4>() else { break };
-            let len = usize::try_from(u32::from_le_bytes(*len4)).unwrap_or(usize::MAX);
-            if len > MAX_REPLY_FRAME_BYTES {
-                self.broken = Some(format!("reply frame of {len} bytes exceeds the limit"));
-                break;
-            }
-            let Some(frame) = rest.get(..4 + len) else { break };
+        loop {
+            let len = match split_frame(&self.inbuf[at..], MAX_REPLY_FRAME_BYTES) {
+                Split::Partial => break,
+                Split::Oversized(len) => {
+                    self.broken = Some(format!("reply frame of {len} bytes exceeds the limit"));
+                    break;
+                }
+                Split::Whole(len) => len,
+            };
+            let frame = &self.inbuf[at..at + 4 + len];
             let Some((tag, _)) = self.in_flight.pop_front() else {
                 self.broken = Some("reply with nothing in flight".to_string());
                 break;
@@ -219,35 +209,14 @@ impl Lane {
             return;
         }
         let Some(stream) = self.stream.as_mut() else { return };
-        while self.out_pos < self.out.len() {
-            match stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => {
-                    self.broken = Some("backend stopped accepting bytes".to_string());
-                    return;
-                }
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.broken = Some(e.to_string());
-                    return;
-                }
-            }
+        if let Err(e) =
+            write_until_blocked(stream, &mut self.out, &mut self.out_pos, OUTBOX_COMPACT_BYTES)
+        {
+            self.broken = Some(e.to_string());
+            return;
         }
-        if self.out_pos == self.out.len() {
-            self.out.clear();
-            self.out_pos = 0;
-        } else if self.out_pos > OUTBOX_COMPACT_BYTES {
-            self.out.drain(..self.out_pos);
-            self.out_pos = 0;
-        }
-        let mut want = EPOLLIN | EPOLLRDHUP;
-        if self.out_pos < self.out.len() {
-            want |= EPOLLOUT;
-        }
-        if want != self.interest && epoll.modify(stream.as_raw_fd(), self.token, want).is_ok() {
-            self.interest = want;
-        }
+        let write = self.out_pos < self.out.len();
+        rearm_interest(epoll, stream.as_raw_fd(), self.token, &mut self.interest, true, write);
     }
 
     /// When the lane must fail if nothing arrives first: the connect

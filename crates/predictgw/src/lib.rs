@@ -21,11 +21,11 @@
 //!   append-only load-report journal before it takes traffic again,
 //!   so it never answers stale where its peers answer fresh.
 //!
-//! The daemon reuses the evented `poll.rs` engine pattern from
-//! predictd: one nonblocking epoll loop per worker with its own
-//! `SO_REUSEPORT` listener ([`server`]), per-connection codec sniff
-//! and partial-I/O state machines, and relaxed-atomic gateway metrics
-//! ([`metrics`]) behind the `gw_stats` wire kind. The same loop drives
+//! The daemon serves its clients from predictd's client edge
+//! (`predictd::edge`): one nonblocking epoll loop per worker with its
+//! own `SO_REUSEPORT` listener ([`server`]), per-connection codec sniff
+//! and partial-I/O state machines. Relaxed-atomic gateway metrics
+//! ([`metrics`]) sit behind the `gw_stats` wire kind. The same loop drives
 //! the backends: each worker keeps one nonblocking, pipelined
 //! connection per backend in its epoll set, so no backend round trip
 //! ever blocks a worker. Codecs live at the client edge only: past it,

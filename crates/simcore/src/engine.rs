@@ -83,20 +83,6 @@ impl<M: Model> Engine<M> {
         self.now
     }
 
-    /// Runs with a safety valve: panics after `limit` events. Useful in
-    /// tests to catch runaway self-scheduling loops.
-    pub fn run_bounded(&mut self, limit: u64) -> SimTime {
-        let start = self.processed;
-        while self.step() {
-            assert!(
-                self.processed - start <= limit,
-                "event budget of {limit} exhausted at {} — runaway schedule loop?",
-                self.now
-            );
-        }
-        self.now
-    }
-
     /// Pending event count (diagnostics).
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -151,20 +137,5 @@ mod tests {
         eng.schedule(SimTime(100), 0);
         eng.run();
         eng.schedule(SimTime(50), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "event budget")]
-    fn run_bounded_catches_runaway() {
-        struct Forever;
-        impl Model for Forever {
-            type Event = ();
-            fn handle(&mut self, now: SimTime, _: (), q: &mut EventQueue<()>) {
-                q.schedule(now + SimDuration::from_nanos(1), ());
-            }
-        }
-        let mut eng = Engine::new(Forever);
-        eng.schedule(SimTime::ZERO, ());
-        eng.run_bounded(1000);
     }
 }

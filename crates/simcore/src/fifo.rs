@@ -17,8 +17,6 @@ pub struct FifoServer {
     waiting: VecDeque<(XferId, SimDuration)>,
     in_service: Option<(XferId, SimTime)>,
     generation: Gen,
-    /// Cumulative busy time (diagnostics / utilization checks).
-    busy: SimDuration,
 }
 
 impl FifoServer {
@@ -40,7 +38,6 @@ impl FifoServer {
         }
         if let Some((id, service)) = self.waiting.pop_front() {
             self.in_service = Some((id, now + service));
-            self.busy += service;
             self.generation += 1;
         }
     }
@@ -69,16 +66,6 @@ impl FifoServer {
     /// Transfers waiting plus in service.
     pub fn backlog(&self) -> usize {
         self.waiting.len() + usize::from(self.in_service.is_some())
-    }
-
-    /// True when nothing is queued or in service.
-    pub fn is_idle(&self) -> bool {
-        self.backlog() == 0
-    }
-
-    /// Total time the server has been occupied.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
     }
 }
 
@@ -111,8 +98,7 @@ mod tests {
                 (XferId(3), SimTime::ZERO + SimDuration::from_secs(6)),
             ]
         );
-        assert_eq!(s.busy_time(), SimDuration::from_secs(6));
-        assert!(s.is_idle());
+        assert_eq!(s.backlog(), 0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl IdGen {
     }
 
     /// Returns the next raw id.
-    pub fn next_raw(&mut self) -> u64 {
+    pub(crate) fn next_raw(&mut self) -> u64 {
         let v = self.next;
         self.next += 1;
         v

@@ -29,7 +29,7 @@ pub fn f64_from_usize(n: usize) -> f64 {
 /// Converts a signed tally (concordant − discordant pair counts and
 /// the like) to `f64`, debug-checking exactness.
 #[expect(clippy::cast_precision_loss, reason = "the sanctioned funnel, guarded above")]
-pub fn f64_from_i64(n: i64) -> f64 {
+pub(crate) fn f64_from_i64(n: i64) -> f64 {
     debug_assert!(n.unsigned_abs() <= MAX_EXACT_IN_F64, "{n} is not exactly representable in f64");
     n as f64
 }
@@ -40,7 +40,7 @@ pub fn f64_from_i64(n: i64) -> f64 {
 /// design: the result feeds seconds-granularity float arithmetic, not
 /// exact tick comparisons.
 #[expect(clippy::cast_precision_loss, reason = "documented approximate conversion")]
-pub fn f64_approx_from_nanos(n: u64) -> f64 {
+pub(crate) fn f64_approx_from_nanos(n: u64) -> f64 {
     n as f64
 }
 
@@ -63,7 +63,7 @@ pub fn sat_u64_from_f64(x: f64) -> u64 {
     clippy::cast_sign_loss,
     reason = "`as` from float saturates: NaN to 0, negatives to 0, overflow to MAX"
 )]
-pub fn sat_usize_from_f64(x: f64) -> usize {
+pub(crate) fn sat_usize_from_f64(x: f64) -> usize {
     x as usize
 }
 

@@ -65,7 +65,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The instant of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
 

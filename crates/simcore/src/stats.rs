@@ -52,11 +52,6 @@ impl Accum {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (NaN when empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {

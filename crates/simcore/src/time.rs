@@ -10,7 +10,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Nanoseconds in one second, as both integer and float.
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+pub(crate) const NANOS_PER_SEC: u64 = 1_000_000_000;
 const NANOS_PER_SEC_F: f64 = 1e9;
 
 /// An absolute instant on the simulated clock, in nanoseconds since the
