@@ -3,7 +3,8 @@
 //! An NWS-inspired companion to the contention model: machines (or the
 //! simulator standing in for them) stream load reports in, schedulers
 //! ask placement questions out, and the daemon keeps the forecasting
-//! state, epoch-keyed profile caches, and request metrics in between.
+//! state, one shape-keyed profile slot per machine, and request
+//! metrics in between.
 //! The paper's model makes run-time placement decisions cheap; this
 //! daemon is the run-time: a long-lived process that turns a feed of
 //! load observations into `decide()`-grade answers over a wire.

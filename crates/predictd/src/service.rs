@@ -1,53 +1,55 @@
-//! The request handler: per-machine load monitors + epoch-keyed profile
-//! caches, sharded for concurrency, wrapped around one calibrated
+//! The request handler: per-machine load monitors + shape-keyed profile
+//! slots, sharded for concurrency, wrapped around one calibrated
 //! [`ParagonPredictor`].
 //!
-//! Each machine gets a [`LoadMonitor`] (forecasting) and a
-//! [`ProfileCache`] keyed by the forecast *shape* `(p, frac)`: as long
-//! as consecutive forecasts agree on the contender count and
-//! communication fraction, the stored [`WorkloadMix`] — and therefore
-//! its epoch — is left untouched, so the cached [`SlowdownProfile`]
-//! stays current and predictions skip the profile recompute entirely.
+//! Each machine gets a [`LoadMonitor`] (forecasting) and one profile
+//! slot keyed by the forecast *shape* `(p, frac)`. The paper's slowdown
+//! factors depend only on the contender count and their communication
+//! fraction, so while consecutive forecasts agree on both, the stored
+//! [`SlowdownProfile`] answers and predictions skip the recompute.
 //!
 //! **One resolve rule, applied lazily.** The monitor picks its forecast
 //! when a report arrives, so a query's forecast is a staleness check
-//! plus a copy. A `load_report` only updates the monitor; it never
-//! builds a mix. The mix is an input to a *prediction*, so it is
-//! rebuilt (three allocations, the `O(p²)` distribution, an epoch bump)
-//! by the first query whose forecast shape differs from the stored one,
-//! on the shard's write-lock slow path. The read-lock fast path declines
-//! a mismatched shape, so it never needs to mutate. The mix is a pure
-//! function of the shape, so answers are the same bits as building it
-//! afresh per query; a shape that moves and comes back between two
-//! queries keeps its mix, its epoch and its cached profile.
+//! plus a copy. A `load_report` only updates the monitor. The first
+//! query whose forecast shape differs from the stored one builds a
+//! short-lived [`WorkloadMix`] (the `O(p²)` distribution), folds it into
+//! a profile, stores that with its shape and drops the mix, on the
+//! shard's write-lock slow path; the read-lock fast path declines a
+//! mismatched shape, so it never mutates. The profile is a pure function
+//! of the shape, so answers are the same bits as building it afresh per
+//! query; a shape that moves and comes back between two queries keeps
+//! its profile.
 //!
 //! **Sharding & lock discipline.** Machine state is split across N
 //! shards, each behind its own [`RwLock`]; a machine routes to a shard
-//! by a stable FNV-1a hash of its name, so a machine's monitor, mix,
-//! and cache live (and stay coherent) inside exactly one shard for the
-//! life of the daemon. Read-mostly traffic — `predict`, `decide_batch`,
-//! `rank` against an unchanged forecast shape with a current cached
-//! profile — is served entirely under the shard's *read* lock, so
-//! queries against different machines (or the same warm machine) never
-//! serialize. The *write* lock is taken only when state actually moves:
-//! every `load_report`, and the slow resolve path when the shape
-//! changed or the cache went stale. A `rank` holds either lock only to
-//! copy its profile's two slowdowns into an environment; the walk over
-//! its schedules runs after the guard drops. Metrics are relaxed atomics (see
-//! [`Metrics`]), so `stats` never takes a shard lock beyond a brief
+//! by a stable FNV-1a hash of its name, so its monitor and profile live
+//! inside exactly one shard for the life of the daemon. A shard keeps
+//! its states densely in one slab, in first-report order, behind a hash
+//! index from name to slot: the slab only appends, so a new machine
+//! moves no other state, and the index uses std's keyed hasher because
+//! names come off the wire. Read-mostly traffic — `predict`,
+//! `decide_batch`, `rank` against an unchanged forecast shape — is
+//! served entirely under the shard's *read* lock, so queries against
+//! different machines (or the same warm machine) never serialize. The
+//! *write* lock is taken only when state actually moves: every
+//! `load_report`, and the slow resolve path when the shape changed or
+//! no profile is stored yet. A `rank` holds either lock only to copy its
+//! profile's two slowdowns into an environment; the walk over its
+//! schedules runs after the guard drops. Metrics are relaxed atomics
+//! (see [`Metrics`]), so `stats` never takes a shard lock beyond a brief
 //! read per shard for the machine counts.
 //!
 //! Stale forecasts (see the staleness policy in `loadcast`) never touch
-//! the per-machine cache: they are answered from one precomputed
+//! the per-machine slot: they are answered from one precomputed
 //! dedicated-machine profile, so a machine flapping between fresh and
-//! stale does not thrash its cache.
+//! stale does not thrash its profile.
 //!
 //! **One copy per machine.** A machine's state exists once, in its
 //! shard: there are no per-core replicas to keep in step, so a report is
 //! applied once and every event loop reads the same state through the
 //! shard lock. The monitor is a fixed-size value (see `loadcast`), so a
 //! machine's first report allocates only its key and the `Ack`'s name;
-//! it holds no mix until a query builds one.
+//! it holds no profile until a query builds one, and never a mix.
 //!
 //! **Reused requests and replies.** [`Service::handle_into`] writes its
 //! answer into a caller's [`Response`], reusing the capacity of the
@@ -58,13 +60,13 @@
 //! allocation. [`Service::handle`] is the same handler on a fresh
 //! reply.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use contention_model::mix::WorkloadMix;
 use contention_model::predict::ParagonPredictor;
-use contention_model::profile::{ProfileCache, SlowdownProfile};
+use contention_model::profile::SlowdownProfile;
 use contention_model::units::{Prob, Seconds};
 use hetsched::eval::{rank_top, MAX_RANK_SCHEDULES};
 use hetsched::forecast::environment_from_profile;
@@ -103,56 +105,35 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Forecasting and caching state for one reported machine.
+/// Forecasting state and the profile of the last resolved shape for
+/// one reported machine.
 #[derive(Debug)]
 struct MachineState {
     monitor: LoadMonitor,
-    /// The mix the cache is keyed on, with its shape
-    /// `(p, frac.to_bits())`; `None` until the first fresh query.
-    /// Replaced only when a query finds the forecast shape changed, so
-    /// its epoch is stable across same-shape queries and across
-    /// reports.
-    mix: Option<((usize, u64), WorkloadMix)>,
-    cache: ProfileCache,
+    /// The profile of the last fresh forecast a query resolved, with
+    /// its shape `(p, frac.to_bits())`; `None` until the first fresh
+    /// query. Replaced only when a query finds the shape changed.
+    profile: Option<((usize, u64), SlowdownProfile)>,
 }
 
 impl MachineState {
     fn new(cfg: MonitorConfig) -> Self {
-        MachineState { monitor: LoadMonitor::new(cfg), mix: None, cache: ProfileCache::new() }
+        MachineState { monitor: LoadMonitor::new(cfg), profile: None }
     }
 
     /// The shape of a fresh forecast of `p` contenders: `p` and the
-    /// tracked fraction's bits. The mix is a pure function of it.
+    /// tracked fraction's bits. The profile is a pure function of it.
     fn shape_of(&self, p: usize) -> (usize, u64) {
         // modelcheck-allow: float-env — the shape key must distinguish
         // every distinct frac, and bit equality is exactly that.
         (p, self.monitor.frac().get().to_bits())
     }
 
-    /// Rebuilds the stored mix only when the forecast shape changed
-    /// since it was built. Keeping the mix (and its epoch) stable on
-    /// same-shape forecasts is what lets the epoch-keyed cache hit, and
-    /// skips the mix's allocations and `O(p²)` distribution on every
-    /// unchanged query. Returns the mix with the cache keyed on it.
-    fn sync_shape(&mut self, p: usize) -> (&WorkloadMix, &mut ProfileCache) {
-        let key = self.shape_of(p);
-        if self.mix.as_ref().is_some_and(|(shape, _)| *shape != key) {
-            self.mix = None;
-        }
-        let frac = self.monitor.frac();
-        let (_, mix) =
-            self.mix.get_or_insert_with(|| (key, WorkloadMix::from_probs(&vec![frac; p])));
-        (mix, &mut self.cache)
-    }
-
-    /// The cached profile, if it answers a fresh forecast of `p`
-    /// contenders as it stands: same shape, and current for the mix.
+    /// The stored profile, if it was built for the shape of a fresh
+    /// forecast of `p` contenders.
     fn current_profile(&self, p: usize) -> Option<&SlowdownProfile> {
-        let (shape, mix) = self.mix.as_ref()?;
-        if *shape != self.shape_of(p) {
-            return None;
-        }
-        self.cache.peek().filter(|profile| profile.is_current(mix))
+        let (shape, profile) = self.profile.as_ref()?;
+        (*shape == self.shape_of(p)).then_some(profile)
     }
 }
 
@@ -160,8 +141,21 @@ impl MachineState {
 /// write tally the `stats` breakdown reports.
 #[derive(Debug, Default)]
 struct Shard {
-    machines: BTreeMap<String, MachineState>,
+    /// Machine states in first-report order; only ever appended to.
+    machines: Vec<MachineState>,
+    /// Each machine's slot in `machines`, under std's keyed hasher.
+    index: HashMap<Box<str>, usize>,
     load_reports: u64,
+}
+
+impl Shard {
+    fn get(&self, machine: &str) -> Option<&MachineState> {
+        self.index.get(machine).map(|&i| &self.machines[i])
+    }
+
+    fn get_mut(&mut self, machine: &str) -> Option<&mut MachineState> {
+        self.index.get(machine).map(|&i| &mut self.machines[i])
+    }
 }
 
 /// A resolved forecast's pedigree (the profile itself is borrowed).
@@ -170,6 +164,12 @@ struct Resolved {
     stale: bool,
     forecaster: &'static str,
     cache_hit: bool,
+}
+
+impl Resolved {
+    fn fresh(p: usize, forecaster: &'static str, cache_hit: bool) -> Self {
+        Resolved { p: u64::try_from(p).unwrap_or(u64::MAX), stale: false, forecaster, cache_hit }
+    }
 }
 
 /// One event loop's reusable request and reply values: a
@@ -451,15 +451,18 @@ impl Service {
             shard.load_reports += 1;
             // A known machine's report allocates no key: look it up
             // first, and copy the name only on its first sighting.
-            let state = match shard.machines.get_mut(&r.machine) {
-                Some(state) => state,
-                None => shard
-                    .machines
-                    .entry(r.machine.clone())
-                    .or_insert_with(|| MachineState::new(cfg)),
+            let i = match shard.index.get(r.machine.as_str()) {
+                Some(&i) => i,
+                None => {
+                    shard.machines.push(MachineState::new(cfg));
+                    let i = shard.machines.len() - 1;
+                    shard.index.insert(r.machine.as_str().into(), i);
+                    i
+                }
             };
-            // The mix is left for the next query to bring up to date, so
-            // this allocates nothing.
+            let state = &mut shard.machines[i];
+            // The profile is left for the next query to bring up to
+            // date, so this allocates nothing.
             let accepted = state.monitor.report(at, r.load, frac);
             (accepted, state.monitor.forecast(at).p)
         };
@@ -476,11 +479,10 @@ impl Service {
     /// precomputed dedicated profile, flagged stale.
     ///
     /// The fast path runs entirely under the shard's *read* lock: a
-    /// fresh forecast whose shape matches the stored mix and whose
-    /// cached profile is current needs no mutation at all. Only a shape
-    /// change or cache miss upgrades to the write lock (dropping the
-    /// read lock first; the slow path re-resolves from scratch, so an
-    /// interleaved writer is harmless).
+    /// fresh forecast whose shape matches the stored profile's needs no
+    /// mutation at all. Only a shape change or an empty slot upgrades to
+    /// the write lock (dropping the read lock first; the slow path
+    /// re-resolves from scratch, so an interleaved writer is harmless).
     fn with_profile<R>(
         &self,
         machine: &str,
@@ -490,41 +492,27 @@ impl Service {
         let shard = &self.shards[self.shard_of(machine)];
         {
             let guard = read_lock(shard);
-            let Some(state) = guard.machines.get(machine) else {
+            let Some(state) = guard.get(machine) else {
                 drop(guard);
-                self.metrics.cache_hit();
-                let meta = Resolved { p: 0, stale: true, forecaster: "dedicated", cache_hit: true };
-                return f(&self.dedicated, meta);
+                return self.answer_stale("dedicated", f);
             };
             let fc = state.monitor.forecast(now);
             if fc.stale {
-                self.metrics.cache_hit();
-                let meta =
-                    Resolved { p: 0, stale: true, forecaster: fc.forecaster, cache_hit: true };
-                return f(&self.dedicated, meta);
+                return self.answer_stale(fc.forecaster, f);
             }
             if let Some(profile) = state.current_profile(fc.p) {
                 self.metrics.cache_hit();
-                let meta = Resolved {
-                    p: u64::try_from(fc.p).unwrap_or(u64::MAX),
-                    stale: false,
-                    forecaster: fc.forecaster,
-                    cache_hit: true,
-                };
-                return f(profile, meta);
+                return f(profile, Resolved::fresh(fc.p, fc.forecaster, true));
             }
         }
-        // Slow path: the shape moved or the cache is cold. Re-resolve
-        // under the write lock and fill the cache.
-        // modelcheck-allow: event-loop — cold-cache slow path only; the
-        // write lock covers one re-resolve + cache fill and the hot path
-        // above never takes it.
+        // Slow path: the shape moved or the slot is empty. Re-resolve
+        // under the write lock and fill the slot.
+        // modelcheck-allow: event-loop — cold-slot slow path only; the
+        // write lock covers one re-resolve + profile fold and the hot
+        // path above never takes it.
         let mut guard = write_lock(shard);
-        let shard_ref = &mut *guard;
-        let Some(state) = shard_ref.machines.get_mut(machine) else {
-            self.metrics.cache_hit();
-            let meta = Resolved { p: 0, stale: true, forecaster: "dedicated", cache_hit: true };
-            return f(&self.dedicated, meta);
+        let Some(state) = guard.get_mut(machine) else {
+            return self.answer_stale("dedicated", f);
         };
         self.resolve_state(state, now, f)
     }
@@ -532,9 +520,9 @@ impl Service {
     /// Resolves one mutable machine state (the shard write path) to the
     /// profile a prediction should use, recording cache metrics, and
     /// applies `f`.
-    /// This is where the mix catches up with the reports since the last
-    /// query: rebuilt once if their forecast shape differs from the
-    /// stored one, untouched otherwise.
+    /// This is where the profile catches up with the reports since the
+    /// last query: rebuilt once from a short-lived mix if their forecast
+    /// shape differs from the stored one, untouched otherwise.
     fn resolve_state<R>(
         &self,
         state: &mut MachineState,
@@ -543,25 +531,33 @@ impl Service {
     ) -> R {
         let fc = state.monitor.forecast(now);
         if fc.stale {
-            self.metrics.cache_hit();
-            let meta = Resolved { p: 0, stale: true, forecaster: fc.forecaster, cache_hit: true };
-            return f(&self.dedicated, meta);
+            return self.answer_stale(fc.forecaster, f);
         }
-        let (mix, cache) = state.sync_shape(fc.p);
-        let hit = cache.peek().is_some_and(|profile| profile.is_current(mix));
+        let shape = state.shape_of(fc.p);
+        let (hit, profile) = match &mut state.profile {
+            Some((stored, profile)) if *stored == shape => (true, &*profile),
+            slot => {
+                let mix = WorkloadMix::from_probs(&vec![state.monitor.frac(); fc.p]);
+                (false, &slot.insert((shape, self.pred.profile(&mix))).1)
+            }
+        };
         if hit {
             self.metrics.cache_hit();
         } else {
             self.metrics.cache_miss();
         }
-        let meta = Resolved {
-            p: u64::try_from(fc.p).unwrap_or(u64::MAX),
-            stale: false,
-            forecaster: fc.forecaster,
-            cache_hit: hit,
-        };
-        let profile = cache.profile_for(mix, &self.pred.comm_delays, &self.pred.comp_delays);
-        f(profile, meta)
+        f(profile, Resolved::fresh(fc.p, fc.forecaster, hit))
+    }
+
+    /// Answers from the dedicated profile, flagged stale: the rule for
+    /// an unknown machine or a stale forecast.
+    fn answer_stale<R>(
+        &self,
+        forecaster: &'static str,
+        f: impl FnOnce(&SlowdownProfile, Resolved) -> R,
+    ) -> R {
+        self.metrics.cache_hit();
+        f(&self.dedicated, Resolved { p: 0, stale: true, forecaster, cache_hit: true })
     }
 
     fn on_predict(&self, q: &Predict, resp: &mut Response) {
@@ -664,7 +660,7 @@ impl Service {
 /// Read-locks a shard, recovering from poisoning: a worker that
 /// panicked mid-request must not wedge every later request to the
 /// shard, and the state it guards is always internally consistent
-/// (single-field updates plus the cache's own epoch check).
+/// (single-field updates plus the profile slot's shape check).
 fn read_lock(shard: &RwLock<Shard>) -> RwLockReadGuard<'_, Shard> {
     shard.read().unwrap_or_else(PoisonError::into_inner)
 }
@@ -734,7 +730,7 @@ mod tests {
 
         let (second, _) = s.handle(&predict_at("m0", 3.5));
         let Response::Prediction(p2) = second else { panic!("want prediction") };
-        assert!(p2.cache_hit, "same shape, same epoch: cache must hit");
+        assert!(p2.cache_hit, "same shape: the stored profile must hit");
         assert_eq!(p2.decision, direct);
     }
 
@@ -910,23 +906,23 @@ mod tests {
         }
     }
 
-    /// The mix epoch of `machine` on the shard, if a query has built one.
-    fn shard_epoch(s: &Service, machine: &str) -> Option<u64> {
-        let shard = read_lock(&s.shards[s.shard_of(machine)]);
-        shard.machines.get(machine)?.mix.as_ref().map(|(_, mix)| mix.epoch())
+    /// Profile builds so far: the `stats` miss counter.
+    fn misses(s: &Service) -> u64 {
+        let (resp, _) = s.handle(&Request::Stats);
+        let Response::Stats(st) = resp else { panic!("want stats") };
+        st.cache.misses
     }
 
     #[test]
-    fn unchanged_shape_keeps_the_mix_and_every_query_hits() {
+    fn unchanged_shape_keeps_the_profile_and_every_query_hits() {
         let s = svc();
         for t in 0..4 {
             s.handle(&report("m0", f64::from(t), 3.0));
         }
-        // The first query builds the mix and fills the cache; from then
-        // on the shape never changes.
+        // The first query builds the profile; from then on the shape
+        // never changes.
         s.handle(&predict_at("m0", 3.0));
-        let before = shard_epoch(&s, "m0");
-        assert!(before.is_some(), "the shard holds a mix");
+        assert_eq!(misses(&s), 1, "the first query builds the profile");
         for i in 0..1000 {
             let now = 3.0 + f64::from(i) * 1e-3;
             let (resp, _) = s.handle(&predict_at("m0", now));
@@ -934,28 +930,28 @@ mod tests {
             assert!(p.cache_hit, "query {i} missed the cache");
             assert_eq!(p.p, 3);
         }
-        assert_eq!(shard_epoch(&s, "m0"), before, "mix rebuilt on an unchanged shape");
+        assert_eq!(misses(&s), 1, "profile rebuilt on an unchanged shape");
     }
 
     #[test]
-    fn reports_leave_the_mix_to_the_next_query() {
+    fn reports_leave_the_profile_to_the_next_query() {
         let s = svc();
         for t in 0..3 {
             s.handle(&report("m0", f64::from(t), 2.0));
         }
         s.handle(&predict_at("m0", 2.0));
-        let before = shard_epoch(&s, "m0");
-        // Shape-changing reports: no mix is built.
+        assert_eq!(misses(&s), 1);
+        // Shape-changing reports: no profile is built.
         let loads = [5.0, 5.0, 5.0, 7.0, 7.0, 7.0];
         for (t, &load) in (3..).zip(&loads) {
             let (resp, _) = s.handle(&report("m0", f64::from(t), load));
             let Response::Ack(a) = resp else { panic!("want ack") };
             assert!(a.accepted);
         }
-        assert_eq!(shard_epoch(&s, "m0"), before, "a report rebuilt the mix");
+        assert_eq!(misses(&s), 1, "a report rebuilt the profile");
 
-        // The next query rebuilds the mix exactly once, and answers like
-        // a fresh service fed the same reports.
+        // The next query rebuilds the profile exactly once, and answers
+        // like a fresh service fed the same reports.
         let fresh = svc();
         for (t, load) in (0..3).map(|t| (t, 2.0)).chain((3..).zip(loads)) {
             fresh.handle(&report("m0", f64::from(t), load));
@@ -964,16 +960,15 @@ mod tests {
         let Response::Prediction(want) = want else { panic!("want prediction") };
         assert_eq!(want.p, 7);
         let (got, _) = s.handle(&predict_at("m0", 8.5));
-        let after = shard_epoch(&s, "m0");
-        assert_ne!(after, before, "the query must rebuild the mix");
+        assert_eq!(misses(&s), 2, "the query must rebuild the profile");
         let Response::Prediction(got) = got else { panic!("want prediction") };
         assert_eq!(got.decision, want.decision, "answer differs from a fresh service");
         assert_eq!((got.p, got.stale, &got.forecaster), (want.p, want.stale, &want.forecaster));
-        assert!(!got.cache_hit, "a rebuilt mix starts with a cold cache");
+        assert!(!got.cache_hit, "a moved shape misses");
         for i in 0..10 {
             s.handle(&predict_at("m0", 8.5 + f64::from(i) * 1e-2));
         }
-        assert_eq!(shard_epoch(&s, "m0"), after, "rebuilt more than once");
+        assert_eq!(misses(&s), 2, "rebuilt more than once");
     }
 
     #[test]
@@ -983,15 +978,14 @@ mod tests {
             s.handle(&report("m0", f64::from(t), 3.0));
         }
         s.handle(&predict_at("m0", 2.0));
-        let before = shard_epoch(&s, "m0");
         // p goes 3 -> 9 -> 3 with no query in between.
         s.handle(&report("m0", 3.0, 9.0));
         s.handle(&report("m0", 4.0, 3.0));
         let (resp, _) = s.handle(&predict_at("m0", 4.0));
         let Response::Prediction(p) = resp else { panic!("want prediction") };
         assert_eq!(p.p, 3);
-        assert!(p.cache_hit, "the stored mix still answers the returned shape");
-        assert_eq!(shard_epoch(&s, "m0"), before);
+        assert!(p.cache_hit, "the stored profile still answers the returned shape");
+        assert_eq!(misses(&s), 1);
     }
 
     #[test]

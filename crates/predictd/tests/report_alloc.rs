@@ -3,19 +3,26 @@
 //! not copied again, the forecast's contender count is read without a
 //! forecaster name, and no workload mix is built — not even when the
 //! report changes the forecast shape. A new machine's first report
-//! costs two: its key and the `Ack`'s name; it holds no mix until a
+//! costs two: its key and the `Ack`'s name; it holds no profile until a
 //! query needs one, and its monitor and forecaster bank are one inline
-//! value. Pinned with a global allocator
-//! that counts this thread's allocations.
+//! value. After its first fresh `predict` a machine holds three heap
+//! blocks: its key and its profile's two vectors; the mix the profile
+//! was folded from is gone. Pinned with a global allocator that counts
+//! this thread's allocations and the heap blocks it holds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use predictd::proto::{LoadReport, Request, Response};
+use contention_model::dataset::DataSet;
+use contention_model::predict::ParagonTask;
+use contention_model::units::secs;
+use predictd::proto::{LoadReport, Predict, Request, Response};
 use predictd::{Service, ServiceConfig};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Blocks allocated minus blocks freed; a `realloc` moves a block.
+    static BLOCKS: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -26,6 +33,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        BLOCKS.with(|n| n.set(n.get() + 1));
         // SAFETY: the caller's contract for `alloc` is passed through.
         unsafe { System.alloc(layout) }
     }
@@ -37,6 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        BLOCKS.with(|n| n.set(n.get() - 1));
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -79,13 +88,24 @@ fn a_known_machines_report_allocates_only_the_acks_name() {
     assert_eq!(counted, acked, "{counted} allocations for {acked} reports");
 }
 
-#[test]
-fn a_new_machines_first_report_allocates_its_key_and_its_ack() {
-    // One shard, already holding a machine: the first sightings below
-    // land in the same map leaf, so no node allocation blurs the count.
+/// Machines already in the one shard before the counted first
+/// sightings: with 17, the slab holds 32 states and the index 28
+/// names, so the next 8 sightings cross no growth step of either.
+const WARM: usize = 17;
+
+/// A one-shard service holding [`WARM`] machines.
+fn warm_one_shard_service() -> Service {
     let service =
         Service::with_default_predictor(ServiceConfig { shards: 1, ..Default::default() });
-    service.handle(&report("alloc-warm", 0.0, 1.0));
+    for i in 0..WARM {
+        service.handle(&report(&format!("alloc-warm{i}"), 0.0, 1.0));
+    }
+    service
+}
+
+#[test]
+fn a_new_machines_first_report_allocates_its_key_and_its_ack() {
+    let service = warm_one_shard_service();
     let requests: Vec<Request> =
         (0..8).map(|i| report(&format!("alloc-new{i}"), 1.0, f64::from(i))).collect();
     let before = ALLOCATIONS.with(Cell::get);
@@ -94,6 +114,37 @@ fn a_new_machines_first_report_allocates_its_key_and_its_ack() {
         assert!(matches!(resp, Response::Ack(ref a) if a.accepted), "{resp:?}");
     }
     let counted = ALLOCATIONS.with(Cell::get) - before;
-    assert_eq!(service.machine_count(), 9);
+    assert_eq!(service.machine_count(), WARM + 8);
     assert_eq!(counted, 2 * 8, "{counted} allocations for 8 first sightings");
+}
+
+#[test]
+fn a_machine_holds_its_key_and_its_profile_and_no_mix() {
+    let service = warm_one_shard_service();
+    let task = ParagonTask {
+        dcomp_sun: secs(30.0),
+        t_paragon: secs(6.0),
+        to_backend: vec![DataSet::burst(10, 2000)],
+        from_backend: vec![DataSet::single(1000)],
+    };
+    let requests: Vec<[Request; 2]> = (0..8)
+        .map(|i| {
+            let machine = format!("alloc-new{i}");
+            let predict =
+                Predict { machine: machine.clone(), now: 1.0, task: task.clone(), j_words: 500 };
+            [report(&machine, 1.0, 3.0), Request::Predict(predict)]
+        })
+        .collect();
+    let before = BLOCKS.with(Cell::get);
+    for [first_report, first_predict] in &requests {
+        let (resp, _) = service.handle(first_report);
+        assert!(matches!(resp, Response::Ack(ref a) if a.accepted), "{resp:?}");
+        drop(resp);
+        let (resp, _) = service.handle(first_predict);
+        let Response::Prediction(p) = resp else { panic!("want prediction, got {resp:?}") };
+        assert!(!p.stale && !p.cache_hit && p.p == 3, "{p:?}");
+    }
+    let held = BLOCKS.with(Cell::get) - before;
+    assert_eq!(service.machine_count(), WARM + 8);
+    assert_eq!(held, 3 * 8, "{held} heap blocks held by 8 machines");
 }

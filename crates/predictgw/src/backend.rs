@@ -68,7 +68,7 @@ impl BackendState {
     /// Records a successful probe; returns `true` on a Down→Up
     /// transition (the caller replays the journal *before* calling
     /// this, so traffic only resumes against caught-up state).
-    pub fn mark_up(&self) -> bool {
+    pub(crate) fn mark_up(&self) -> bool {
         self.probe_failures.store(0, Ordering::Relaxed);
         !self.healthy.swap(true, Ordering::Release)
     }
@@ -82,7 +82,7 @@ impl BackendState {
     /// Records a failed probe; after `threshold` consecutive failures
     /// the backend is marked down. Returns `true` on the Up→Down
     /// transition.
-    pub fn mark_probe_failure(&self, threshold: u32) -> bool {
+    pub(crate) fn mark_probe_failure(&self, threshold: u32) -> bool {
         let failures = self.probe_failures.fetch_add(1, Ordering::Relaxed).saturating_add(1);
         if failures >= threshold {
             self.healthy.swap(false, Ordering::Release)
@@ -97,7 +97,7 @@ impl BackendState {
     }
 
     /// Advances the replication cursor by `n` sent reports.
-    pub fn advance_cursor(&self, n: u64) {
+    pub(crate) fn advance_cursor(&self, n: u64) {
         self.sent_reports.fetch_add(n, Ordering::Release);
     }
 
@@ -127,7 +127,7 @@ impl BackendState {
     /// Rewinds the cursor to `to` (journal truncation compacted away
     /// records below it, or a replay proved the backend holds exactly
     /// `to` reports).
-    pub fn set_cursor(&self, to: u64) {
+    pub(crate) fn set_cursor(&self, to: u64) {
         self.sent_reports.store(to, Ordering::Release);
     }
 }

@@ -74,16 +74,16 @@ use proto::proto::LoadReport;
 use proto::Request;
 
 /// Journal record: file metadata (first record of every journal).
-pub const REC_META: u8 = 0x01;
+pub(crate) const REC_META: u8 = 0x01;
 /// Journal record: one `load_report`, binproto-encoded.
 pub const REC_REPORT: u8 = 0x02;
 /// Journal record: compaction marker carrying the `f64` cutoff.
-pub const REC_TRUNCATE: u8 = 0x03;
+pub(crate) const REC_TRUNCATE: u8 = 0x03;
 
 /// Magic bytes opening the `REC_META` payload.
-pub const META_MAGIC: [u8; 4] = *b"PGWJ";
+pub(crate) const META_MAGIC: [u8; 4] = *b"PGWJ";
 /// Journal format version.
-pub const META_VERSION: u8 = 0x01;
+pub(crate) const META_VERSION: u8 = 0x01;
 
 /// Largest record the reader will accept. Reports are tiny (tens of
 /// bytes); anything near this is corruption, and bounding it keeps a
@@ -206,7 +206,7 @@ impl Journal {
     }
 
     /// `REC_REPORT` records staged and not yet committed.
-    pub fn staged(&self) -> u64 {
+    pub(crate) fn staged(&self) -> u64 {
         self.staged_reports
     }
 
@@ -225,7 +225,7 @@ impl Journal {
     /// [`Journal::staged`] moves, until [`Journal::commit`]. A body
     /// [`binproto::check_request`] does not vouch for as a
     /// `load_report` is refused: replay would reject it.
-    pub fn stage_report(&mut self, body: &[u8]) -> io::Result<()> {
+    pub(crate) fn stage_report(&mut self, body: &[u8]) -> io::Result<()> {
         if body.first() != Some(&binproto::REQ_LOAD_REPORT) || !binproto::check_request(body) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -342,7 +342,7 @@ impl Journal {
     /// The file is read only when the oldest retained report is older
     /// than the cutoff, so the gateway's call after every commit costs
     /// nothing until there is something to drop.
-    pub fn truncate_before(&mut self, cutoff_at: f64) -> io::Result<u64> {
+    pub(crate) fn truncate_before(&mut self, cutoff_at: f64) -> io::Result<u64> {
         self.commit()?;
         if cutoff_at <= self.oldest_at {
             return Ok(0);
@@ -657,7 +657,7 @@ pub fn read_reports(path: &Path) -> io::Result<Vec<LoadReport>> {
 /// are skipped by their length words, not decoded; a report this reads
 /// that [`binproto::check_request`] does not vouch for is an error, and
 /// a torn trailing record ends the read, as in [`read_reports`].
-pub fn report_frames(path: &Path, from: u64) -> io::Result<Vec<Vec<u8>>> {
+pub(crate) fn report_frames(path: &Path, from: u64) -> io::Result<Vec<Vec<u8>>> {
     let raw = std::fs::read(path)?;
     let corrupt = |what: &str| {
         io::Error::new(io::ErrorKind::InvalidData, format!("journal {}: {what}", path.display()))
@@ -972,7 +972,9 @@ mod tests {
     fn design_record_table_matches_the_rec_constants() {
         let mut consts: Vec<(String, String)> = include_str!("journal.rs")
             .lines()
-            .filter_map(|l| l.strip_prefix("pub const REC_"))
+            .filter_map(|l| {
+                l.strip_prefix("pub const REC_").or(l.strip_prefix("pub(crate) const REC_"))
+            })
             .map(|rest| {
                 let (name, tag) = rest.split_once(": u8 = ").expect("a u8 record tag");
                 (format!("REC_{name}"), tag.trim_end_matches(';').to_string())

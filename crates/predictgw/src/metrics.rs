@@ -71,7 +71,7 @@ impl GwMetrics {
     }
 
     /// Counts one request answered by `backend`.
-    pub fn backend_request(&self, backend: usize) {
+    pub(crate) fn backend_request(&self, backend: usize) {
         if let Some(b) = self.backends.get(backend) {
             b.requests.fetch_add(1, Relaxed);
         }

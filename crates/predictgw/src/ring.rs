@@ -20,7 +20,7 @@
 /// Stable across platforms and releases by construction (the constants
 /// are the published FNV parameters); routing depends on every gateway
 /// computing the identical value for the identical machine ID.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

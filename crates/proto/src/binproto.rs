@@ -83,7 +83,7 @@ pub const MAGIC: u8 = 0xBD;
 /// Wire version negotiated by the preamble. Bumped on any layout
 /// change; a server that does not speak the offered version must reject
 /// the connection rather than guess.
-pub const VERSION: u8 = 0x01;
+pub(crate) const VERSION: u8 = 0x01;
 
 /// The 4-byte connection preamble a binary client sends after connect:
 /// magic, `b"PD"`, version.
